@@ -18,7 +18,7 @@ from .data import (
     write_scene,
 )
 from .model import CrowdForecaster
-from .train import ConstantVelocityModel, baseline_constant_velocity, evaluate, train
+from .train import ConstantVelocityModel, baseline_constant_velocity, evaluate
 
 __all__ = [
     "Tensor",
@@ -39,7 +39,6 @@ __all__ = [
     "ConstantVelocityModel",
     "baseline_constant_velocity",
     "evaluate",
-    "train",
 ]
 
 __version__ = "0.1.0"

@@ -44,29 +44,12 @@ def positional_encoding(length, d_model, dtype=np.float64):
     return table.astype(dtype)
 
 
-def positional_encode(x):
-    """Add sinusoidal position codes along the second-to-last axis."""
-    length, d_model = x.shape[-2], x.shape[-1]
-    return ad.add(x, Tensor(positional_encoding(length, d_model, x.dtype)))
-
-
 def pairwise_distances(points):
     """Euclidean [N, N] distances with an exact-zero diagonal."""
     p = np.asarray(points, dtype=np.float64)
     diff = p[..., :, None, :] - p[..., None, :, :]
     d2 = np.einsum("...ijk,...ijk->...ij", diff, diff)
     return np.sqrt(np.maximum(d2, 0.0))
-
-
-def build_spatial_mask(positions_t, presence_t, weight, bias):
-    """Mask over agents at one timestep: -inf at absent keys, else w*dist+b."""
-    presence_t = np.asarray(presence_t, dtype=bool)
-    if not presence_t.any():
-        raise ValueError("spatial mask needs at least one present agent")
-    dist = pairwise_distances(positions_t)
-    bias_t = ad.add(ad.mul(weight, Tensor(dist, dtype=weight.dtype)), bias)
-    absent = np.broadcast_to(~presence_t[None, :], dist.shape)
-    return AttentionMask(bias=bias_t, absent=absent)
 
 
 def build_spatial_masks_batch(positions, presence, weight, bias):
@@ -82,20 +65,17 @@ def build_spatial_masks_batch(positions, presence, weight, bias):
     return AttentionMask(bias=bias_t, absent=absent)
 
 
-def build_temporal_mask(presence_n, weight, bias, use_gap_bias=True):
+def build_temporal_mask(presence_n, weight, bias):
     """Mask over timesteps for agents: -inf at absent steps, else w*|t-t'|+b.
 
     presence_n: [..., T] boolean presence along time.  The same |t-t'| gap
-    matrix serves every agent; set ``use_gap_bias`` False for a zero bias.
+    matrix serves every agent.
     """
     presence_n = np.asarray(presence_n, dtype=bool)
     t = presence_n.shape[-1]
     steps = np.arange(t, dtype=np.float64)
     gaps = np.abs(steps[:, None] - steps[None, :])
-    if use_gap_bias:
-        bias_t = ad.add(ad.mul(weight, Tensor(gaps, dtype=weight.dtype)), bias)
-    else:
-        bias_t = Tensor(np.zeros_like(gaps), dtype=weight.dtype)
+    bias_t = ad.add(ad.mul(weight, Tensor(gaps, dtype=weight.dtype)), bias)
     absent = ~presence_n[..., None, :]  # key timestep absent
     return AttentionMask(bias=bias_t, absent=np.broadcast_to(absent, presence_n.shape[:-1] + (t, t)))
 
@@ -143,7 +123,7 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, recor
             absent = absent[..., None, :, :]
         attn = ad.masked_softmax(logits, absent)
     else:
-        attn = ad.softmax_rows(logits)
+        attn = ad.masked_softmax(logits)
 
     if record is not None and record_key is not None:
         record[record_key] = attn.data.copy()

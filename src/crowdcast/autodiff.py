@@ -7,7 +7,7 @@ Broadcasting follows numpy semantics but only over leading batch dimensions
 or explicit size-1 axes; anything fancier needs an explicit reshape.
 
 All op outputs must be finite.  Leaf tensors may carry -inf (attention
-masks); ``softmax_rows`` maps those entries to exact zeros.
+masks); ``masked_softmax`` maps those entries to exact zeros.
 """
 
 from __future__ import annotations
@@ -262,28 +262,6 @@ def exp(x):
     return _make(out_data, "exp", (x,), bw)
 
 
-def log(x):
-    xd = x.data
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = np.log(xd)
-
-    def bw(g, x=x, xd=xd):
-        if x.requires_grad:
-            x._accumulate(g / xd)
-
-    return _make(out_data, "log", (x,), bw)
-
-
-def sqrt(x):
-    out_data = np.sqrt(x.data)
-
-    def bw(g, x=x, out_data=out_data):
-        if x.requires_grad:
-            x._accumulate(g * 0.5 / out_data)
-
-    return _make(out_data, "sqrt", (x,), bw)
-
-
 def norm(x, axis=-1):
     """Euclidean norm along ``axis``.
 
@@ -299,23 +277,6 @@ def norm(x, axis=-1):
             x._accumulate(np.expand_dims(g, axis) * (xd / safe))
 
     return _make(out_data, "norm", (x,), bw)
-
-
-# Gradient of arccos blows up at |x| -> 1; the derivative uses a clipped
-# argument so a near-degenerate angle cannot emit unbounded updates.
-ARCCOS_CLIP = 1e-6
-
-
-def arccos(x):
-    xd = np.clip(x.data, -1.0, 1.0)
-    out_data = np.arccos(xd)
-
-    def bw(g, x=x, xd=xd):
-        if x.requires_grad:
-            c = np.clip(xd, -1.0 + ARCCOS_CLIP, 1.0 - ARCCOS_CLIP)
-            x._accumulate(-g / np.sqrt(1.0 - c * c))
-
-    return _make(out_data, "arccos", (x,), bw)
 
 
 def absval(x):
@@ -475,48 +436,31 @@ def tmean(x, axis=None, keepdims=False):
 # -- neural-net primitives ----------------------------------------------
 
 
-def _softmax_core(xd, neg):
-    """Shared masked-softmax kernel: -inf/absent entries get weight 0."""
-    masked = np.where(neg, -np.inf, xd)
-    rowmax = masked.max(axis=-1, keepdims=True)
-    safe_max = np.where(np.isfinite(rowmax), rowmax, 0.0)
-    e = np.exp(masked - safe_max)
-    e = np.where(neg, 0.0, e)
-    s = e.sum(axis=-1, keepdims=True)
-    return np.where(s > 0, e / np.where(s > 0, s, 1.0), 0.0)
-
-
-def _softmax_bw(y, g):
-    return y * (g - (g * y).sum(axis=-1, keepdims=True))
-
-
-def softmax_rows(x):
+def masked_softmax(logits, absent=None):
     """Row softmax over the last axis with max-subtraction.
 
-    Input entries of -inf map to exact zeros.  A fully -inf row yields an
-    all-zero row; callers must not attend from such rows.
+    ``absent`` (bool, broadcastable) marks keys that get weight 0; when it
+    is omitted, the input's -inf entries are the absent keys.  A row with
+    every key absent yields an all-zero row; callers must not attend from
+    such rows.
     """
-    xd = x.data
-    if np.any(np.isnan(xd)) or np.any(np.isposinf(xd)):
-        raise NonFiniteError("softmax_rows input contains NaN or +inf")
-    neg = np.isneginf(xd)
-    y = _softmax_core(xd, neg)
-
-    def bw(g, x=x, y=y):
-        if x.requires_grad:
-            x._accumulate(_softmax_bw(y, g))
-
-    return _make(y, "softmax_rows", (x,), bw)
-
-
-def masked_softmax(logits, absent):
-    """Row softmax treating ``absent`` (bool, broadcastable) keys as -inf."""
-    absent = np.broadcast_to(np.asarray(absent, dtype=bool), logits.shape)
-    y = _softmax_core(logits.data, absent)
+    xd = logits.data
+    if absent is None:
+        if np.any(np.isnan(xd)) or np.any(np.isposinf(xd)):
+            raise NonFiniteError("masked_softmax input contains NaN or +inf")
+        absent = np.isneginf(xd)
+    else:
+        absent = np.broadcast_to(np.asarray(absent, dtype=bool), logits.shape)
+    masked = np.where(absent, -np.inf, xd)
+    rowmax = masked.max(axis=-1, keepdims=True)
+    safe_max = np.where(np.isfinite(rowmax), rowmax, 0.0)
+    e = np.where(absent, 0.0, np.exp(masked - safe_max))
+    s = e.sum(axis=-1, keepdims=True)
+    y = np.where(s > 0, e / np.where(s > 0, s, 1.0), 0.0)
 
     def bw(g, logits=logits, y=y):
         if logits.requires_grad:
-            logits._accumulate(_softmax_bw(y, g))
+            logits._accumulate(y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
     return _make(y, "masked_softmax", (logits,), bw)
 

@@ -37,13 +37,10 @@ class TrainConfig:
     scales: tuple = (2, 3, 4)
     gcn_radius: float = 5.0
     sigma_prior: float = 1.0
-    temporal_bias: bool = True
-    fusion_include_self: bool = False
     # data / evaluation
     t_in: int = 8
     t_out: int = 12
     stride: int = 1
-    k_samples: int = 20
     fde_joint: bool = False  # take FDE from the ADE-minimizing sample
     precision: str = "f64"
 
@@ -52,7 +49,7 @@ class TrainConfig:
         numeric = [self.learning_rate, self.decay_factor, self.epochs, self.batch_size,
                    self.d_model, self.d_emb, self.d_z, self.heads, self.ffn_hidden,
                    self.layers, self.cvae_hidden, self.t_in, self.t_out, self.stride,
-                   self.k_samples, self.sigma_prior, self.decay_every]
+                   self.sigma_prior, self.decay_every]
         if any(v <= 0 for v in numeric):
             raise ConfigError("all numeric config values must be positive")
         if self.d_model % 2 != 0:

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .transformer import ffn_forward
 
 
 class ContractError(ValueError):
@@ -32,15 +33,6 @@ class LossComponentError(ArithmeticError):
 class LatentPosterior:
     mu: Tensor  # [N, d_z]
     log_sigma: Tensor  # [N, d_z]
-
-
-@dataclass
-class PredictionSet:
-    """K sampled futures for one window plus per-sample errors."""
-
-    samples: np.ndarray  # [K, N, T_o, 2]
-    per_sample_ade: np.ndarray  # [K]
-    per_sample_fde: np.ndarray  # [K]
 
 
 def observed_embedding(params, x_obs, presence_obs):
@@ -79,18 +71,9 @@ def reparameterize(posterior, eps):
     return ad.add(posterior.mu, ad.mul(sigma, Tensor(eps, dtype=sigma.dtype)))
 
 
-def sample_latent(posterior, rng, mode, n=None, d_z=None, sigma_prior=1.0, dtype=None):
-    """Training: reparameterized posterior draw.  Testing: prior draw."""
-    if mode == "train":
-        if posterior is None:
-            raise ContractError("training-mode sampling needs a posterior")
-        eps = rng.standard_normal(posterior.mu.shape)
-        return reparameterize(posterior, eps)
-    if mode == "test":
-        if n is None or d_z is None:
-            raise ContractError("test-mode sampling needs (n, d_z)")
-        return Tensor(sigma_prior * rng.standard_normal((n, d_z)), dtype=dtype)
-    raise ContractError(f"unknown sampling mode {mode!r}")
+def sample_prior(rng, n, d_z, sigma_prior=1.0, dtype=None):
+    """Latent draw [n, d_z] from the prior N(0, sigma_prior^2 I)."""
+    return Tensor(sigma_prior * rng.standard_normal((n, d_z)), dtype=dtype)
 
 
 def decode_trajectories(params, z, obs_emb, y_m, anchors, t_out):
@@ -100,9 +83,7 @@ def decode_trajectories(params, z, obs_emb, y_m, anchors, t_out):
     each agent's last observed position.
     """
     n = z.shape[0]
-    joint = ad.concat([z, obs_emb, y_m], axis=1)
-    h = ad.relu(ad.add(ad.matmul(joint, params["cvae/dec/w1"]), params["cvae/dec/b1"]))
-    inc = ad.add(ad.matmul(h, params["cvae/dec/w2"]), params["cvae/dec/b2"])
+    inc = ffn_forward(params, "cvae/dec", ad.concat([z, obs_emb, y_m], axis=1))
     inc = ad.reshape(inc, (n, t_out, 2))
     tri = Tensor(np.tril(np.ones((t_out, t_out))), dtype=inc.dtype)
     cum = ad.matmul(tri, inc)
@@ -253,13 +234,3 @@ def best_of_k(samples, gt, presence, joint_fde=False):
         best = int(np.argmin(ades))
         return float(ades[best]), float(fdes[best])
     return float(ades.min()), float(fdes.min())
-
-
-def prediction_set(samples, gt, presence):
-    samples = np.asarray(samples, dtype=np.float64)
-    ades, fdes = [], []
-    for k in range(samples.shape[0]):
-        a, f = ade_fde(samples[k], gt, presence)
-        ades.append(a)
-        fdes.append(f)
-    return PredictionSet(samples=samples, per_sample_ade=np.array(ades), per_sample_fde=np.array(fdes))

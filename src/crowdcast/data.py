@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import load_archive, save_archive
-
 T_IN_DEFAULT = 8
 T_OUT_DEFAULT = 12
 
@@ -122,7 +120,9 @@ def window_scene(scene, stride=1, t_in=T_IN_DEFAULT, t_out=T_OUT_DEFAULT):
     """Cut sliding windows of t_in + t_out consecutive distinct frames.
 
     Agents present for fewer than 2 observed steps are dropped from that
-    window.  Returns an empty list when the scene is too short.
+    window, and a window in which no kept agent has a future step is
+    skipped, since nothing in it can be scored.  Returns an empty list
+    when the scene is too short.
     """
     if stride < 1:
         raise ValueError("stride must be a positive integer")
@@ -156,6 +156,8 @@ def window_scene(scene, stride=1, t_in=T_IN_DEFAULT, t_out=T_OUT_DEFAULT):
                 if pt is not None:
                     positions[i, t] = pt
                     presence[i, t] = True
+        if not presence[:, t_in:].any():
+            continue
         windows.append(
             TrajectoryWindow(
                 positions=positions,
@@ -194,24 +196,6 @@ def normalize_window(window):
         t_out=window.t_out,
     )
     return shifted, offset
-
-
-def denormalize_positions(positions, offset):
-    return positions + offset
-
-
-def denormalize_window(window, offset):
-    """Undo normalize_window; absent slots stay zero."""
-    positions = window.positions + offset
-    positions[~window.presence] = 0.0
-    return TrajectoryWindow(
-        positions=positions,
-        presence=window.presence.copy(),
-        agent_ids=list(window.agent_ids),
-        origin_frame=window.origin_frame,
-        t_in=window.t_in,
-        t_out=window.t_out,
-    )
 
 
 def last_observed_positions(window):
@@ -347,35 +331,3 @@ def synth_generate(seed, n_scenes, agents_range=(3, 6), n_frames=25, frame_inter
         frames.sort(key=lambda r: (r[0], r[1]))
         scenes.append(Scene(frames=frames, frame_interval=frame_interval, groups=groups))
     return scenes
-
-
-# -- window cache ----------------------------------------------------------
-
-
-def save_windows(path, windows):
-    """Cache windows in the archive format (positions + presence only)."""
-    arrays = {}
-    for i, w in enumerate(windows):
-        arrays[f"window/{i}/positions"] = w.positions
-        arrays[f"window/{i}/presence"] = w.presence.astype(np.float64)
-    save_archive(path, arrays)
-
-
-def load_windows(path, t_in=T_IN_DEFAULT, t_out=T_OUT_DEFAULT):
-    arrays = load_archive(path)
-    count = len({name.split("/")[1] for name in arrays})
-    windows = []
-    for i in range(count):
-        positions = arrays[f"window/{i}/positions"]
-        presence = arrays[f"window/{i}/presence"] > 0.5
-        windows.append(
-            TrajectoryWindow(
-                positions=positions,
-                presence=presence,
-                agent_ids=list(range(positions.shape[0])),
-                origin_frame=0,
-                t_in=t_in,
-                t_out=t_out,
-            )
-        )
-    return windows

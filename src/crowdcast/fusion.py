@@ -44,10 +44,7 @@ def fuse(params, cfg, y_s, y_t, y_h, record=None):
     modalities = {"s": y_s, "t": y_t, "h": y_h}
     aligned = []
     for name, target in modalities.items():
-        if cfg.fusion_include_self:
-            sources = [y_s, y_t, y_h]
-        else:
-            sources = [v for k, v in modalities.items() if k != name]
+        sources = [v for k, v in modalities.items() if k != name]
         aligned.append(
             cross_modal_attention(params, f"fusion/cross_{name}", target, sources, cfg.heads,
                                   record=record, record_key=f"attn/fusion/cross_{name}")

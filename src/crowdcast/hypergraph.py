@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .transformer import ffn_forward
 
 
 class HypergraphError(ValueError):
@@ -59,11 +60,6 @@ class Hypergraph:
     @property
     def n_edges(self):
         return self.incidence.shape[1]
-
-    def adjacency(self):
-        """A = H W H^T - M_v (symmetric)."""
-        H, w = self.incidence, self.edge_weights
-        return (H * w) @ H.T - np.diag(self.vertex_degrees)
 
     def edges(self):
         """Hyperedges as sorted vertex-index tuples."""
@@ -221,10 +217,9 @@ def multiscale_group_features(x_obs, presence_obs, params, prefix, scales, dump=
     single scale slot.
     """
     n = x_obs.shape[0]
-    w_mlp1 = params[f"{prefix}/mlp/w1"]
-    d_model = params[f"{prefix}/mlp/w2"].shape[1]
     if n < 2:
-        return Tensor(np.zeros((n, 1, d_model)), dtype=w_mlp1.dtype)
+        w_out = params[f"{prefix}/mlp/w2"]
+        return Tensor(np.zeros((n, 1, w_out.shape[1])), dtype=w_out.dtype)
 
     q = embed_trajectories(x_obs, presence_obs, params[f"{prefix}/embed/w"], params[f"{prefix}/embed/b"])
     dis = mahalanobis_matrix(q.data)
@@ -239,6 +234,4 @@ def multiscale_group_features(x_obs, presence_obs, params, prefix, scales, dump=
         h2 = hypergraph_convolve(g, h1, params[f"{prefix}/conv{idx}/theta2"])
         per_scale.append(h2)
 
-    stacked = ad.stack(per_scale, axis=1)  # [N, H_eff, d_model]
-    hidden = ad.relu(ad.add(ad.matmul(stacked, w_mlp1), params[f"{prefix}/mlp/b1"]))
-    return ad.add(ad.matmul(hidden, params[f"{prefix}/mlp/w2"]), params[f"{prefix}/mlp/b2"])
+    return ffn_forward(params, f"{prefix}/mlp", ad.stack(per_scale, axis=1))  # [N, H_eff, d_model]

@@ -179,8 +179,7 @@ class CrowdForecaster:
             y_m, obs_emb, _, anchors = self.features(window, record=record, hyper_dump=hyper_dump)
             out = np.zeros((k, window.n_agents, cfg.t_out, 2))
             for i in range(k):
-                z = cvae.sample_latent(None, rng, "test", n=window.n_agents, d_z=cfg.d_z,
-                                       sigma_prior=cfg.sigma_prior, dtype=cfg.dtype)
+                z = cvae.sample_prior(rng, window.n_agents, cfg.d_z, cfg.sigma_prior, cfg.dtype)
                 pred = cvae.decode_trajectories(self.params, z, obs_emb, y_m, anchors, cfg.t_out)
                 out[i] = pred.data
         return out

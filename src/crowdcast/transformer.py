@@ -19,7 +19,6 @@ from .attention import (
     build_temporal_mask,
     masked_mha,
     pairwise_distances,
-    positional_encode,
     positional_encoding,
 )
 from .autodiff import Tensor
@@ -62,6 +61,27 @@ def _encoder_block(params, prefix, x, heads, mask, adj=None, record=None, record
     return ad.add(x, ffn_forward(params, f"{prefix}/ffn", layer_norm_p(params, f"{prefix}/ln2", x)))
 
 
+def _encoder_stack(params, cfg, prefix, tokens, presence, codes, mask, adj=None, record=None):
+    """Embed, zero absent slots, add timestep codes, run the blocks, LN, zero.
+
+    tokens: [..., 2] inputs; presence: bool over tokens' leading axes;
+    codes: timestep codes broadcastable to the embedded tokens; adj:
+    optional GCN adjacency for every block.
+    """
+    dtype = params[f"{prefix}/embed/w"].dtype
+    keep = Tensor(presence[..., None].astype(dtype))
+    x = ad.add(ad.matmul(Tensor(tokens, dtype=dtype), params[f"{prefix}/embed/w"]), params[f"{prefix}/embed/b"])
+    x = ad.mul(x, keep)
+    x = ad.add(x, Tensor(codes, dtype=dtype))
+    if adj is not None:
+        adj = Tensor(adj, dtype=dtype)
+    for layer in range(cfg.layers):
+        x = _encoder_block(params, f"{prefix}/l{layer}", x, cfg.heads, mask, adj=adj,
+                           record=record, record_key=f"attn/{prefix}/{layer}")
+    x = layer_norm_p(params, f"{prefix}/ln_out", x)
+    return ad.mul(x, keep)
+
+
 def spatial_forward(params, cfg, x_obs, presence_obs, record=None, scene_positions=None):
     """Cross-agent attention per timestep; returns [N, T_i, d_model].
 
@@ -82,40 +102,17 @@ def spatial_forward(params, cfg, x_obs, presence_obs, record=None, scene_positio
     tokens_t = np.asarray(x_obs, dtype=np.float64).transpose(1, 0, 2)  # [T, N, 2]
     pos_t = np.asarray(scene_positions, dtype=np.float64).transpose(1, 0, 2)
     pres_t = np.asarray(presence_obs, dtype=bool).T  # [T, N]
-    dtype = params["spatial/embed/w"].dtype
-    keep = Tensor(pres_t[:, :, None].astype(dtype))
-
-    x = ad.add(ad.matmul(Tensor(tokens_t, dtype=dtype), params["spatial/embed/w"]), params["spatial/embed/b"])
-    x = ad.mul(x, keep)
-    x = ad.add(x, Tensor(positional_encoding(len(tokens_t), x.shape[-1], dtype)[:, None, :]))
-
     mask = build_spatial_masks_batch(pos_t, pres_t, params["spatial/mask/w"], params["spatial/mask/b"])
-    adj = Tensor(gcn_adjacency(pos_t, pres_t, cfg.gcn_radius), dtype=dtype)
-
-    for layer in range(cfg.layers):
-        x = _encoder_block(params, f"spatial/l{layer}", x, cfg.heads, mask, adj=adj,
-                           record=record, record_key=f"attn/spatial/{layer}")
-    x = layer_norm_p(params, "spatial/ln_out", x)
-    x = ad.mul(x, keep)
+    adj = gcn_adjacency(pos_t, pres_t, cfg.gcn_radius)
+    codes = positional_encoding(len(tokens_t), cfg.d_model)[:, None, :]  # same code for every agent
+    x = _encoder_stack(params, cfg, "spatial", tokens_t, pres_t, codes, mask, adj=adj, record=record)
     return ad.swapaxes(x, 0, 1)  # [N, T, d]
 
 
 def temporal_forward(params, cfg, x_obs, presence_obs, record=None):
     """Per-agent attention across observed timesteps; returns [N, T_i, d_model]."""
-    pos = np.asarray(x_obs, dtype=np.float64)  # [N, T, 2]
-    pres = np.asarray(presence_obs, dtype=bool)
-    dtype = params["temporal/embed/w"].dtype
-    keep = Tensor(pres[:, :, None].astype(dtype))
-
-    x = ad.add(ad.matmul(Tensor(pos, dtype=dtype), params["temporal/embed/w"]), params["temporal/embed/b"])
-    x = ad.mul(x, keep)
-    x = positional_encode(x)
-
-    mask = build_temporal_mask(pres, params["temporal/mask/w"], params["temporal/mask/b"],
-                               use_gap_bias=cfg.temporal_bias)
-
-    for layer in range(cfg.layers):
-        x = _encoder_block(params, f"temporal/l{layer}", x, cfg.heads, mask,
-                           record=record, record_key=f"attn/temporal/{layer}")
-    x = layer_norm_p(params, "temporal/ln_out", x)
-    return ad.mul(x, keep)
+    pres = np.asarray(presence_obs, dtype=bool)  # [N, T]
+    mask = build_temporal_mask(pres, params["temporal/mask/w"], params["temporal/mask/b"])
+    codes = positional_encoding(pres.shape[1], cfg.d_model)
+    return _encoder_stack(params, cfg, "temporal", np.asarray(x_obs, dtype=np.float64), pres, codes, mask,
+                          record=record)

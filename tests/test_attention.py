@@ -4,10 +4,9 @@ import pytest
 import crowdcast.autodiff as ad
 from crowdcast.attention import (
     AttentionMask,
-    build_spatial_mask,
+    build_spatial_masks_batch,
     build_temporal_mask,
     masked_mha,
-    positional_encode,
     positional_encoding,
 )
 from crowdcast.autodiff import Tensor, gradcheck
@@ -61,9 +60,8 @@ class TestPositionalEncoding:
         np.testing.assert_array_equal(table[0], [0, 1, 0, 1, 0, 1])
 
     def test_position_one_d4(self):
-        out = positional_encode(Tensor(np.zeros((2, 4))))
         expected = [np.sin(1.0), np.cos(1.0), np.sin(1e-2), np.cos(1e-2)]
-        np.testing.assert_allclose(out.data[1], expected, atol=1e-9)
+        np.testing.assert_allclose(positional_encoding(2, 4)[1], expected, atol=1e-9)
 
     def test_injective_over_20_positions(self):
         table = positional_encoding(20, 8)
@@ -170,28 +168,26 @@ class TestMaskedMha:
 
 
 class TestMaskBuilders:
+    """Spatial cases use one timestep: a leading T=1 axis."""
+
     def test_all_present_zero_params_is_plain(self):
-        pts = np.random.default_rng(0).normal(size=(4, 2))
-        mask = build_spatial_mask(pts, np.ones(4, dtype=bool), Tensor(np.zeros(1)), Tensor(np.zeros(1)))
+        pts = np.random.default_rng(0).normal(size=(1, 4, 2))
+        mask = build_spatial_masks_batch(pts, np.ones((1, 4), dtype=bool), Tensor(np.zeros(1)), Tensor(np.zeros(1)))
         np.testing.assert_array_equal(mask.values(), 0.0)
 
     def test_absent_agent_column(self):
-        pts = np.zeros((4, 2))
-        pres = np.array([True, True, False, True])
-        mask = build_spatial_mask(pts, pres, Tensor(np.zeros(1)), Tensor(np.zeros(1)))
-        v = mask.values()
+        pts = np.zeros((1, 4, 2))
+        pres = np.array([[True, True, False, True]])
+        mask = build_spatial_masks_batch(pts, pres, Tensor(np.zeros(1)), Tensor(np.zeros(1)))
+        v = mask.values()[0]
         assert np.all(np.isneginf(v[:, 2]))
         assert np.all(np.isfinite(v[:, [0, 1, 3]]))
 
     def test_distance_bias_value(self):
-        pts = np.array([[0.0, 0.0], [3.0, 4.0]])
-        mask = build_spatial_mask(pts, np.ones(2, dtype=bool), Tensor(np.ones(1)), Tensor(np.zeros(1)))
-        assert mask.values()[0, 1] == pytest.approx(5.0, abs=1e-12)
-        assert mask.values()[0, 0] == pytest.approx(0.0)  # diagonal distance 0
-
-    def test_no_present_agents_rejected(self):
-        with pytest.raises(ValueError):
-            build_spatial_mask(np.zeros((2, 2)), np.zeros(2, dtype=bool), Tensor(np.zeros(1)), Tensor(np.zeros(1)))
+        pts = np.array([[[0.0, 0.0], [3.0, 4.0]]])
+        mask = build_spatial_masks_batch(pts, np.ones((1, 2), dtype=bool), Tensor(np.ones(1)), Tensor(np.zeros(1)))
+        assert mask.values()[0, 0, 1] == pytest.approx(5.0, abs=1e-12)
+        assert mask.values()[0, 0, 0] == pytest.approx(0.0)  # diagonal distance 0
 
     def test_temporal_gap_bias(self):
         pres = np.ones((2, 4), dtype=bool)

@@ -49,40 +49,42 @@ class TestMatmul:
 
 
 class TestSoftmaxRows:
+    """``masked_softmax`` with ``absent`` omitted: -inf inputs are the absent keys."""
+
     def test_symmetry(self):
-        out = ad.softmax_rows(tensor([0.0, 0.0]))
+        out = ad.masked_softmax(tensor([0.0, 0.0]))
         np.testing.assert_allclose(out.data, [0.5, 0.5], atol=1e-12)
 
     def test_mask_absorption(self):
-        out = ad.softmax_rows(tensor([3.7, -np.inf]))
+        out = ad.masked_softmax(tensor([3.7, -np.inf]))
         np.testing.assert_array_equal(out.data, [1.0, 0.0])
 
     def test_direct_evaluation(self):
         x = np.array([1.0, 2.0, 3.0])
         expected = np.exp(x) / np.exp(x).sum()  # independent direct oracle
         np.testing.assert_allclose(expected, [0.09003, 0.24473, 0.66524], atol=1e-5)
-        out = ad.softmax_rows(tensor(x))
+        out = ad.masked_softmax(tensor(x))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.normal(scale=5.0, size=(4, 7))
-            y = ad.softmax_rows(tensor(x)).data
+            y = ad.masked_softmax(tensor(x)).data
             assert np.all(y >= 0)
             np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_fully_masked_row_is_zero(self):
         x = np.array([[0.0, 1.0], [-np.inf, -np.inf]])
-        y = ad.softmax_rows(tensor(x)).data
+        y = ad.masked_softmax(tensor(x)).data
         np.testing.assert_allclose(y[1], [0.0, 0.0])
         np.testing.assert_allclose(y[0].sum(), 1.0, atol=1e-12)
 
     def test_rejects_nan_and_posinf(self):
         with pytest.raises(NonFiniteError):
-            ad.softmax_rows(tensor([1.0, np.nan]))
+            ad.masked_softmax(tensor([1.0, np.nan]))
         with pytest.raises(NonFiniteError):
-            ad.softmax_rows(tensor([1.0, np.inf]))
+            ad.masked_softmax(tensor([1.0, np.inf]))
 
     def test_gradient(self):
         rng = np.random.default_rng(5)
@@ -90,7 +92,7 @@ class TestSoftmaxRows:
         w = rng.normal(size=(3, 5))
 
         def f():
-            return ad.tsum(ad.mul(ad.softmax_rows(x), Tensor(w)))
+            return ad.tsum(ad.mul(ad.masked_softmax(x), Tensor(w)))
 
         assert gradcheck(f, [x]) < 1e-4
 
@@ -157,7 +159,7 @@ class TestBackward:
         def run():
             rng = np.random.default_rng(42)
             x = Tensor(rng.normal(size=(5, 5)), requires_grad=True)
-            y = ad.softmax_rows(ad.matmul(x, Tensor(rng.normal(size=(5, 5)))))
+            y = ad.masked_softmax(ad.matmul(x, Tensor(rng.normal(size=(5, 5)))))
             backward(ad.tsum(ad.mul(y, y)))
             return x.grad.copy()
 
@@ -193,17 +195,8 @@ class TestPerOpGradients:
     def test_relu(self):
         self._check(lambda a: ad.relu(a), [(4, 4)], 3)
 
-    def test_exp_log_sqrt(self):
-        self._check(lambda a: ad.log(ad.sqrt(ad.exp(a))), [(6,)], 4, positive=True)
-
-    def test_arccos(self):
-        rng = np.random.default_rng(5)
-        x = Tensor(rng.uniform(-0.8, 0.8, size=(7,)), requires_grad=True)
-
-        def f():
-            return ad.tsum(ad.arccos(x))
-
-        assert gradcheck(f, [x], h=1e-5) < 1e-4
+    def test_exp(self):
+        self._check(lambda a: ad.exp(a), [(6,)], 4)
 
     def test_concat_stack(self):
         self._check(lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)], 6)
@@ -242,10 +235,6 @@ class TestPerOpGradients:
 
 
 class TestFiniteGuard:
-    def test_log_of_negative_is_error(self):
-        with pytest.raises(NonFiniteError):
-            ad.log(tensor([-1.0]))
-
     def test_div_by_zero_is_error(self):
         with pytest.raises(NonFiniteError):
             ad.div(tensor([1.0]), tensor([0.0]))

@@ -13,9 +13,8 @@ from crowdcast.cvae import (
     encode_posterior,
     loss_total,
     observed_embedding,
-    prediction_set,
     reparameterize,
-    sample_latent,
+    sample_prior,
 )
 from crowdcast.model import CrowdForecaster
 from conftest import random_window, randomize_params, tiny_config
@@ -91,22 +90,22 @@ class TestSampling:
     def test_sigma_collapse(self):
         post = LatentPosterior(mu=Tensor(np.array([[1.5, -2.0]])),
                                log_sigma=Tensor(np.full((1, 2), -30.0)))
-        z = sample_latent(post, np.random.default_rng(0), "train")
+        z = reparameterize(post, np.random.default_rng(0).standard_normal((1, 2)))
         np.testing.assert_allclose(z.data, [[1.5, -2.0]], atol=1e-10)
 
     def test_fixed_seed_reproducible(self):
         post = LatentPosterior(mu=Tensor(np.zeros((4, 3))), log_sigma=Tensor(np.zeros((4, 3))))
-        z1 = sample_latent(post, np.random.default_rng(9), "train")
-        z2 = sample_latent(post, np.random.default_rng(9), "train")
+        z1 = reparameterize(post, np.random.default_rng(9).standard_normal((4, 3)))
+        z2 = reparameterize(post, np.random.default_rng(9).standard_normal((4, 3)))
         np.testing.assert_array_equal(z1.data, z2.data)
-        t1 = sample_latent(None, np.random.default_rng(9), "test", n=4, d_z=3)
-        t2 = sample_latent(None, np.random.default_rng(9), "test", n=4, d_z=3)
+        t1 = sample_prior(np.random.default_rng(9), 4, 3)
+        t2 = sample_prior(np.random.default_rng(9), 4, 3)
         np.testing.assert_array_equal(t1.data, t2.data)
 
     def test_test_mode_statistics(self):
         rng = np.random.default_rng(123)
         sigma_prior = 1.3
-        z = sample_latent(None, rng, "test", n=100_000, d_z=2, sigma_prior=sigma_prior)
+        z = sample_prior(rng, 100_000, 2, sigma_prior=sigma_prior)
         assert np.all(np.abs(z.data.mean(axis=0)) < 0.02)
         np.testing.assert_allclose(z.data.var(axis=0), sigma_prior**2, rtol=0.03)
 
@@ -352,15 +351,6 @@ class TestBestOfK:
         ade_j, fde_j = best_of_k(samples, gt, presence, joint_fde=True)
         assert ade_i == ade_j == 0.5
         assert fde_i == 0.0 and fde_j == 1.0
-
-    def test_prediction_set_fields(self):
-        rng = np.random.default_rng(5)
-        gt = rng.normal(size=(2, 3, 2))
-        samples = rng.normal(size=(4, 2, 3, 2))
-        ps = prediction_set(samples, gt, np.ones((2, 3), dtype=bool))
-        assert ps.per_sample_ade.shape == (4,)
-        assert ps.per_sample_fde.shape == (4,)
-        assert np.all(ps.per_sample_ade >= 0)
 
 
 def test_observed_embedding_masks_absent(tiny_cfg):

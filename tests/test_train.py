@@ -1,9 +1,14 @@
 import json
 import os
+import re
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crowdcast
 from crowdcast.cli import main as cli_main
 from crowdcast.config import ConfigError, TrainConfig, format_config, parse_config
 from crowdcast.data import normalize_window, synth_generate, window_scene
@@ -69,12 +74,11 @@ class TestConfig:
         assert cfg.learning_rate == 1e-4
         assert cfg.decay_factor == 0.5 and cfg.decay_every == 100
         assert cfg.t_in == 8 and cfg.t_out == 12
-        assert cfg.k_samples == 20
         assert cfg.scales == (2, 3, 4)
         assert cfg.noise_std == 0.01
 
     def test_round_trip(self, tmp_path):
-        cfg = TrainConfig(learning_rate=3e-4, scales=(2, 5), temporal_bias=False, epochs=7)
+        cfg = TrainConfig(learning_rate=3e-4, scales=(2, 5), fde_joint=True, epochs=7)
         path = tmp_path / "run.cfg"
         path.write_text(format_config(cfg))
         back = parse_config(path)
@@ -97,6 +101,14 @@ class TestConfig:
         path.write_text("# a comment\n\nepochs=4  # trailing\nscales=2,3\n")
         cfg = parse_config(path)
         assert cfg.epochs == 4 and cfg.scales == (2, 3)
+
+    def test_every_field_is_read(self):
+        """Each field is read as ``.<field>`` by a module other than config.py."""
+        modules = sorted(Path(crowdcast.__file__).parent.glob("*.py"))
+        text = "".join(p.read_text() for p in modules if p.name != "config.py")
+        needles = {f.name: rf"\.{f.name}\b" for f in fields(TrainConfig)}
+        needles["precision"] = r"\bcfg\.dtype\b"  # read through the dtype property
+        assert [name for name, pattern in needles.items() if not re.search(pattern, text)] == []
 
     def test_invalid_dimensions(self):
         with pytest.raises(ConfigError):
@@ -353,3 +365,9 @@ class TestCli:
                   "--out", str(run), "--holdout", "synth000"])
         out = capsys.readouterr().out
         assert "from 1 scenes" in out
+
+
+def test_train_submodule_not_shadowed():
+    import crowdcast.train as module
+
+    assert module is sys.modules["crowdcast.train"]
