@@ -20,13 +20,14 @@ from .config import ConfigError
 class AttentionMask:
     """Additive mask: finite learned bias plus an absent-key flag array."""
 
-    bias: Tensor  # [..., rows, cols] finite entries
+    bias: Tensor  # [..., rows, cols] finite entries, or None for no bias
     absent: np.ndarray  # bool, broadcastable to bias; True = key missing
 
     def values(self):
         """Dense mask in R U {-inf} (the entries the softmax sees)."""
-        shape = np.broadcast_shapes(self.bias.data.shape, self.absent.shape)
-        v = np.broadcast_to(self.bias.data, shape).copy()
+        bias = 0.0 if self.bias is None else self.bias.data
+        shape = np.broadcast_shapes(np.shape(bias), self.absent.shape)
+        v = np.broadcast_to(bias, shape).copy()
         v[np.broadcast_to(self.absent, shape)] = -np.inf
         return v
 
@@ -52,17 +53,21 @@ def pairwise_distances(points):
     return np.sqrt(np.maximum(d2, 0.0))
 
 
-def build_spatial_masks_batch(positions, presence, weight, bias):
+def build_spatial_masks_batch(positions, presence, weight, bias, segment=None):
     """Per-timestep spatial masks stacked on a leading time axis.
 
-    positions: [T, N, 2]; presence: [T, N].  Timesteps with no present
-    agent simply yield fully absent key columns.
+    positions: [T, N, 2]; presence: [T, N]; segment: optional [N] scene
+    number per agent (see ``TrajectoryWindow``).  Timesteps with no present
+    agent simply yield fully absent key columns, and an agent of another
+    segment is an absent key.
     """
     presence = np.asarray(presence, dtype=bool)
     dist = pairwise_distances(positions)  # [T, N, N]
     bias_t = ad.add(ad.mul(weight, Tensor(dist, dtype=weight.dtype)), bias)
-    absent = np.broadcast_to(~presence[:, None, :], dist.shape)
-    return AttentionMask(bias=bias_t, absent=absent)
+    absent = ~presence[:, None, :]
+    if segment is not None:
+        absent = absent | (segment[:, None] != segment[None, :])
+    return AttentionMask(bias=bias_t, absent=np.broadcast_to(absent, dist.shape))
 
 
 def build_temporal_mask(presence_n, weight, bias):
@@ -113,17 +118,16 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, recor
     qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
     logits = ad.mul(ad.matmul(qh, ad.swapaxes(kh, -1, -2)), Tensor(scale, dtype=q_in.dtype))
 
+    absent = None
     if mask is not None:
-        bias = mask.bias
         # insert the head axis explicitly; remaining dims broadcast
-        bias = ad.reshape(bias, bias.shape[:-2] + (1,) + bias.shape[-2:])
-        logits = ad.add(logits, bias)
+        if mask.bias is not None:
+            bias = mask.bias
+            logits = ad.add(logits, ad.reshape(bias, bias.shape[:-2] + (1,) + bias.shape[-2:]))
         absent = mask.absent
         if absent.ndim == logits.ndim - 1:
             absent = absent[..., None, :, :]
-        attn = ad.masked_softmax(logits, absent)
-    else:
-        attn = ad.masked_softmax(logits)
+    attn = ad.masked_softmax(logits, absent)
 
     if record is not None and record_key is not None:
         record[record_key] = attn.data.copy()

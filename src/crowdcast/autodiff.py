@@ -81,9 +81,12 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g):
+        # the first contribution is copied, so a grad never aliases an
+        # array that another tensor's grad or a backward closure holds
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.broadcast_to(g, self.data.shape).astype(self.data.dtype, copy=True)
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -127,9 +130,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def tensor(data, requires_grad=False, dtype=None):
@@ -303,6 +303,12 @@ def atan2(y, x):
 
 
 def matmul(a, b):
+    """Batched matrix product over leading axes.
+
+    The gradient of a 2-D right operand (a weight) is one GEMM over the
+    left operand's leading axes folded together, not a per-slice stack of
+    products summed afterwards.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul requires ndim >= 2 operands (reshape vectors explicitly)")
     if a.shape[-1] != b.shape[-2]:
@@ -310,6 +316,14 @@ def matmul(a, b):
     ad, bd = a.data, b.data
 
     def bw(g, a=a, b=b, ad=ad, bd=bd):
+        if bd.ndim == 2:
+            k, n = bd.shape
+            g2 = g.reshape(-1, n)
+            if a.requires_grad:
+                a._accumulate((g2 @ bd.T).reshape(ad.shape))
+            if b.requires_grad:
+                b._accumulate(ad.reshape(-1, k).T @ g2)
+            return
         if a.requires_grad:
             ga = g @ np.swapaxes(bd, -1, -2)
             a._accumulate(_unbroadcast(ga, a.shape))
@@ -389,21 +403,6 @@ def getitem(x, key):
     return _make(data, "getitem", (x,), bw, check=False)
 
 
-def boolean_select(x, mask):
-    """Gather entries where a boolean mask is true, as a 1-D tensor."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != x.shape:
-        raise ShapeError(f"boolean_select: mask shape {mask.shape} != {x.shape}")
-
-    def bw(g, x=x, mask=mask):
-        if x.requires_grad:
-            grad = np.zeros_like(x.data)
-            grad[mask] = g
-            x._accumulate(grad)
-
-    return _make(x.data[mask], "boolean_select", (x,), bw, check=False)
-
-
 # -- reductions ----------------------------------------------------------
 
 
@@ -412,25 +411,9 @@ def tsum(x, axis=None, keepdims=False):
         if x.requires_grad:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            x._accumulate(np.broadcast_to(g, x.shape).copy())
+            x._accumulate(np.broadcast_to(g, x.shape))
 
     return _make(x.data.sum(axis=axis, keepdims=keepdims), "sum", (x,), bw)
-
-
-def tmean(x, axis=None, keepdims=False):
-    if axis is None:
-        count = x.size
-    else:
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([x.shape[a] for a in ax]))
-
-    def bw(g, x=x, axis=axis, keepdims=keepdims, count=count):
-        if x.requires_grad:
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            x._accumulate(np.broadcast_to(g, x.shape) / count)
-
-    return _make(x.data.mean(axis=axis, keepdims=keepdims), "mean", (x,), bw)
 
 
 # -- neural-net primitives ----------------------------------------------
@@ -527,7 +510,10 @@ def backward(loss):
                 stack.append((p, False))
 
     loss._accumulate(np.ones_like(loss.data))
-    for node in reversed(topo):
+    # popping drops the list's reference, so a node that nothing else
+    # holds frees its data and grad as soon as its backward has run
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward(node.grad)
             node._backward = None

@@ -78,7 +78,8 @@ def cmd_inspect(args):
         scenes = _load_scenes(args.data)
         windows = [w for name in sorted(scenes) for w in _windows_by_scene(scenes, cfg)[name]]
     else:
-        windows = [w for s in synth_generate(args.seed, 1) for w in window_scene(s, stride=cfg.stride)]
+        windows = [w for s in synth_generate(args.seed, 1)
+                   for w in window_scene(s, stride=cfg.stride, t_in=cfg.t_in, t_out=cfg.t_out)]
     if not windows:
         raise SystemExit("no windows to inspect")
     window, _ = normalize_window(windows[args.window])

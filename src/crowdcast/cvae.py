@@ -119,25 +119,41 @@ def _pair_angles(points, idx_a, idx_b):
     return ad.atan2(ad.absval(cross), dot)
 
 
-def loss_total(pred, gt, presence_fut, posterior, recon, x_obs, presence_obs, kappas, sigma_prior=1.0):
+def _segment_mean_weights(mask, segment, n_segments):
+    """Weights over a masked [N, ...] array whose weighted sum is the mean
+    over segments of each segment's mean over its masked entries.
+
+    A segment without a masked entry adds 0 to that mean.
+    """
+    per_agent = mask.reshape(len(segment), -1).sum(axis=1)
+    totals = np.bincount(segment, weights=per_agent, minlength=n_segments)
+    scale = 1.0 / (n_segments * np.maximum(totals, 1))
+    return mask * scale[segment].reshape((-1,) + (1,) * (mask.ndim - 1))
+
+
+def loss_total(pred, gt, presence_fut, posterior, recon, x_obs, presence_obs, kappas, sigma_prior=1.0,
+               segment=None):
     """Three-term objective; returns (total Tensor, float components).
 
     kappas: (k1, k2, k3, k4) weighting mean L2 distance, KL to the prior,
     the angle mismatch over ordered timestep pairs, and the observation
-    reconstruction.  Any non-finite component aborts with its name.
+    reconstruction.  segment: optional [N] scene number per agent; each
+    term is taken per segment, as on that segment's window alone, and
+    averaged over segments.  Any non-finite component aborts with its name.
     """
     k1, k2, k3, k4 = kappas
     gt = np.asarray(gt, dtype=np.float64)
     presence_fut = np.asarray(presence_fut, dtype=bool)
+    presence_obs = np.asarray(presence_obs, dtype=bool)
     n, t_out = gt.shape[0], gt.shape[1]
     dtype = pred.dtype
+    segment = np.zeros(n, dtype=np.intp) if segment is None else np.asarray(segment)
+    n_segments = int(segment.max()) + 1
+    per_agent = _segment_mean_weights(np.ones(n), segment, n_segments)  # 1 / (segments * agents)
 
-    # distance term
+    # distance term: mean over present future slots
     errs = _point_errors(pred, Tensor(gt, dtype=dtype))
-    if presence_fut.any():
-        dist = ad.tmean(ad.boolean_select(errs, presence_fut))
-    else:
-        dist = Tensor(np.zeros(()), dtype=dtype)
+    dist = ad.tsum(ad.mul(errs, Tensor(_segment_mean_weights(presence_fut, segment, n_segments), dtype=dtype)))
 
     # KL(N(mu, sigma^2) || N(0, sigma_prior^2 I)), summed over dims, mean over agents
     mu, log_sigma = posterior.mu, posterior.log_sigma
@@ -148,9 +164,9 @@ def loss_total(pred, gt, presence_fut, posterior, recon, x_obs, presence_obs, ka
         ad.mul(ad.add(var, ad.mul(mu, mu)), Tensor(0.5 / sp2, dtype=dtype)),
     )
     per_dim = ad.sub(per_dim, Tensor(np.full(log_sigma.shape, 0.5), dtype=dtype))
-    kl = ad.tmean(ad.tsum(per_dim, axis=1))
+    kl = ad.tsum(ad.mul(ad.tsum(per_dim, axis=1), Tensor(per_agent, dtype=dtype)))
 
-    # angle term over ordered timestep pairs
+    # angle term over ordered timestep pairs, summed and divided by the agent count
     idx_a, idx_b = np.triu_indices(t_out, k=1)
     gt_norms = np.linalg.norm(gt, axis=-1)  # [N, T]
     valid = (
@@ -164,14 +180,14 @@ def loss_total(pred, gt, presence_fut, posterior, recon, x_obs, presence_obs, ka
         gt_t = Tensor(gt, dtype=dtype)
         ang_gt = _pair_angles(gt_t, idx_a, idx_b)
         diff = ad.absval(ad.sub(ang_pred, ang_gt))
-        ang = ad.mul(ad.tsum(ad.boolean_select(diff, valid)), Tensor(1.0 / n, dtype=dtype))
+        ang = ad.tsum(ad.mul(diff, Tensor(valid * per_agent[:, None], dtype=dtype)))
     else:
         ang = Tensor(np.zeros(()), dtype=dtype)
 
-    # observation reconstruction from the encoder trunk
+    # observation reconstruction from the encoder trunk: mean over present observed slots
     recon_pts = ad.reshape(recon, (n, -1, 2))
     obs_errs = _point_errors(recon_pts, Tensor(np.asarray(x_obs), dtype=dtype))
-    enc = ad.tmean(ad.boolean_select(obs_errs, np.asarray(presence_obs, dtype=bool)))
+    enc = ad.tsum(ad.mul(obs_errs, Tensor(_segment_mean_weights(presence_obs, segment, n_segments), dtype=dtype)))
 
     parts = {}
     for name, term, weight in (

@@ -8,7 +8,7 @@ zero-filled and flagged in the presence mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,13 @@ class Scene:
 
 @dataclass
 class TrajectoryWindow:
-    """One sample: N agents over t_in observed + t_out future steps."""
+    """One sample: N agents over t_in observed + t_out future steps.
+
+    ``segment`` [N] numbers the scene each agent belongs to.  Agents of
+    different segments never interact, so a window packed from several
+    (``pack_windows``) is their disjoint union; a plain window is one
+    segment, all zeros.
+    """
 
     positions: np.ndarray  # [N, t_in + t_out, 2]
     presence: np.ndarray  # [N, t_in + t_out] bool
@@ -52,6 +58,11 @@ class TrajectoryWindow:
     origin_frame: int
     t_in: int = T_IN_DEFAULT
     t_out: int = T_OUT_DEFAULT
+    segment: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.segment is None:
+            self.segment = np.zeros(self.positions.shape[0], dtype=np.intp)
 
     @property
     def n_agents(self):
@@ -69,6 +80,8 @@ class TrajectoryWindow:
             raise ValueError(f"bad window shape {self.positions.shape}")
         if self.presence.shape != (n, t):
             raise ValueError("presence shape disagrees with positions")
+        if self.segment.shape != (n,):
+            raise ValueError("segment shape disagrees with positions")
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("non-finite positions")
         if np.any(self.presence[:, : self.t_in].sum(axis=1) < 2):
@@ -196,6 +209,29 @@ def normalize_window(window):
         t_out=window.t_out,
     )
     return shifted, offset
+
+
+def pack_windows(windows):
+    """Disjoint union of windows along the agent axis, as one window.
+
+    Agents keep their order; ``segment`` numbers the source window of
+    each.  The windows must already be normalized and augmented: packing
+    moves no position.  ``origin_frame`` is the first window's.
+    """
+    if not windows:
+        raise ValueError("pack_windows needs at least one window")
+    first = windows[0]
+    if any((w.t_in, w.t_out) != (first.t_in, first.t_out) for w in windows):
+        raise ValueError("packed windows must share t_in and t_out")
+    return TrajectoryWindow(
+        positions=np.concatenate([w.positions for w in windows], axis=0),
+        presence=np.concatenate([w.presence for w in windows], axis=0),
+        agent_ids=[a for w in windows for a in w.agent_ids],
+        origin_frame=first.origin_frame,
+        t_in=first.t_in,
+        t_out=first.t_out,
+        segment=np.repeat(np.arange(len(windows)), [w.n_agents for w in windows]),
+    )
 
 
 def last_observed_positions(window):

@@ -1,6 +1,7 @@
 """Multiscale crowd hypergraphs and random-walk spectral convolution.
 
-Group structure is discovered per window: agent tracks are embedded,
+Group structure is discovered per window (per segment of a packed
+window; see ``data.pack_windows``): agent tracks are embedded,
 covariance-whitened distances turn into a heat-kernel similarity matrix,
 and a KNN sweep links each agent with its K most similar peers into a
 hyperedge (duplicates merged).  Features then mix through the
@@ -136,18 +137,13 @@ def build_hyperedges_knn(similarity, k):
     n = s.shape[0]
     if not 1 <= k <= n - 1:
         raise HypergraphError(f"KNN scale must satisfy 1 <= K <= N-1, got K={k}, N={n}")
-    edges = []
-    seen = set()
-    for v in range(n):
-        others = [j for j in range(n) if j != v]
-        others.sort(key=lambda j: (-s[v, j], j))
-        edge = tuple(sorted([v] + others[:k]))
-        if edge not in seen:
-            seen.add(edge)
-            edges.append(edge)
+    # row by row: most similar first, equal similarities in index order
+    order = np.lexsort((np.broadcast_to(np.arange(n), (n, n)), -s), axis=-1)
+    peers = order[order != np.arange(n)[:, None]].reshape(n, n - 1)[:, :k]
+    members = np.sort(np.column_stack([np.arange(n), peers]), axis=1)
+    edges = list(dict.fromkeys(map(tuple, members.tolist())))  # duplicates merged, first kept
     H = np.zeros((n, len(edges)))
-    for e, members in enumerate(edges):
-        H[list(members), e] = 1.0
+    H[np.array(edges), np.arange(len(edges))[:, None]] = 1.0
     return Hypergraph(incidence=H, edge_weights=np.ones(len(edges)), scale=k)
 
 
@@ -184,11 +180,15 @@ def partition_cost(g, f):
     return float(np.trace(f.T @ delta @ f))
 
 
-def hypergraph_convolve(g, x, theta):
-    """First-order spectral convolution: ReLU(O X Theta)."""
-    if x.shape[0] != g.n_vertices:
-        raise ad.ShapeError(f"features {x.shape} do not align with {g.n_vertices} vertices")
-    o = Tensor(random_walk_matrix(g), dtype=theta.dtype)
+def hypergraph_convolve(operator, x, theta):
+    """First-order spectral convolution: ReLU(O X Theta).
+
+    operator: [N, N] walk operator, one hypergraph's ``random_walk_matrix``
+    or a block-diagonal union of several.
+    """
+    if x.shape[0] != operator.shape[0]:
+        raise ad.ShapeError(f"features {x.shape} do not align with {operator.shape[0]} vertices")
+    o = Tensor(operator, dtype=theta.dtype)
     return ad.relu(ad.matmul(ad.matmul(o, x), theta))
 
 
@@ -208,30 +208,71 @@ def effective_scales(configured, n):
     return out
 
 
-def multiscale_group_features(x_obs, presence_obs, params, prefix, scales, dump=None):
-    """Group-wise features [N, H_eff, d_model] across KNN scales.
+def _scale_layout(scales, counts):
+    """Scale-token layout for segments of ``counts`` agents each.
 
-    Per scale: embed, whiten-distance, similarity, KNN hypergraph, two
-    stacked convolutions; scale outputs stack on axis 1 and mix through a
-    tokenwise MLP.  Degenerate crowds (N < 2) yield a zero feature with a
-    single scale slot.
+    Returns (columns, uses, absent): the parameter indices that some
+    segment uses, ascending, one token column each; per segment a
+    {parameter index: K} dict; and [segments, P] bool, True where a
+    segment has no token in a column.  A segment with fewer than 2 agents
+    uses no scale and has one token, in the first column.
+    """
+    uses = [{idx: k for k, idx in effective_scales(scales, c)} if c >= 2 else {} for c in counts]
+    columns = sorted(set().union(*uses))
+    absent = np.ones((len(counts), max(len(columns), 1)), dtype=bool)
+    for row, use in zip(absent, uses):
+        row[: len(columns)] = [idx not in use for idx in columns]
+    absent[counts < 2, 0] = False
+    return columns, uses, absent
+
+
+def scale_token_absent(segment, scales):
+    """[N, P] bool: True where an agent's segment has no token in column p.
+
+    The columns are those of ``multiscale_group_features`` for the same
+    ``segment`` and ``scales``.  A plain window has no absent token.
+    """
+    segment = np.asarray(segment)
+    return _scale_layout(scales, np.bincount(segment, minlength=1))[2][segment]
+
+
+def multiscale_group_features(x_obs, presence_obs, params, prefix, scales, dump=None, segment=None):
+    """Group-wise features [N, P, d_model] across KNN scales.
+
+    Per segment (``TrajectoryWindow.segment``; default one segment) and
+    scale: embed, whiten-distance, similarity, KNN hypergraph.  Per scale
+    parameter index the segments' walk operators form one block-diagonal
+    operator for two stacked convolutions.  Scale outputs stack on axis 1,
+    one column per parameter index that some segment uses, and mix
+    through a tokenwise MLP.  A token its segment lacks
+    (``scale_token_absent``) is zero, and so is the single token of a
+    segment with fewer than 2 agents.
     """
     n = x_obs.shape[0]
-    if n < 2:
-        w_out = params[f"{prefix}/mlp/w2"]
+    segment = np.zeros(n, dtype=np.intp) if segment is None else np.asarray(segment)
+    counts = np.bincount(segment, minlength=1)
+    columns, uses, absent = _scale_layout(scales, counts)
+    w_out = params[f"{prefix}/mlp/w2"]
+    if not columns:
         return Tensor(np.zeros((n, 1, w_out.shape[1])), dtype=w_out.dtype)
 
     q = embed_trajectories(x_obs, presence_obs, params[f"{prefix}/embed/w"], params[f"{prefix}/embed/b"])
-    dis = mahalanobis_matrix(q.data)
-    sim = similarity_matrix(dis)
+    members = [np.flatnonzero(segment == s) for s in range(len(counts))]
+    sims = [similarity_matrix(mahalanobis_matrix(q.data[m])) if len(m) >= 2 else None for m in members]
 
     per_scale = []
-    for k, idx in effective_scales(scales, n):
-        g = build_hyperedges_knn(sim, k)
-        if dump is not None:
-            dump.append({"scale": k, "edges": [list(map(int, e)) for e in g.edges()]})
-        h1 = hypergraph_convolve(g, q, params[f"{prefix}/conv{idx}/theta1"])
-        h2 = hypergraph_convolve(g, h1, params[f"{prefix}/conv{idx}/theta2"])
-        per_scale.append(h2)
+    for idx in columns:
+        op = np.zeros((n, n))
+        for m, sim, use in zip(members, sims, uses):
+            if idx not in use:
+                continue
+            g = build_hyperedges_knn(sim, use[idx])
+            if dump is not None:
+                dump.append({"scale": use[idx], "edges": [[int(m[v]) for v in e] for e in g.edges()]})
+            op[np.ix_(m, m)] = random_walk_matrix(g)
+        h1 = hypergraph_convolve(op, q, params[f"{prefix}/conv{idx}/theta1"])
+        per_scale.append(hypergraph_convolve(op, h1, params[f"{prefix}/conv{idx}/theta2"]))
 
-    return ffn_forward(params, f"{prefix}/mlp", ad.stack(per_scale, axis=1))  # [N, H_eff, d_model]
+    tokens = ffn_forward(params, f"{prefix}/mlp", ad.stack(per_scale, axis=1))  # [N, P, d_model]
+    keep = ~absent & (counts >= 2)[:, None]
+    return ad.mul(tokens, Tensor(keep[segment][:, :, None], dtype=w_out.dtype))

@@ -14,7 +14,7 @@ from .autodiff import Tensor
 from .checkpoint import load_archive, save_archive, verify_names_shapes
 from .data import agent_relative_positions
 from .fusion import fuse
-from .hypergraph import multiscale_group_features
+from .hypergraph import multiscale_group_features, scale_token_absent
 from .transformer import spatial_forward, temporal_forward
 
 
@@ -136,16 +136,19 @@ class CrowdForecaster:
         observed position (``agent_relative_positions``), so features do
         not depend on where the window sits in the scene.  Only the spatial
         attention mask and the GCN adjacency read the scene positions,
-        for the real distances between agents.  Returns (y_m, obs_emb,
+        for the real distances between agents.  Agents of different
+        segments (a packed window) never meet.  Returns (y_m, obs_emb,
         relative tracks [N, T_i + T_o, 2], anchors [N, 2]).
         """
+        cfg, seg = self.cfg, window.segment
         x_obs, pres_obs = window.observed()
         rel, anchors = agent_relative_positions(window)
         rel_obs = rel[:, : window.t_in]
-        y_s = spatial_forward(self.params, self.cfg, rel_obs, pres_obs, record=record, scene_positions=x_obs)
-        y_t = temporal_forward(self.params, self.cfg, rel_obs, pres_obs, record=record)
-        y_h = multiscale_group_features(rel_obs, pres_obs, self.params, "hyper", self.cfg.scales, dump=hyper_dump)
-        y_m = fuse(self.params, self.cfg, y_s, y_t, y_h, record=record)
+        y_s = spatial_forward(self.params, cfg, rel_obs, pres_obs, record=record, scene_positions=x_obs, segment=seg)
+        y_t = temporal_forward(self.params, cfg, rel_obs, pres_obs, record=record)
+        y_h = multiscale_group_features(rel_obs, pres_obs, self.params, "hyper", cfg.scales, dump=hyper_dump,
+                                        segment=seg)
+        y_m = fuse(self.params, cfg, y_s, y_t, y_h, record=record, h_absent=scale_token_absent(seg, cfg.scales))
         obs_emb = cvae.observed_embedding(self.params, rel_obs, pres_obs)
         return y_m, obs_emb, rel, anchors
 
@@ -154,7 +157,9 @@ class CrowdForecaster:
         unless an explicit ``latent_eps`` is given (gradient checks).
 
         The posterior and the reconstruction target use the relative
-        tracks; the decoded future is scored in the window's frame.
+        tracks; the decoded future is scored in the window's frame.  On a
+        packed window (``data.pack_windows``) the loss is the mean over
+        its segments of each one's loss.
         """
         cfg = self.cfg
         t_in = window.t_in
@@ -169,7 +174,7 @@ class CrowdForecaster:
         pred = cvae.decode_trajectories(self.params, z, obs_emb, y_m, anchors, cfg.t_out)
         return cvae.loss_total(
             pred, x_fut, pres_fut, posterior, recon, rel_obs, pres_obs,
-            (cfg.kappa1, cfg.kappa2, cfg.kappa3, cfg.kappa4), cfg.sigma_prior,
+            (cfg.kappa1, cfg.kappa2, cfg.kappa3, cfg.kappa4), cfg.sigma_prior, window.segment,
         )
 
     def sample_futures(self, window, k, rng, record=None, hyper_dump=None):

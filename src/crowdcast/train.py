@@ -11,13 +11,13 @@ import numpy as np
 from . import autodiff as ad
 from .cvae import best_of_k
 from .config import config_dict
-from .data import normalize_window
+from .data import normalize_window, pack_windows
 from .model import CrowdForecaster
 from .optim import Adam, decayed_lr
 
 
 class TrainingAbort(RuntimeError):
-    """Loss went non-finite; the last good checkpoint is retained."""
+    """Loss or a gradient went non-finite; the last good checkpoint is retained."""
 
 
 def gaussian_jitter(window, rng, std):
@@ -47,9 +47,12 @@ def random_rotation(window, rng):
 def train(cfg, windows, out_dir=None, log=None):
     """Fit a model on the given windows; returns (model, report dict).
 
-    Deterministic for a fixed (config, windows) pair.  Checkpoints go to
+    Deterministic for a fixed (config, windows) pair.  Each batch step
+    packs its augmented windows into one window (``pack_windows``) and
+    runs one forward and one backward over it.  Checkpoints go to
     ``out_dir`` ("best.ckpt" at the lowest-loss epoch, "final.ckpt" at the
-    end); a non-finite loss aborts with the last good checkpoint kept.
+    end); a non-finite loss or gradient aborts with the last good
+    checkpoint kept.
     """
     if not windows:
         raise ValueError("training needs at least one window")
@@ -68,24 +71,23 @@ def train(cfg, windows, out_dir=None, log=None):
         for start in range(0, len(order), cfg.batch_size):
             batch = [normalized[i] for i in order[start : start + cfg.batch_size]]
             opt.zero_grad()
-            losses = []
-            parts_acc = {}
-            for window in batch:
-                augmented = random_rotation(gaussian_jitter(window, rng, cfg.noise_std), rng)
-                try:
-                    loss, parts = model.training_loss(augmented, rng=rng)
-                except ArithmeticError as exc:
-                    _abort(out_dir, exc)
-                losses.append(loss)
-                for key, value in parts.items():
-                    parts_acc[key] = parts_acc.get(key, 0.0) + value
-            total = ad.tmean(ad.concat([ad.reshape(l, (1,)) for l in losses], axis=0))
+            augmented, eps = [], []
+            for window in batch:  # per window, in turn: jitter, rotation, latent draws
+                augmented.append(random_rotation(gaussian_jitter(window, rng, cfg.noise_std), rng))
+                eps.append(rng.standard_normal((window.n_agents, cfg.d_z)))
+            try:
+                total, parts = model.training_loss(pack_windows(augmented), latent_eps=np.concatenate(eps))
+            except ArithmeticError as exc:
+                _abort(out_dir, exc)
             if not np.isfinite(total.data).all():
                 _abort(out_dir, "batch loss non-finite")
             ad.backward(total)
+            bad = next((name for name in sorted(model.params) if not _finite_grad(model.params[name])), None)
+            if bad is not None:
+                _abort(out_dir, f"non-finite gradient of parameter {bad!r}")
             opt.step()
-            for key, value in parts_acc.items():
-                sums[key] = sums.get(key, 0.0) + value
+            for key, value in parts.items():  # parts are means over the batch's windows
+                sums[key] = sums.get(key, 0.0) + value * len(batch)
             count += len(batch)
         epoch_parts = {k: v / count for k, v in sums.items()}
         epochs_report.append({"epoch": epoch, "lr": opt.lr, **epoch_parts})
@@ -108,6 +110,10 @@ def train(cfg, windows, out_dir=None, log=None):
         with open(f"{out_dir}/report.json", "w") as fh:
             json.dump(report, fh, indent=2)
     return model, report
+
+
+def _finite_grad(param):
+    return param.grad is None or bool(np.isfinite(param.grad).all())
 
 
 def _abort(out_dir, reason):

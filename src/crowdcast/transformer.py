@@ -33,16 +33,19 @@ def layer_norm_p(params, prefix, x):
     return ad.layer_norm(x, params[f"{prefix}/g"], params[f"{prefix}/b"])
 
 
-def gcn_adjacency(positions, presence, radius):
+def gcn_adjacency(positions, presence, radius, segment=None):
     """Symmetric-normalized proximity adjacency per timestep.
 
-    positions: [T, N, 2]; presence: [T, N].  Edges link present agents
-    closer than ``radius`` (self-loops included); absent agents get zero
-    rows and columns.
+    positions: [T, N, 2]; presence: [T, N]; segment: optional [N] scene
+    number per agent.  Edges link present agents of one segment closer
+    than ``radius`` (self-loops included); absent agents get zero rows and
+    columns.
     """
     presence = np.asarray(presence, dtype=bool)
     dist = pairwise_distances(positions)
     pair_ok = presence[:, :, None] & presence[:, None, :]
+    if segment is not None:
+        pair_ok = pair_ok & (segment[:, None] == segment[None, :])
     a = ((dist < radius) & pair_ok).astype(np.float64)
     deg = a.sum(axis=-1)
     inv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
@@ -82,7 +85,7 @@ def _encoder_stack(params, cfg, prefix, tokens, presence, codes, mask, adj=None,
     return ad.mul(x, keep)
 
 
-def spatial_forward(params, cfg, x_obs, presence_obs, record=None, scene_positions=None):
+def spatial_forward(params, cfg, x_obs, presence_obs, record=None, scene_positions=None, segment=None):
     """Cross-agent attention per timestep; returns [N, T_i, d_model].
 
     x_obs: [N, T_i, 2] inputs the tokens embed (the model passes each
@@ -90,6 +93,8 @@ def spatial_forward(params, cfg, x_obs, presence_obs, record=None, scene_positio
     slots zero; presence_obs: [N, T_i] bool.  scene_positions: [N, T_i, 2]
     positions in one shared frame, from which the distance-bias mask and
     the GCN adjacency take the distances between agents; defaults to x_obs.
+    segment: optional [N] scene number per agent; agents of different
+    segments neither attend to nor convolve with each other.
 
     Every token also gets the sinusoidal code of its timestep.  A relative
     track is exactly zero at the agent's last observed step, so without
@@ -102,8 +107,8 @@ def spatial_forward(params, cfg, x_obs, presence_obs, record=None, scene_positio
     tokens_t = np.asarray(x_obs, dtype=np.float64).transpose(1, 0, 2)  # [T, N, 2]
     pos_t = np.asarray(scene_positions, dtype=np.float64).transpose(1, 0, 2)
     pres_t = np.asarray(presence_obs, dtype=bool).T  # [T, N]
-    mask = build_spatial_masks_batch(pos_t, pres_t, params["spatial/mask/w"], params["spatial/mask/b"])
-    adj = gcn_adjacency(pos_t, pres_t, cfg.gcn_radius)
+    mask = build_spatial_masks_batch(pos_t, pres_t, params["spatial/mask/w"], params["spatial/mask/b"], segment)
+    adj = gcn_adjacency(pos_t, pres_t, cfg.gcn_radius, segment)
     codes = positional_encoding(len(tokens_t), cfg.d_model)[:, None, :]  # same code for every agent
     x = _encoder_stack(params, cfg, "spatial", tokens_t, pres_t, codes, mask, adj=adj, record=record)
     return ad.swapaxes(x, 0, 1)  # [N, T, d]

@@ -232,6 +232,7 @@ def test_metric_oracles():
     report("metric-oracle", "hand-built exact + 100 monotonicity cases")
 
 
+@pytest.mark.slow
 def test_end_to_end_training_sanity():
     """Default config on the seed-7 corpus: convergence, best-of-K ordering,
     and parity with the constant-velocity baseline on interacting scenes."""

@@ -204,6 +204,20 @@ class TestKnnConstruction:
             g = build_hyperedges_knn(sim, k)
             np.testing.assert_array_equal(g.incidence, knn_oracle(sim.values, k))
 
+    def test_exact_ties_break_toward_lower_index(self):
+        """Similarities drawn from three values tie often; edges and their
+        order must match the per-vertex sort oracle exactly."""
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            n = int(rng.integers(3, 10))
+            s = rng.choice([0.25, 0.5, 1.0], size=(n, n))
+            s = np.triu(s, 1) + np.triu(s, 1).T + np.eye(n)
+            for k in range(1, n):
+                np.testing.assert_array_equal(build_hyperedges_knn(s, k).incidence, knn_oracle(s, k))
+        uniform = np.full((5, 5), 0.5)
+        g = build_hyperedges_knn(uniform, 2)
+        assert g.edges() == [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
+
     def test_scale_bounds(self):
         sim = similarity_matrix(np.abs(np.random.default_rng(0).normal(size=(3, 3))))
         with pytest.raises(HypergraphError):
@@ -310,12 +324,12 @@ class TestConvolution:
         g = Hypergraph(incidence=np.ones((n, 1)), edge_weights=np.ones(1), scale=n - 1)
         c = np.array([1.5, -2.0, 0.5])
         x = Tensor(np.tile(c, (n, 1)))
-        y = hypergraph_convolve(g, x, Tensor(np.eye(d)))
+        y = hypergraph_convolve(random_walk_matrix(g), x, Tensor(np.eye(d)))
         np.testing.assert_allclose(y.data, np.tile(np.maximum(c, 0.0), (n, 1)), atol=1e-12)
 
     def test_zero_features(self):
         g = two_vertex_graph()
-        y = hypergraph_convolve(g, Tensor(np.zeros((2, 3))), Tensor(np.ones((3, 3))))
+        y = hypergraph_convolve(random_walk_matrix(g), Tensor(np.zeros((2, 3))), Tensor(np.ones((3, 3))))
         np.testing.assert_array_equal(y.data, 0.0)
 
     def test_gradient_wrt_features_and_weights(self):
@@ -326,7 +340,7 @@ class TestConvolution:
         probe = rng.normal(size=(g.n_vertices, 4))
 
         def f():
-            return ad.tsum(ad.mul(hypergraph_convolve(g, x, theta), Tensor(probe)))
+            return ad.tsum(ad.mul(hypergraph_convolve(random_walk_matrix(g), x, theta), Tensor(probe)))
 
         assert gradcheck(f, [x, theta]) < 1e-4
 

@@ -213,6 +213,33 @@ class TestTrain:
         saved = json.loads((tmp_path / "report.json").read_text())
         assert saved["config"]["epochs"] == 2
 
+    def test_abort_names_first_nonfinite_gradient(self, tmp_path, monkeypatch):
+        """A NaN gradient aborts before the optimizer step, naming the
+        first such parameter in sorted order."""
+        import crowdcast.autodiff as autodiff
+
+        cfg = tiny_config(epochs=2, batch_size=4)
+        models = []
+        real_loss, real_backward = CrowdForecaster.training_loss, autodiff.backward
+
+        def loss_keeping_model(self, window, latent_eps=None, rng=None):
+            models.append(self)
+            return real_loss(self, window, latent_eps=latent_eps, rng=rng)
+
+        def poisoned_backward(loss):
+            real_backward(loss)
+            for name in ("temporal/embed/w", "hyper/mlp/b2"):
+                models[-1].params[name].grad[0] = np.nan
+
+        steps = []
+        monkeypatch.setattr(CrowdForecaster, "training_loss", loss_keeping_model)
+        monkeypatch.setattr(autodiff, "backward", poisoned_backward)
+        monkeypatch.setattr(Adam, "step", lambda self: steps.append(1))
+        with pytest.raises(TrainingAbort, match="'hyper/mlp/b2'") as info:
+            train(cfg, small_corpus(), out_dir=str(tmp_path))
+        assert "temporal/embed/w" not in str(info.value)
+        assert steps == []
+
     def test_abort_on_nonfinite(self, tmp_path, monkeypatch):
         cfg = tiny_config(epochs=3, batch_size=2)
         windows = small_corpus()
@@ -353,6 +380,22 @@ class TestCli:
         assert any(k.startswith("attn/fusion/") for k in dumped)
         entries = [json.loads(l) for l in (ins / "hypergraphs.jsonl").read_text().splitlines()]
         assert all({"scale", "edges"} <= set(e) for e in entries)
+
+    def test_inspect_synthetic_windows_follow_config_horizons(self, tmp_path):
+        """Without --data, inspect cuts its synthetic windows with the
+        config's t_in and t_out, so a t_in=6 model runs."""
+        cfg = tiny_config(t_in=6)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(format_config(cfg))
+        ckpt = tmp_path / "model.ckpt"
+        CrowdForecaster(cfg, seed=cfg.seed).save(ckpt)
+        ins = tmp_path / "inspect"
+        cli_main(["inspect", "--checkpoint", str(ckpt), "--config", str(cfg_path),
+                  "--out", str(ins), "--dump-attention"])
+        from crowdcast.checkpoint import load_archive
+
+        dumped = load_archive(ins / "attention.ckpt")
+        assert dumped["attn/temporal/0/0"].shape[-1] == 6
 
     def test_holdout_excluded(self, tmp_path, capsys):
         data = tmp_path / "data"
