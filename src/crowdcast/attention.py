@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ShapeError, Tensor
 from .config import ConfigError
 
 
@@ -85,64 +85,96 @@ def build_temporal_mask(presence_n, weight, bias):
     return AttentionMask(bias=bias_t, absent=np.broadcast_to(absent, presence_n.shape[:-1] + (t, t)))
 
 
-def _split_heads(x, heads):
-    """[..., L, d] -> [..., h, L, d/h]"""
-    l, d = x.shape[-2], x.shape[-1]
-    x = ad.reshape(x, x.shape[:-2] + (l, heads, d // heads))
-    return ad.swapaxes(x, -3, -2)
-
-
-def _merge_heads(x):
-    """[..., h, L, dh] -> [..., L, h*dh]"""
-    h, l, dh = x.shape[-3], x.shape[-2], x.shape[-1]
-    x = ad.swapaxes(x, -3, -2)
-    return ad.reshape(x, x.shape[:-3] + (l, h * dh))
+MHA_GATES = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
 
 def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, record_key=None, return_attn=False):
     """Multi-head attention with an additive mask, heads mixed by a final FC.
 
-    q_in: [..., Lq, d_model]; kv_in: [..., Lk, d_model]; mask bias must be
-    broadcastable to [..., Lq, Lk].  Fully masked query rows come out as
-    exact zeros (softmax row is all-zero there).
+    q_in: [..., Lq, d_model]; kv_in: [..., Lk, d_model] with the same
+    leading axes; mask bias must be broadcastable to [..., Lq, Lk].  Fully
+    masked query rows come out as exact zeros before the output bias
+    (softmax row is all-zero there).
+
+    One tape node: the forward runs projections, head split, scaled
+    logits, mask, softmax, context and output projection on plain arrays,
+    and its backward gives the gradients of both inputs, the eight
+    weights and biases, and the mask bias.  ``return_attn`` also returns
+    the weights [..., h, Lq, Lk] as a constant Tensor.
     """
     d_model = q_in.shape[-1]
     if d_model % heads != 0:
         raise ConfigError(f"heads={heads} must divide d_model={d_model}")
-    scale = 1.0 / np.sqrt(d_model // heads)
+    lead, lq, lk = q_in.shape[:-2], q_in.shape[-2], kv_in.shape[-2]
+    if kv_in.shape[:-2] != lead or kv_in.shape[-1] != d_model:
+        raise ShapeError(f"masked_mha: query {q_in.shape} and key/value {kv_in.shape} disagree")
+    dh = d_model // heads
+    w = {gate: params[f"{prefix}/{gate}"] for gate in MHA_GATES}
+    wd = {gate: t.data for gate, t in w.items()}
+    xq, xkv = q_in.data, kv_in.data
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=xq.dtype)
 
-    q = ad.add(ad.matmul(q_in, params[f"{prefix}/wq"]), params[f"{prefix}/bq"])
-    k = ad.add(ad.matmul(kv_in, params[f"{prefix}/wk"]), params[f"{prefix}/bk"])
-    v = ad.add(ad.matmul(kv_in, params[f"{prefix}/wv"]), params[f"{prefix}/bv"])
+    def split(x, length):  # [..., L, d] -> [..., h, L, dh], a view
+        return x.reshape(lead + (length, heads, dh)).swapaxes(-3, -2)
 
-    qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
-    logits = ad.mul(ad.matmul(qh, ad.swapaxes(kh, -1, -2)), Tensor(scale, dtype=q_in.dtype))
+    qh = split(ad.linear_data(xq, wd["wq"], wd["bq"]), lq)
+    kh = split(ad.linear_data(xkv, wd["wk"], wd["bk"]), lk)
+    vh = split(ad.linear_data(xkv, wd["wv"], wd["bv"]), lk)
+    logits = (qh @ kh.swapaxes(-1, -2)) * scale
 
-    absent = None
+    bias, absent = None, np.zeros((), dtype=bool)
     if mask is not None:
         # insert the head axis explicitly; remaining dims broadcast
-        if mask.bias is not None:
-            bias = mask.bias
-            logits = ad.add(logits, ad.reshape(bias, bias.shape[:-2] + (1,) + bias.shape[-2:]))
+        bias = mask.bias
+        if bias is not None:
+            logits = logits + bias.data.reshape(bias.shape[:-2] + (1,) + bias.shape[-2:])
         absent = mask.absent
         if absent.ndim == logits.ndim - 1:
             absent = absent[..., None, :, :]
-    attn = ad.masked_softmax(logits, absent)
+    attn = ad.softmax_data(logits, absent)
 
     if record is not None and record_key is not None:
-        record[record_key] = attn.data.copy()
+        record[record_key] = attn.copy()
 
-    mixed = _merge_heads(ad.matmul(attn, vh))
-    out = ad.add(ad.matmul(mixed, params[f"{prefix}/wo"]), params[f"{prefix}/bo"])
+    mixed = (attn @ vh).swapaxes(-3, -2).reshape(lead + (lq, d_model))
+    out_data = ad.linear_data(mixed, wd["wo"], wd["bo"])
+
+    def bw(g):
+        grads = {}
+        dmixed, grads["wo"], grads["bo"] = ad.linear_grads(g, mixed, wd["wo"])
+        dctx = split(dmixed, lq)
+        dattn = dctx @ vh.swapaxes(-1, -2)
+        dvh = attn.swapaxes(-1, -2) @ dctx
+        dlogits = ad.softmax_backward_data(dattn, attn)
+        if bias is not None and bias.requires_grad:
+            shape = bias.shape[:-2] + (1,) + bias.shape[-2:]
+            bias._accumulate(ad._unbroadcast(dlogits, shape).reshape(bias.shape))
+        dlogits = dlogits * scale
+        dqh = dlogits @ kh
+        dkh = (qh.swapaxes(-1, -2) @ dlogits).swapaxes(-1, -2)
+
+        def merge(gh, length):  # [..., h, L, dh] -> [..., L, d]
+            return gh.swapaxes(-3, -2).reshape(lead + (length, d_model))
+
+        need_q, need_kv = q_in.requires_grad, kv_in.requires_grad
+        dq_in, grads["wq"], grads["bq"] = ad.linear_grads(merge(dqh, lq), xq, wd["wq"], need_q)
+        dk_in, grads["wk"], grads["bk"] = ad.linear_grads(merge(dkh, lk), xkv, wd["wk"], need_kv)
+        dv_in, grads["wv"], grads["bv"] = ad.linear_grads(merge(dvh, lk), xkv, wd["wv"], need_kv)
+        for gate in MHA_GATES:
+            if w[gate].requires_grad:
+                w[gate]._accumulate(grads[gate])
+        if q_in is kv_in:  # one input: accumulate its three paths once
+            if need_q:
+                q_in._accumulate(dq_in + dk_in + dv_in)
+            return
+        if need_q:
+            q_in._accumulate(dq_in)
+        if need_kv:
+            kv_in._accumulate(dk_in + dv_in)
+
+    inputs = (q_in,) if q_in is kv_in else (q_in, kv_in)
+    extra = () if bias is None else (bias,)
+    out = ad._make(out_data, "masked_mha", inputs + tuple(w.values()) + extra, bw)
     if return_attn:
-        return out, attn
+        return out, Tensor(attn)
     return out
-
-
-def mha_param_shapes(d_model):
-    return {
-        "wq": (d_model, d_model), "bq": (d_model,),
-        "wk": (d_model, d_model), "bk": (d_model,),
-        "wv": (d_model, d_model), "bv": (d_model,),
-        "wo": (d_model, d_model), "bo": (d_model,),
-    }

@@ -280,8 +280,14 @@ def norm(x, axis=-1):
 
 
 def absval(x):
-    """|x|, composed from relu so the subgradient at 0 is 0."""
-    return add(relu(x), relu(mul(x, _as_tensor(-1.0, x.dtype))))
+    """|x|, with the subgradient 0 at 0."""
+    xd = x.data
+
+    def bw(g, x=x, xd=xd):
+        if x.requires_grad:
+            x._accumulate(g * np.sign(xd))
+
+    return _make(np.abs(xd), "absval", (x,), bw)
 
 
 def atan2(y, x):
@@ -334,6 +340,37 @@ def matmul(a, b):
     return _make(ad @ bd, "matmul", (a, b), bw)
 
 
+def linear(x, w, b):
+    """Affine map ``x @ w + b`` over the last axis, as one node.
+
+    w: [k, n]; b: [n].  The weight gradient is one GEMM over x's leading
+    axes folded together.
+    """
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: x {x.shape}, w {w.shape}, b {b.shape} disagree")
+    xd, wd = x.data, w.data
+
+    def bw(g, x=x, w=w, b=b, xd=xd, wd=wd):
+        for t, grad in zip((x, w, b), linear_grads(g, xd, wd, x.requires_grad)):
+            if t.requires_grad:
+                t._accumulate(grad)
+
+    return _make(linear_data(xd, wd, b.data), "linear", (x, w, b), bw)
+
+
+def linear_data(xd, wd, bd):
+    """``xd @ wd + bd`` on plain arrays, as one GEMM over the folded leading axes."""
+    return (xd.reshape(-1, wd.shape[0]) @ wd).reshape(xd.shape[:-1] + wd.shape[1:]) + bd
+
+
+def linear_grads(g, xd, wd, need_x=True):
+    """Gradients (x or None, w, b) of ``xd @ wd + b`` from its output gradient."""
+    k, n = wd.shape
+    g2 = g.reshape(-1, n)
+    gx = (g2 @ wd.T).reshape(xd.shape) if need_x else None
+    return gx, xd.reshape(-1, k).T @ g2, _unbroadcast(g, (n,))
+
+
 # -- shape ops -----------------------------------------------------------
 
 
@@ -359,6 +396,17 @@ def transpose(x, axes=None):
     return _make(x.data.transpose(axes), "transpose", (x,), bw, check=False)
 
 
+def broadcast_to(x, shape):
+    """x repeated along new leading axes or its size-1 axes, as numpy does."""
+    old = x.shape
+
+    def bw(g, x=x, old=old):
+        if x.requires_grad:
+            x._accumulate(_unbroadcast(g, old))
+
+    return _make(np.broadcast_to(x.data, shape), "broadcast_to", (x,), bw, check=False)
+
+
 def swapaxes(x, a, b):
     axes = list(range(x.ndim))
     axes[a], axes[b] = axes[b], axes[a]
@@ -382,7 +430,14 @@ def concat(tensors, axis=0):
 
 
 def stack(tensors, axis=0):
-    return concat([reshape(t, t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors], axis=axis)
+    tensors = list(tensors)
+
+    def bw(g, tensors=tensors, axis=axis):
+        for i, t in enumerate(tensors):
+            if t.requires_grad:
+                t._accumulate(np.take(g, i, axis=axis))
+
+    return _make(np.stack([t.data for t in tensors], axis=axis), "stack", tuple(tensors), bw, check=False)
 
 
 def getitem(x, key):
@@ -432,20 +487,29 @@ def masked_softmax(logits, absent=None):
         if np.any(np.isnan(xd)) or np.any(np.isposinf(xd)):
             raise NonFiniteError("masked_softmax input contains NaN or +inf")
         absent = np.isneginf(xd)
-    else:
-        absent = np.broadcast_to(np.asarray(absent, dtype=bool), logits.shape)
+    y = softmax_data(xd, absent)
+
+    def bw(g, logits=logits, y=y):
+        if logits.requires_grad:
+            logits._accumulate(softmax_backward_data(g, y))
+
+    return _make(y, "masked_softmax", (logits,), bw)
+
+
+def softmax_data(xd, absent):
+    """The masked row softmax of ``masked_softmax`` on plain arrays."""
+    absent = np.broadcast_to(np.asarray(absent, dtype=bool), xd.shape)
     masked = np.where(absent, -np.inf, xd)
     rowmax = masked.max(axis=-1, keepdims=True)
     safe_max = np.where(np.isfinite(rowmax), rowmax, 0.0)
     e = np.where(absent, 0.0, np.exp(masked - safe_max))
     s = e.sum(axis=-1, keepdims=True)
-    y = np.where(s > 0, e / np.where(s > 0, s, 1.0), 0.0)
+    return np.where(s > 0, e / np.where(s > 0, s, 1.0), 0.0)
 
-    def bw(g, logits=logits, y=y):
-        if logits.requires_grad:
-            logits._accumulate(y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
-    return _make(y, "masked_softmax", (logits,), bw)
+def softmax_backward_data(g, y):
+    """Gradient of the logits from the output gradient ``g`` and output ``y``."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
 LAYER_NORM_EPS = 1e-5

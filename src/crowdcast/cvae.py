@@ -40,7 +40,7 @@ def observed_embedding(params, x_obs, presence_obs):
     n = x_obs.shape[0]
     flat = (np.asarray(x_obs) * np.asarray(presence_obs, dtype=bool)[:, :, None]).reshape(n, -1)
     w = params["cvae/obs/w"]
-    return ad.relu(ad.add(ad.matmul(Tensor(flat, dtype=w.dtype), w), params["cvae/obs/b"]))
+    return ad.relu(ad.linear(Tensor(flat, dtype=w.dtype), w, params["cvae/obs/b"]))
 
 
 def encode_posterior(params, x_obs, presence_obs, x_fut, y_m, d_z):
@@ -55,13 +55,13 @@ def encode_posterior(params, x_obs, presence_obs, x_fut, y_m, d_z):
     w = params["cvae/fut/w"]
     obs_e = observed_embedding(params, x_obs, presence_obs)
     fut_flat = np.asarray(x_fut).reshape(n, -1)
-    fut_e = ad.relu(ad.add(ad.matmul(Tensor(fut_flat, dtype=w.dtype), w), params["cvae/fut/b"]))
+    fut_e = ad.relu(ad.linear(Tensor(fut_flat, dtype=w.dtype), w, params["cvae/fut/b"]))
     joint = ad.concat([obs_e, fut_e, y_m], axis=1)
-    trunk = ad.relu(ad.add(ad.matmul(joint, params["cvae/post/w1"]), params["cvae/post/b1"]))
-    stats = ad.add(ad.matmul(trunk, params["cvae/post/w2"]), params["cvae/post/b2"])
+    trunk = ad.relu(ad.linear(joint, params["cvae/post/w1"], params["cvae/post/b1"]))
+    stats = ad.linear(trunk, params["cvae/post/w2"], params["cvae/post/b2"])
     mu = stats[:, :d_z]
     log_sigma = stats[:, d_z:]
-    recon = ad.add(ad.matmul(trunk, params["cvae/recon/w"]), params["cvae/recon/b"])
+    recon = ad.linear(trunk, params["cvae/recon/w"], params["cvae/recon/b"])
     return LatentPosterior(mu=mu, log_sigma=log_sigma), recon
 
 
@@ -71,20 +71,27 @@ def reparameterize(posterior, eps):
     return ad.add(posterior.mu, ad.mul(sigma, Tensor(eps, dtype=sigma.dtype)))
 
 
-def sample_prior(rng, n, d_z, sigma_prior=1.0, dtype=None):
-    """Latent draw [n, d_z] from the prior N(0, sigma_prior^2 I)."""
-    return Tensor(sigma_prior * rng.standard_normal((n, d_z)), dtype=dtype)
+def sample_prior(rng, n, d_z, sigma_prior=1.0, dtype=None, k=None):
+    """Latent draw [n, d_z] from the prior N(0, sigma_prior^2 I), or [k, n, d_z]
+    for k samples at once: the same stream as k draws of [n, d_z]."""
+    shape = (n, d_z) if k is None else (k, n, d_z)
+    return Tensor(sigma_prior * rng.standard_normal(shape), dtype=dtype)
 
 
 def decode_trajectories(params, z, obs_emb, y_m, anchors, t_out):
-    """Absolute future positions [N, t_out, 2] from latent + conditioning.
+    """Absolute future positions [..., N, t_out, 2] from latent + conditioning.
 
-    The MLP emits displacement increments; their cumulative sum starts at
-    each agent's last observed position.
+    z: [..., N, d_z]; any leading axes (the K samples) share the
+    conditioning obs_emb, y_m [N, d_model] and anchors [N, 2].  The MLP
+    emits displacement increments; their cumulative sum starts at each
+    agent's last observed position.
     """
-    n = z.shape[0]
-    inc = ffn_forward(params, "cvae/dec", ad.concat([z, obs_emb, y_m], axis=1))
-    inc = ad.reshape(inc, (n, t_out, 2))
+    lead, n = z.shape[:-2], z.shape[-2]
+    cond = [obs_emb, y_m]
+    if lead:
+        cond = [ad.broadcast_to(c, lead + c.shape) for c in cond]
+    inc = ffn_forward(params, "cvae/dec", ad.concat([z] + cond, axis=-1))
+    inc = ad.reshape(inc, lead + (n, t_out, 2))
     tri = Tensor(np.tril(np.ones((t_out, t_out))), dtype=inc.dtype)
     cum = ad.matmul(tri, inc)
     anchor_t = Tensor(np.asarray(anchors).reshape(n, 1, 2), dtype=inc.dtype)
@@ -218,35 +225,31 @@ def ade_fde(pred, gt, presence):
     FDE averages each agent's error at its last present future timestep;
     agents with no present future step are excluded from both metrics.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    presence = np.asarray(presence, dtype=bool)
-    if not presence.any():
-        raise MetricError("no present future steps; ADE/FDE undefined")
-    errs = np.linalg.norm(pred - gt, axis=-1)
-    ade = float(errs[presence].mean())
-    finals = []
-    for i in range(pred.shape[0]):
-        idx = np.nonzero(presence[i])[0]
-        if idx.size:
-            finals.append(errs[i, idx[-1]])
-    return ade, float(np.mean(finals))
+    ades, fdes = _sample_errors(np.asarray(pred)[None], gt, presence)
+    return float(ades[0]), float(fdes[0])
 
 
 def best_of_k(samples, gt, presence, joint_fde=False):
-    """(minADE_K, minFDE_K) over sampled futures.
+    """(minADE_K, minFDE_K) over sampled futures [K, N, T, 2], scored in one pass.
 
     Minima are taken independently unless ``joint_fde``, which scores FDE
     on the ADE-minimizing sample.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    ades, fdes = [], []
-    for k in range(samples.shape[0]):
-        a, f = ade_fde(samples[k], gt, presence)
-        ades.append(a)
-        fdes.append(f)
-    ades, fdes = np.array(ades), np.array(fdes)
+    ades, fdes = _sample_errors(samples, gt, presence)
     if joint_fde:
         best = int(np.argmin(ades))
         return float(ades[best]), float(fdes[best])
     return float(ades.min()), float(fdes.min())
+
+
+def _sample_errors(samples, gt, presence):
+    """ADE and FDE [K] of each of K sampled futures [K, N, T, 2]."""
+    samples = np.asarray(samples, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
+    presence = np.asarray(presence, dtype=bool)
+    if not presence.any():
+        raise MetricError("no present future steps; ADE/FDE undefined")
+    errs = np.linalg.norm(samples - gt, axis=-1)  # [K, N, T]
+    agents = np.nonzero(presence.any(axis=1))[0]
+    last = presence.shape[1] - 1 - np.argmax(presence[agents, ::-1], axis=1)
+    return errs[:, presence].mean(axis=1), errs[:, agents, last].mean(axis=1)

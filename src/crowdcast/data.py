@@ -8,7 +8,7 @@ zero-filled and flagged in the presence mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -200,14 +200,8 @@ def normalize_window(window):
         offset = anchors.mean(axis=0)
     positions = window.positions - offset
     positions[~window.presence] = 0.0
-    shifted = TrajectoryWindow(
-        positions=positions,
-        presence=window.presence.copy(),
-        agent_ids=list(window.agent_ids),
-        origin_frame=window.origin_frame,
-        t_in=window.t_in,
-        t_out=window.t_out,
-    )
+    shifted = replace(window, positions=positions, presence=window.presence.copy(),
+                      agent_ids=list(window.agent_ids), segment=window.segment.copy())
     return shifted, offset
 
 

@@ -85,7 +85,7 @@ def embed_trajectories(x_obs, presence_obs, weight, bias):
     if n < 2:
         raise HypergraphError(f"trajectory embedding needs N >= 2 agents, got {n}")
     flat = (x_obs * presence_obs[:, :, None]).reshape(n, -1)
-    return ad.relu(ad.add(ad.matmul(Tensor(flat, dtype=weight.dtype), weight), bias))
+    return ad.relu(ad.linear(Tensor(flat, dtype=weight.dtype), weight, bias))
 
 
 def mahalanobis_matrix(embeddings, covariance=None):

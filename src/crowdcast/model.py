@@ -178,13 +178,14 @@ class CrowdForecaster:
         )
 
     def sample_futures(self, window, k, rng, record=None, hyper_dump=None):
-        """K prior-sampled futures [K, N, T_o, 2] for a normalized window."""
+        """K prior-sampled futures [K, N, T_o, 2] for a normalized window.
+
+        One prior draw [K, N, d_z] and one decode over the leading K axis;
+        sample i is the one the i-th of K sequential draws would give.
+        """
         cfg = self.cfg
         with ad.no_grad():
             y_m, obs_emb, _, anchors = self.features(window, record=record, hyper_dump=hyper_dump)
-            out = np.zeros((k, window.n_agents, cfg.t_out, 2))
-            for i in range(k):
-                z = cvae.sample_prior(rng, window.n_agents, cfg.d_z, cfg.sigma_prior, cfg.dtype)
-                pred = cvae.decode_trajectories(self.params, z, obs_emb, y_m, anchors, cfg.t_out)
-                out[i] = pred.data
-        return out
+            z = cvae.sample_prior(rng, window.n_agents, cfg.d_z, cfg.sigma_prior, cfg.dtype, k=k)
+            pred = cvae.decode_trajectories(self.params, z, obs_emb, y_m, anchors, cfg.t_out)
+        return np.asarray(pred.data, dtype=np.float64)

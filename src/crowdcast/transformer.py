@@ -25,8 +25,8 @@ from .autodiff import Tensor
 
 
 def ffn_forward(params, prefix, x):
-    h = ad.relu(ad.add(ad.matmul(x, params[f"{prefix}/w1"]), params[f"{prefix}/b1"]))
-    return ad.add(ad.matmul(h, params[f"{prefix}/w2"]), params[f"{prefix}/b2"])
+    h = ad.relu(ad.linear(x, params[f"{prefix}/w1"], params[f"{prefix}/b1"]))
+    return ad.linear(h, params[f"{prefix}/w2"], params[f"{prefix}/b2"])
 
 
 def layer_norm_p(params, prefix, x):
@@ -73,7 +73,7 @@ def _encoder_stack(params, cfg, prefix, tokens, presence, codes, mask, adj=None,
     """
     dtype = params[f"{prefix}/embed/w"].dtype
     keep = Tensor(presence[..., None].astype(dtype))
-    x = ad.add(ad.matmul(Tensor(tokens, dtype=dtype), params[f"{prefix}/embed/w"]), params[f"{prefix}/embed/b"])
+    x = ad.linear(Tensor(tokens, dtype=dtype), params[f"{prefix}/embed/w"], params[f"{prefix}/embed/b"])
     x = ad.mul(x, keep)
     x = ad.add(x, Tensor(codes, dtype=dtype))
     if adj is not None:

@@ -9,7 +9,7 @@ from crowdcast.attention import (
     masked_mha,
     positional_encoding,
 )
-from crowdcast.autodiff import Tensor, gradcheck
+from crowdcast.autodiff import ShapeError, Tensor, gradcheck
 from crowdcast.config import ConfigError
 from crowdcast.transformer import spatial_forward, temporal_forward
 from conftest import random_window, randomize_params, tiny_config
@@ -165,6 +165,169 @@ class TestMaskedMha:
             return ad.tsum(ad.mul(masked_mha(p, "blk", x, x, 2, mask=mask), Tensor(probe)))
 
         assert gradcheck(f, [x] + list(p.values())) < 1e-4
+
+
+def mha_oracle_batched(p, prefix, q_in, kv_in, heads, mask_values):
+    """``mha_oracle`` slice by slice over the leading axes of q_in."""
+    lead = q_in.shape[:-2]
+    values = np.broadcast_to(mask_values, lead + (q_in.shape[-2], kv_in.shape[-2]))
+    out = np.zeros(q_in.shape)
+    for idx in np.ndindex(*lead):
+        out[idx] = mha_oracle(p, prefix, q_in[idx], kv_in[idx], heads, mask_values=values[idx])
+    return out
+
+
+def grad_params(rng, d):
+    p = mha_params(rng, d)
+    for t in p.values():
+        t.data = t.data + 0.1 * rng.normal(size=t.shape)  # nonzero biases
+        t.requires_grad = True
+    return p
+
+
+def probe_loss(out, probe):
+    return ad.tsum(ad.mul(out, Tensor(probe)))
+
+
+def assert_grads_match(f, tensors):
+    """Backward against central differences, entry by entry, with an
+    absolute floor: the key bias gradient is 0 in exact arithmetic (it
+    shifts every logit of a row alike), so a relative error means nothing
+    there."""
+    for t in tensors:
+        t.zero_grad()
+    ad.backward(f())
+    for t in tensors:
+        analytic = np.zeros(t.size) if t.grad is None else t.grad.reshape(-1).copy()
+        num = ad.numerical_gradient(f, t)
+        fd = np.array([num[i] for i in range(t.size)])
+        np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8)
+
+
+class TestFusedMha:
+    """The one-node attention against the loop oracle and finite differences."""
+
+    def test_one_tape_node(self):
+        rng = np.random.default_rng(20)
+        p = grad_params(rng, 4)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        out = masked_mha(p, "blk", x, x, 2)
+        assert set(map(id, out._parents)) == set(map(id, [x] + list(p.values())))
+
+    def test_cross_attention_lq_ne_lk(self):
+        rng = np.random.default_rng(21)
+        d, lq, lk, heads = 6, 3, 5, 3
+        p = grad_params(rng, d)
+        q_in = Tensor(rng.normal(size=(2, lq, d)), requires_grad=True)
+        kv_in = Tensor(rng.normal(size=(2, lk, d)), requires_grad=True)
+        absent = rng.random((2, 1, lk)) < 0.3
+        absent[:, :, 0] = False
+        mask = AttentionMask(bias=None, absent=absent)
+        out = masked_mha(p, "blk", q_in, kv_in, heads, mask=mask)
+        assert out.shape == (2, lq, d)
+        values = np.where(np.broadcast_to(absent, (2, lq, lk)), -np.inf, 0.0)
+        expected = mha_oracle_batched(p, "blk", q_in.data, kv_in.data, heads, values)
+        assert np.max(np.abs(out.data - expected)) < 1e-10
+        probe = rng.normal(size=out.shape)
+        f = lambda: probe_loss(masked_mha(p, "blk", q_in, kv_in, heads, mask=mask), probe)  # noqa: E731
+        assert_grads_match(f, [q_in, kv_in] + list(p.values()))
+
+    @pytest.mark.parametrize("layout", ["temporal", "spatial"])
+    def test_learned_bias_broadcast_over_leading_axis(self, layout):
+        """Temporal attention shares one [T, T] bias over agents; spatial
+        attention has one [N, N] bias per timestep, [T, N, N]."""
+        rng = np.random.default_rng(22)
+        d, heads, lead, length = 4, 2, 3, 4
+        p = grad_params(rng, d)
+        x = Tensor(rng.normal(size=(lead, length, d)), requires_grad=True)
+        bias_shape = (length, length) if layout == "temporal" else (lead, length, length)
+        bias = Tensor(rng.normal(size=bias_shape), requires_grad=True)
+        absent = rng.random((lead, length, length)) < 0.25
+        absent[:, :, 0] = False
+        mask = AttentionMask(bias=bias, absent=absent)
+        out = masked_mha(p, "blk", x, x, heads, mask=mask)
+        expected = mha_oracle_batched(p, "blk", x.data, x.data, heads, mask.values())
+        assert np.max(np.abs(out.data - expected)) < 1e-10
+        probe = rng.normal(size=out.shape)
+        f = lambda: probe_loss(masked_mha(p, "blk", x, x, heads, mask=mask), probe)  # noqa: E731
+        assert_grads_match(f, [x, bias] + list(p.values()))
+
+    def test_query_with_every_key_absent_gives_zero_row(self):
+        rng = np.random.default_rng(23)
+        d, n, heads = 4, 3, 2
+        p = grad_params(rng, d)
+        p["blk/bo"].data[:] = 0.0
+        x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(n, n)), requires_grad=True)
+        absent = np.zeros((n, n), dtype=bool)
+        absent[1, :] = True
+        absent[0, 2] = True
+        mask = AttentionMask(bias=bias, absent=absent)
+        out = masked_mha(p, "blk", x, x, heads, mask=mask)
+        np.testing.assert_array_equal(out.data[1], 0.0)
+        expected = mha_oracle(p, "blk", x.data, x.data, heads, mask_values=mask.values())
+        assert np.max(np.abs(out.data - expected)) < 1e-10
+        probe = rng.normal(size=out.shape)
+        f = lambda: probe_loss(masked_mha(p, "blk", x, x, heads, mask=mask), probe)  # noqa: E731
+        assert_grads_match(f, [x, bias] + list(p.values()))
+        np.testing.assert_array_equal(bias.grad[1], 0.0)
+
+    def test_shared_input_equals_distinct_copies(self):
+        """``q_in is kv_in`` takes the sum of the query and key/value
+        gradients, as two equal but distinct inputs get them apart."""
+        rng = np.random.default_rng(24)
+        d, n, heads = 6, 4, 2
+        p = grad_params(rng, d)
+        data = rng.normal(size=(2, n, d))
+        probe = rng.normal(size=(2, n, d))
+        shared = Tensor(data, requires_grad=True)
+        q_in = Tensor(data.copy(), requires_grad=True)
+        kv_in = Tensor(data.copy(), requires_grad=True)
+        out_shared = masked_mha(p, "blk", shared, shared, heads)
+        ad.backward(probe_loss(out_shared, probe))
+        shared_grads = {k: t.grad.copy() for k, t in p.items()}
+        for t in p.values():
+            t.zero_grad()
+        out_apart = masked_mha(p, "blk", q_in, kv_in, heads)
+        ad.backward(probe_loss(out_apart, probe))
+        np.testing.assert_array_equal(out_shared.data, out_apart.data)
+        np.testing.assert_allclose(shared.grad, q_in.grad + kv_in.grad, rtol=1e-12, atol=1e-14)
+        for k, t in p.items():
+            np.testing.assert_allclose(shared_grads[k], t.grad, rtol=1e-12, atol=1e-14)
+
+    def test_f32_in_f32_out(self):
+        rng = np.random.default_rng(25)
+        d, n, heads = 4, 3, 2
+        p = grad_params(rng, d)
+        for t in p.values():
+            t.data = t.data.astype(np.float32)
+        x = Tensor(rng.normal(size=(n, d)), requires_grad=True, dtype=np.float32)
+        bias = Tensor(rng.normal(size=(n, n)), requires_grad=True, dtype=np.float32)
+        mask = AttentionMask(bias=bias, absent=np.zeros((n, n), dtype=bool))
+        out, attn = masked_mha(p, "blk", x, x, heads, mask=mask, return_attn=True)
+        assert out.dtype == np.float32 and attn.dtype == np.float32
+        ad.backward(ad.tsum(out))
+        assert x.grad.dtype == np.float32 and bias.grad.dtype == np.float32
+        assert all(t.grad.dtype == np.float32 for t in p.values())
+        p64 = {k: Tensor(t.data.astype(np.float64)) for k, t in p.items()}
+        expected = mha_oracle(p64, "blk", x.data.astype(np.float64), x.data.astype(np.float64), heads,
+                              mask_values=bias.data.astype(np.float64))
+        np.testing.assert_allclose(out.data, expected, rtol=1e-4, atol=1e-5)
+
+    def test_record_and_return_attn_shapes(self):
+        rng = np.random.default_rng(26)
+        p = mha_params(rng, 4)
+        q_in, kv_in = Tensor(rng.normal(size=(5, 2, 4))), Tensor(rng.normal(size=(5, 3, 4)))
+        record = {}
+        out, attn = masked_mha(p, "blk", q_in, kv_in, 2, record=record, record_key="k", return_attn=True)
+        assert out.shape == (5, 2, 4)
+        assert attn.shape == record["k"].shape == (5, 2, 2, 3)
+        np.testing.assert_array_equal(attn.data, record["k"])
+
+    def test_leading_axes_must_agree(self):
+        p = mha_params(np.random.default_rng(27), 4)
+        with pytest.raises(ShapeError):
+            masked_mha(p, "blk", Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 3, 4))), 2)
 
 
 class TestMaskBuilders:

@@ -61,6 +61,25 @@ class TestMatmul:
         np.testing.assert_allclose(b.grad, np.einsum("pqik,pqij->kj", a.data, g), rtol=1e-13, atol=1e-13)
 
 
+class TestLinear:
+    def test_equals_matmul_plus_bias(self):
+        rng = np.random.default_rng(8)
+        x, w, b = rng.normal(size=(3, 2, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+        out = ad.linear(tensor(x), tensor(w), tensor(b))
+        np.testing.assert_allclose(out.data, x @ w + b, rtol=1e-14, atol=1e-14)
+
+    def test_one_node(self):
+        x, w, b = (Tensor(np.ones(s), requires_grad=True) for s in ((2, 3), (3, 4), (4,)))
+        out = ad.linear(x, w, b)
+        assert out._parents == (x, w, b)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            ad.linear(tensor(np.zeros((2, 3))), tensor(np.zeros((4, 5))), tensor(np.zeros(5)))
+        with pytest.raises(ShapeError):
+            ad.linear(tensor(np.zeros((2, 3))), tensor(np.zeros((3, 5))), tensor(np.zeros(4)))
+
+
 class TestSoftmaxRows:
     """``masked_softmax`` with ``absent`` omitted: -inf inputs are the absent keys."""
 
@@ -236,6 +255,21 @@ class TestPerOpGradients:
         self._check(lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)], 6)
         self._check(lambda a, b: ad.stack([a, b], axis=0), [(2, 3), (2, 3)], 7)
 
+    def test_stack_inner_axis(self):
+        self._check(lambda a, b, c: ad.mul(ad.stack([a, b], axis=1), c), [(3, 4), (3, 4), (3, 2, 4)], 18)
+
+    def test_broadcast_to(self):
+        self._check(lambda a, c: ad.mul(ad.broadcast_to(a, (3, 2, 4)), c), [(2, 4), (3, 2, 4)], 19)
+        self._check(lambda a, c: ad.mul(ad.broadcast_to(a, (2, 5)), c), [(2, 1), (2, 5)], 20)
+
+    def test_linear(self):
+        def square_of_affine(x, w, b):
+            y = ad.linear(x, w, b)
+            return ad.mul(y, y)
+
+        self._check(square_of_affine, [(2, 3, 4), (4, 5), (5,)], 21)
+        self._check(square_of_affine, [(3, 4), (4, 2), (2,)], 22)
+
     def test_reshape_transpose(self):
         self._check(lambda a: ad.transpose(ad.reshape(a, (4, 3)), (1, 0)), [(3, 4)], 8)
 
@@ -253,6 +287,11 @@ class TestPerOpGradients:
     def test_norm(self):
         self._check(lambda a: ad.norm(a, axis=-1), [(3, 4, 2)], 16)
         self._check(lambda a: ad.norm(a, axis=0), [(3, 4)], 17)
+
+    def test_absval_zero_subgradient(self):
+        x = Tensor(np.array([-2.0, 0.0, 3.0]), requires_grad=True)
+        ad.backward(ad.tsum(ad.absval(x)))
+        np.testing.assert_array_equal(x.grad, [-1.0, 0.0, 1.0])
 
     def test_norm_zero_subgradient(self):
         x = Tensor(np.array([[0.0, 0.0], [3.0, 4.0]]), requires_grad=True)

@@ -353,6 +353,27 @@ class TestBestOfK:
         assert fde_i == 0.0 and fde_j == 1.0
 
 
+    def test_vectorized_equals_per_sample_loop(self):
+        """One pass over K equals ``ade_fde`` sample by sample, with holes
+        and an agent that has no future step."""
+        rng = np.random.default_rng(5)
+        gt = rng.normal(size=(4, 6, 2))
+        presence = rng.random((4, 6)) < 0.7
+        presence[0, 0] = True
+        presence[2] = False  # no future step
+        samples = rng.normal(size=(7, 4, 6, 2))
+        per_sample = np.array([ade_fde(s, gt, presence) for s in samples])
+        np.testing.assert_allclose(per_sample, [ade_fde_oracle(s, gt, presence) for s in samples],
+                                   rtol=1e-14)
+        assert best_of_k(samples, gt, presence) == (per_sample[:, 0].min(), per_sample[:, 1].min())
+        best = int(np.argmin(per_sample[:, 0]))
+        assert best_of_k(samples, gt, presence, joint_fde=True) == tuple(per_sample[best])
+
+    def test_no_present_steps_rejected(self):
+        with pytest.raises(MetricError):
+            best_of_k(np.zeros((3, 2, 4, 2)), np.zeros((2, 4, 2)), np.zeros((2, 4), dtype=bool))
+
+
 def test_observed_embedding_masks_absent(tiny_cfg):
     model = randomize_params(CrowdForecaster(tiny_cfg, seed=0), 1)
     rng = np.random.default_rng(0)

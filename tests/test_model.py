@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from crowdcast.autodiff import backward
+from crowdcast import cvae
+from crowdcast.autodiff import backward, no_grad
 from crowdcast.checkpoint import CheckpointError
 from crowdcast.config import TrainConfig
 from crowdcast.data import normalize_window
@@ -141,3 +142,40 @@ def test_float32_mode_runs(tiny_cfg):
     assert total.dtype == np.float32
     samples = model.sample_futures(window, 2, np.random.default_rng(0))
     assert np.all(np.isfinite(samples))
+
+
+class TestBatchedSampling:
+    """``sample_futures`` draws and decodes all K samples at once."""
+
+    def setup_window(self, cfg, seed):
+        model = randomize_params(CrowdForecaster(cfg, seed=0), seed)
+        window, _ = normalize_window(random_window(seed, n=4, holes=True))
+        return model, window
+
+    def test_equals_sequential_single_decodes(self, tiny_cfg):
+        """The loop this replaced, kept as the oracle: K prior draws of
+        [N, d_z] from one stream, each decoded on its own."""
+        model, window = self.setup_window(tiny_cfg, 3)
+        k = 6
+        samples = model.sample_futures(window, k, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        with no_grad():
+            y_m, obs_emb, _, anchors = model.features(window)
+            for i in range(k):
+                z = cvae.sample_prior(rng, window.n_agents, tiny_cfg.d_z, tiny_cfg.sigma_prior)
+                pred = cvae.decode_trajectories(model.params, z, obs_emb, y_m, anchors, tiny_cfg.t_out)
+                np.testing.assert_allclose(samples[i], pred.data, rtol=0, atol=1e-12)
+
+    def test_prior_draw_is_the_sequential_stream(self):
+        batched = cvae.sample_prior(np.random.default_rng(4), 3, 5, sigma_prior=1.5, k=4).data
+        rng = np.random.default_rng(4)
+        sequential = [cvae.sample_prior(rng, 3, 5, sigma_prior=1.5).data for _ in range(4)]
+        np.testing.assert_array_equal(batched, np.stack(sequential))
+
+    def test_sample_zero_independent_of_k(self):
+        cfg = TrainConfig()
+        model, window = self.setup_window(cfg, 4)
+        s20 = model.sample_futures(window, 20, np.random.default_rng(8))
+        s1 = model.sample_futures(window, 1, np.random.default_rng(8))
+        assert s20.shape == (20, 4, cfg.t_out, 2)
+        np.testing.assert_array_equal(s20[0], s1[0])

@@ -55,6 +55,12 @@ class TestPackWindows:
         np.testing.assert_array_equal(packed.positions, np.concatenate([w.positions for w in windows]))
         np.testing.assert_array_equal(packed.presence, np.concatenate([w.presence for w in windows]))
 
+    def test_normalize_keeps_segment(self):
+        packed = pack_windows([random_window(0, n=2), random_window(1, n=3)])
+        shifted, _ = normalize_window(packed)
+        np.testing.assert_array_equal(shifted.segment, [0, 0, 1, 1, 1])
+        shifted.validate()
+
     def test_mismatched_horizons_rejected(self):
         with pytest.raises(ValueError):
             pack_windows([random_window(0, n=2), random_window(1, n=2, t_in=6)])

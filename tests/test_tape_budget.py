@@ -1,0 +1,63 @@
+"""Tape budget: how many autodiff nodes one ``training_loss`` records, by kind.
+
+Attention and affine layers are one node each.  A change that falls back
+to composing them from generic ops (matmul, add, reshape, transpose,
+masked_softmax) breaks these counts.
+"""
+
+import sys
+from collections import Counter
+
+import numpy as np
+
+import crowdcast.autodiff as ad
+from crowdcast import attention
+from crowdcast.config import TrainConfig
+from crowdcast.data import normalize_window
+from crowdcast.model import CrowdForecaster
+from conftest import random_window
+
+# Before attention and affine layers were fused, this loss recorded 389
+# nodes: 90 matmul, 97 add, 40 reshape, 41 transpose and 8 masked_softmax
+# among them.
+UNFUSED_NODES = 389
+
+
+def count_tape_nodes(monkeypatch):
+    """Nodes recorded by one default-config ``training_loss`` on a
+    four-agent window: (all nodes by kind, nodes made inside masked_mha
+    by kind)."""
+    kinds, in_attention = Counter(), Counter()
+    make = ad._make
+
+    def counting_make(data, op, parents, backward_fn, check=True):
+        out = make(data, op, parents, backward_fn, check)
+        if out._backward is not None:
+            kinds[op] += 1
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not attention.masked_mha.__code__:
+                frame = frame.f_back
+            if frame is not None:
+                in_attention[op] += 1
+        return out
+
+    monkeypatch.setattr(ad, "_make", counting_make)
+    cfg = TrainConfig()
+    model = CrowdForecaster(cfg, seed=0)
+    window, _ = normalize_window(random_window(0, n=4))
+    model.training_loss(window, latent_eps=np.random.default_rng(1).standard_normal((4, cfg.d_z)))
+    return kinds, in_attention
+
+
+def test_attention_is_one_node_per_call(monkeypatch):
+    """Spatial x2, temporal x2, three cross-modal and the fusion
+    self-attention: eight attentions, each exactly one node."""
+    kinds, in_attention = count_tape_nodes(monkeypatch)
+    assert kinds["masked_mha"] == 8
+    assert in_attention == Counter(masked_mha=8)
+    assert kinds["masked_softmax"] == 0
+
+
+def test_total_at_most_half_of_unfused(monkeypatch):
+    kinds, _ = count_tape_nodes(monkeypatch)
+    assert sum(kinds.values()) <= UNFUSED_NODES // 2, kinds
