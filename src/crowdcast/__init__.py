@@ -5,12 +5,11 @@ cross-modal fusion, and a CVAE sampling head over a small hand-rolled
 reverse-mode autodiff engine.
 """
 
-from .autodiff import Tensor, backward, no_grad, tensor
+from .autodiff import Tensor, backward, no_grad
 from .config import TrainConfig, parse_config
 from .data import (
     Scene,
     TrajectoryWindow,
-    leave_one_out_split,
     normalize_window,
     parse_scene,
     synth_generate,
@@ -24,12 +23,10 @@ __all__ = [
     "Tensor",
     "backward",
     "no_grad",
-    "tensor",
     "TrainConfig",
     "parse_config",
     "Scene",
     "TrajectoryWindow",
-    "leave_one_out_split",
     "normalize_window",
     "parse_scene",
     "synth_generate",

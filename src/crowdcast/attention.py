@@ -1,4 +1,4 @@
-"""Masked multi-head attention, sinusoidal encodings, and mask builders.
+"""Masked multi-head attention, sinusoidal encodings, and the distance-bias mask.
 
 Masks are additive: -inf at absent key positions (tracked as a boolean
 array so tensors stay finite) and a learned affine distance bias
@@ -53,36 +53,16 @@ def pairwise_distances(points):
     return np.sqrt(np.maximum(d2, 0.0))
 
 
-def build_spatial_masks_batch(positions, presence, weight, bias, segment=None):
-    """Per-timestep spatial masks stacked on a leading time axis.
+def distance_bias_mask(distances, absent, weight, bias):
+    """Mask with the learned bias ``weight * distance + bias`` and absent keys.
 
-    positions: [T, N, 2]; presence: [T, N]; segment: optional [N] scene
-    number per agent (see ``TrajectoryWindow``).  Timesteps with no present
-    agent simply yield fully absent key columns, and an agent of another
-    segment is an absent key.
+    distances: [..., Lq, Lk] (agent distances per timestep, or time gaps
+    |t - t'|); absent: bool array broadcastable to the mask, True for a
+    key no query may attend to; weight, bias: [1] parameters.
     """
-    presence = np.asarray(presence, dtype=bool)
-    dist = pairwise_distances(positions)  # [T, N, N]
-    bias_t = ad.add(ad.mul(weight, Tensor(dist, dtype=weight.dtype)), bias)
-    absent = ~presence[:, None, :]
-    if segment is not None:
-        absent = absent | (segment[:, None] != segment[None, :])
-    return AttentionMask(bias=bias_t, absent=np.broadcast_to(absent, dist.shape))
-
-
-def build_temporal_mask(presence_n, weight, bias):
-    """Mask over timesteps for agents: -inf at absent steps, else w*|t-t'|+b.
-
-    presence_n: [..., T] boolean presence along time.  The same |t-t'| gap
-    matrix serves every agent.
-    """
-    presence_n = np.asarray(presence_n, dtype=bool)
-    t = presence_n.shape[-1]
-    steps = np.arange(t, dtype=np.float64)
-    gaps = np.abs(steps[:, None] - steps[None, :])
-    bias_t = ad.add(ad.mul(weight, Tensor(gaps, dtype=weight.dtype)), bias)
-    absent = ~presence_n[..., None, :]  # key timestep absent
-    return AttentionMask(bias=bias_t, absent=np.broadcast_to(absent, presence_n.shape[:-1] + (t, t)))
+    dist = Tensor(distances, dtype=weight.dtype)
+    shape = np.broadcast_shapes(absent.shape, dist.shape)
+    return AttentionMask(bias=ad.add(ad.mul(weight, dist), bias), absent=np.broadcast_to(absent, shape))
 
 
 MHA_GATES = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")

@@ -6,8 +6,9 @@ recorded graph once in reverse topological order and then consumes it.
 Broadcasting follows numpy semantics but only over leading batch dimensions
 or explicit size-1 axes; anything fancier needs an explicit reshape.
 
-All op outputs must be finite.  Leaf tensors may carry -inf (attention
-masks); ``masked_softmax`` maps those entries to exact zeros.
+All op outputs must be finite.  Attention masks carry their absent keys
+as a boolean array beside a finite bias; ``softmax_data`` gives those keys
+exact-zero weight.  Only the ops some model path records are defined.
 """
 
 from __future__ import annotations
@@ -91,55 +92,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar --------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other, self.dtype), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other, self.dtype))
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0, self.dtype))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return getitem(self, key)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-
-def tensor(data, requires_grad=False, dtype=None):
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
-def _as_tensor(x, dtype):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x, dtype=dtype)
 
 
 def _check_finite(arr, op):
@@ -224,21 +178,6 @@ def mul(a, b):
             b._accumulate(_unbroadcast(g * ad, b.shape))
 
     return _make(ad * bd, "mul", (a, b), bw)
-
-
-def div(a, b):
-    _broadcast_shape(a, b, "div")
-    ad, bd = a.data, b.data
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = ad / bd
-
-    def bw(g, a=a, b=b, ad=ad, bd=bd):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / bd, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * ad / (bd * bd), b.shape))
-
-    return _make(out_data, "div", (a, b), bw)
 
 
 def relu(x):
@@ -474,33 +413,19 @@ def tsum(x, axis=None, keepdims=False):
 # -- neural-net primitives ----------------------------------------------
 
 
-def masked_softmax(logits, absent=None):
-    """Row softmax over the last axis with max-subtraction.
-
-    ``absent`` (bool, broadcastable) marks keys that get weight 0; when it
-    is omitted, the input's -inf entries are the absent keys.  A row with
-    every key absent yields an all-zero row; callers must not attend from
-    such rows.
-    """
-    xd = logits.data
-    if absent is None:
-        if np.any(np.isnan(xd)) or np.any(np.isposinf(xd)):
-            raise NonFiniteError("masked_softmax input contains NaN or +inf")
-        absent = np.isneginf(xd)
-    y = softmax_data(xd, absent)
-
-    def bw(g, logits=logits, y=y):
-        if logits.requires_grad:
-            logits._accumulate(softmax_backward_data(g, y))
-
-    return _make(y, "masked_softmax", (logits,), bw)
-
-
 def softmax_data(xd, absent):
-    """The masked row softmax of ``masked_softmax`` on plain arrays."""
+    """Row softmax over the last axis with max-subtraction, on plain arrays.
+
+    ``absent`` (bool, broadcastable) marks keys that get weight 0.  A row
+    with every key absent yields an all-zero row; callers must not attend
+    from such rows.  NaN or +inf at a present key is an error, not an
+    all-zero row.
+    """
     absent = np.broadcast_to(np.asarray(absent, dtype=bool), xd.shape)
     masked = np.where(absent, -np.inf, xd)
     rowmax = masked.max(axis=-1, keepdims=True)
+    if not (rowmax < np.inf).all():  # the max of a row holding NaN is NaN
+        raise NonFiniteError("softmax logits contain NaN or +inf at a present key")
     safe_max = np.where(np.isfinite(rowmax), rowmax, 0.0)
     e = np.where(absent, 0.0, np.exp(masked - safe_max))
     s = e.sum(axis=-1, keepdims=True)

@@ -28,9 +28,19 @@ def _windows_by_scene(scenes, cfg):
             for name, s in scenes.items()}
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def cmd_train(args):
     cfg = parse_config(args.config) if args.config else TrainConfig()
     scenes = _load_scenes(args.data)
+    if args.holdout is not None and args.holdout not in scenes:
+        raise SystemExit(f"--holdout {args.holdout!r} is not a scene under {args.data}; "
+                         f"scenes: {', '.join(scenes)}")
     per_scene = _windows_by_scene(scenes, cfg)
     train_names = [n for n in per_scene if n != args.holdout]
     windows = [w for n in train_names for w in per_scene[n]]
@@ -80,8 +90,8 @@ def cmd_inspect(args):
     else:
         windows = [w for s in synth_generate(args.seed, 1)
                    for w in window_scene(s, stride=cfg.stride, t_in=cfg.t_in, t_out=cfg.t_out)]
-    if not windows:
-        raise SystemExit("no windows to inspect")
+    if not 0 <= args.window < len(windows):
+        raise SystemExit(f"--window {args.window} is out of range: there are {len(windows)} windows")
     window, _ = normalize_window(windows[args.window])
     record = {} if args.dump_attention else None
     hyper_dump = [] if args.dump_hypergraphs else None
@@ -124,7 +134,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, default=20)
+    p.add_argument("--k", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)

@@ -140,7 +140,7 @@ def _segment_mean_weights(mask, segment, n_segments):
 
 def loss_total(pred, gt, presence_fut, posterior, recon, x_obs, presence_obs, kappas, sigma_prior=1.0,
                segment=None):
-    """Three-term objective; returns (total Tensor, float components).
+    """Four-term objective; returns (total Tensor, float components).
 
     kappas: (k1, k2, k3, k4) weighting mean L2 distance, KL to the prior,
     the angle mismatch over ordered timestep pairs, and the observation

@@ -1,4 +1,4 @@
-"""Frame-file parsing, window cutting, splits, and synthetic crowd scenes.
+"""Frame-file parsing, window cutting, packing, and synthetic crowd scenes.
 
 Scenes are whitespace-separated rows of ``frame_id agent_id x y`` (extra
 columns ignored).  Windows hold ``t_in`` observed plus ``t_out`` future
@@ -21,10 +21,6 @@ GROUP_RADIUS = 0.7  # max member offset from a synthetic group's center
 
 class ParseError(ValueError):
     """Malformed scene file."""
-
-
-class SplitError(ValueError):
-    """Not enough scenes to build cross-validation folds."""
 
 
 @dataclass
@@ -249,17 +245,6 @@ def agent_relative_positions(window):
     relative = window.positions - anchors[:, None, :]
     relative[~window.presence] = 0.0
     return relative, anchors
-
-
-def leave_one_out_split(named_scenes):
-    """One fold per scene: (train names, test name)."""
-    if isinstance(named_scenes, dict):
-        names = list(named_scenes)
-    else:
-        names = [n[0] if isinstance(n, tuple) else n for n in named_scenes]
-    if len(names) < 2:
-        raise SplitError(f"need >= 2 named scenes for leave-one-out, got {len(names)}")
-    return [([n for n in names if n != test], test) for test in names]
 
 
 # -- synthetic corpus ------------------------------------------------------

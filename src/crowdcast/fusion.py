@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import AttentionMask, masked_mha
 from .autodiff import ShapeError, Tensor
-from .transformer import ffn_forward, layer_norm_p
+from .transformer import encoder_block, ffn_forward, layer_norm_p
 
 
 def cross_modal_attention(params, prefix, target, sources, heads, record=None, record_key=None, absent=None):
@@ -64,10 +64,8 @@ def fuse(params, cfg, y_s, y_t, y_h, record=None, h_absent=None):
     tokens = ad.concat(aligned, axis=1)  # [N, 2*T_i + H, d]
     token_absent = np.concatenate(list(absent.values()), axis=1)
     self_mask = AttentionMask(bias=None, absent=token_absent[:, None, :])
-    attn_in = layer_norm_p(params, "fusion/self/ln1", tokens)
-    mixed = ad.add(tokens, masked_mha(params, "fusion/self/attn", attn_in, attn_in, cfg.heads, mask=self_mask,
-                                      record=record, record_key="attn/fusion/self"))
-    mixed = ad.add(mixed, ffn_forward(params, "fusion/self/ffn", layer_norm_p(params, "fusion/self/ln2", mixed)))
+    mixed = encoder_block(params, "fusion/self", tokens, cfg.heads, self_mask,
+                          record=record, record_key="attn/fusion/self")
     mixed = layer_norm_p(params, "fusion/ln_out", mixed)
     present = ~token_absent
     pool = present / present.sum(axis=1, keepdims=True)  # [N, L]: 1/count at present tokens

@@ -54,19 +54,22 @@ class _Builder:
         self.linear(f"{prefix}/ffn", d, hidden, suffix=("w1", "b1"))
         self.linear(f"{prefix}/ffn", hidden, d, suffix=("w2", "b2"))
 
+    def block(self, prefix, d, hidden, with_gcn=False):
+        """Parameters of ``transformer.encoder_block``."""
+        self.ln(f"{prefix}/ln1", d)
+        self.mha(f"{prefix}/attn", d)
+        if with_gcn:
+            self.weight(f"{prefix}/gcn/w", d, d)
+        self.ln(f"{prefix}/ln2", d)
+        self.ffn(prefix, d, hidden)
+
     def encoder_stack(self, prefix, cfg, with_gcn):
         d = cfg.d_model
         self.linear(f"{prefix}/embed", 2, d)
         self.vector(f"{prefix}/mask/w", 1)
         self.vector(f"{prefix}/mask/b", 1)
         for layer in range(cfg.layers):
-            base = f"{prefix}/l{layer}"
-            self.ln(f"{base}/ln1", d)
-            self.mha(f"{base}/attn", d)
-            if with_gcn:
-                self.weight(f"{base}/gcn/w", d, d)
-            self.ln(f"{base}/ln2", d)
-            self.ffn(base, d, cfg.ffn_hidden)
+            self.block(f"{prefix}/l{layer}", d, cfg.ffn_hidden, with_gcn)
         self.ln(f"{prefix}/ln_out", d)
 
 
@@ -92,10 +95,7 @@ def init_params(cfg, seed):
         b.mha(f"{base}/attn", d)
         b.ln(f"{base}/ln2", d)
         b.ffn(base, d, cfg.ffn_hidden)
-    b.ln("fusion/self/ln1", d)
-    b.mha("fusion/self/attn", d)
-    b.ln("fusion/self/ln2", d)
-    b.ffn("fusion/self", d, cfg.ffn_hidden)
+    b.block("fusion/self", d, cfg.ffn_hidden)
     b.ln("fusion/ln_out", d)
 
     b.linear("cvae/obs", 2 * cfg.t_in, d)

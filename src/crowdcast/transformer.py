@@ -1,12 +1,13 @@
 """Pair-wise interaction encoders over agents (spatial) and time (temporal).
 
-Both encoders use pre-norm blocks: x + MHA(LN(x)) then x + FFN(LN(x)),
-with additive masks carrying presence and a learned distance/time-gap
-bias.  The spatial encoder adds a distance-thresholded graph-convolution
-branch residually after attention.  The temporal encoder adds sinusoidal
-codes of each token's timestep.  Agents are unordered, so the spatial
-encoder adds only the code of the timestep it attends at, the same for
-every agent.  Absent (agent, timestep) slots are zeroed on output.
+Both encoders stack one pre-norm block, ``encoder_block``: x + MHA(LN(x))
+then x + FFN(LN(x)), with additive masks carrying presence and a learned
+distance/time-gap bias.  Fusion's self-attention runs the same block.
+The spatial encoder adds a distance-thresholded graph-convolution branch
+residually after attention.  The temporal encoder adds sinusoidal codes
+of each token's timestep.  Agents are unordered, so the spatial encoder
+adds only the code of the timestep it attends at, the same for every
+agent.  Absent (agent, timestep) slots are zeroed on output.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .attention import (
-    build_spatial_masks_batch,
-    build_temporal_mask,
-    masked_mha,
-    pairwise_distances,
-    positional_encoding,
-)
+from .attention import distance_bias_mask, masked_mha, pairwise_distances, positional_encoding
 from .autodiff import Tensor
 
 
@@ -33,27 +28,22 @@ def layer_norm_p(params, prefix, x):
     return ad.layer_norm(x, params[f"{prefix}/g"], params[f"{prefix}/b"])
 
 
-def gcn_adjacency(positions, presence, radius, segment=None):
+def gcn_adjacency(dist, pair_ok, radius):
     """Symmetric-normalized proximity adjacency per timestep.
 
-    positions: [T, N, 2]; presence: [T, N]; segment: optional [N] scene
-    number per agent.  Edges link present agents of one segment closer
-    than ``radius`` (self-loops included); absent agents get zero rows and
-    columns.
+    dist: [T, N, N] distances between agents; pair_ok: [T, N, N] bool, True
+    where both agents are present and of one segment.  Edges link such
+    pairs closer than ``radius`` (self-loops included); absent agents get
+    zero rows and columns.
     """
-    presence = np.asarray(presence, dtype=bool)
-    dist = pairwise_distances(positions)
-    pair_ok = presence[:, :, None] & presence[:, None, :]
-    if segment is not None:
-        pair_ok = pair_ok & (segment[:, None] == segment[None, :])
     a = ((dist < radius) & pair_ok).astype(np.float64)
     deg = a.sum(axis=-1)
     inv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     return inv[:, :, None] * a * inv[:, None, :]
 
 
-def _encoder_block(params, prefix, x, heads, mask, adj=None, record=None, record_key=None):
-    """Pre-norm attention (+ optional GCN residual) + feed-forward."""
+def encoder_block(params, prefix, x, heads, mask, adj=None, record=None, record_key=None):
+    """Pre-norm self-attention (+ optional GCN residual) + feed-forward."""
     attn_in = layer_norm_p(params, f"{prefix}/ln1", x)
     attended = masked_mha(params, f"{prefix}/attn", attn_in, attn_in, heads,
                           mask=mask, record=record, record_key=record_key)
@@ -79,8 +69,8 @@ def _encoder_stack(params, cfg, prefix, tokens, presence, codes, mask, adj=None,
     if adj is not None:
         adj = Tensor(adj, dtype=dtype)
     for layer in range(cfg.layers):
-        x = _encoder_block(params, f"{prefix}/l{layer}", x, cfg.heads, mask, adj=adj,
-                           record=record, record_key=f"attn/{prefix}/{layer}")
+        x = encoder_block(params, f"{prefix}/l{layer}", x, cfg.heads, mask, adj=adj,
+                          record=record, record_key=f"attn/{prefix}/{layer}")
     x = layer_norm_p(params, f"{prefix}/ln_out", x)
     return ad.mul(x, keep)
 
@@ -107,8 +97,12 @@ def spatial_forward(params, cfg, x_obs, presence_obs, record=None, scene_positio
     tokens_t = np.asarray(x_obs, dtype=np.float64).transpose(1, 0, 2)  # [T, N, 2]
     pos_t = np.asarray(scene_positions, dtype=np.float64).transpose(1, 0, 2)
     pres_t = np.asarray(presence_obs, dtype=bool).T  # [T, N]
-    mask = build_spatial_masks_batch(pos_t, pres_t, params["spatial/mask/w"], params["spatial/mask/b"], segment)
-    adj = gcn_adjacency(pos_t, pres_t, cfg.gcn_radius, segment)
+    dist = pairwise_distances(pos_t)  # [T, N, N]
+    absent = ~pres_t[:, None, :]  # key agent absent at that timestep
+    if segment is not None:
+        absent = absent | (segment[:, None] != segment[None, :])
+    mask = distance_bias_mask(dist, absent, params["spatial/mask/w"], params["spatial/mask/b"])
+    adj = gcn_adjacency(dist, ~absent & pres_t[:, :, None], cfg.gcn_radius)
     codes = positional_encoding(len(tokens_t), cfg.d_model)[:, None, :]  # same code for every agent
     x = _encoder_stack(params, cfg, "spatial", tokens_t, pres_t, codes, mask, adj=adj, record=record)
     return ad.swapaxes(x, 0, 1)  # [N, T, d]
@@ -117,7 +111,9 @@ def spatial_forward(params, cfg, x_obs, presence_obs, record=None, scene_positio
 def temporal_forward(params, cfg, x_obs, presence_obs, record=None):
     """Per-agent attention across observed timesteps; returns [N, T_i, d_model]."""
     pres = np.asarray(presence_obs, dtype=bool)  # [N, T]
-    mask = build_temporal_mask(pres, params["temporal/mask/w"], params["temporal/mask/b"])
+    steps = np.arange(pres.shape[1], dtype=np.float64)
+    gaps = np.abs(steps[:, None] - steps[None, :])  # one |t - t'| matrix serves every agent
+    mask = distance_bias_mask(gaps, ~pres[:, None, :], params["temporal/mask/w"], params["temporal/mask/b"])
     codes = positional_encoding(pres.shape[1], cfg.d_model)
     return _encoder_stack(params, cfg, "temporal", np.asarray(x_obs, dtype=np.float64), pres, codes, mask,
                           record=record)

@@ -4,9 +4,9 @@ import pytest
 import crowdcast.autodiff as ad
 from crowdcast.attention import (
     AttentionMask,
-    build_spatial_masks_batch,
-    build_temporal_mask,
+    distance_bias_mask,
     masked_mha,
+    pairwise_distances,
     positional_encoding,
 )
 from crowdcast.autodiff import ShapeError, Tensor, gradcheck
@@ -331,39 +331,47 @@ class TestFusedMha:
 
 
 class TestMaskBuilders:
-    """Spatial cases use one timestep: a leading T=1 axis."""
+    """``distance_bias_mask`` over agent distances at one timestep (a
+    leading T=1 axis) and over time gaps."""
+
+    @staticmethod
+    def spatial(points, presence, w, b):
+        return distance_bias_mask(pairwise_distances(points), ~presence[:, None, :],
+                                  Tensor(np.full(1, w)), Tensor(np.full(1, b)))
+
+    @staticmethod
+    def temporal(presence, w, b):
+        steps = np.arange(presence.shape[-1], dtype=np.float64)
+        gaps = np.abs(steps[:, None] - steps[None, :])
+        return distance_bias_mask(gaps, ~presence[:, None, :], Tensor(np.full(1, w)), Tensor(np.full(1, b)))
 
     def test_all_present_zero_params_is_plain(self):
         pts = np.random.default_rng(0).normal(size=(1, 4, 2))
-        mask = build_spatial_masks_batch(pts, np.ones((1, 4), dtype=bool), Tensor(np.zeros(1)), Tensor(np.zeros(1)))
+        mask = self.spatial(pts, np.ones((1, 4), dtype=bool), 0.0, 0.0)
         np.testing.assert_array_equal(mask.values(), 0.0)
 
     def test_absent_agent_column(self):
         pts = np.zeros((1, 4, 2))
         pres = np.array([[True, True, False, True]])
-        mask = build_spatial_masks_batch(pts, pres, Tensor(np.zeros(1)), Tensor(np.zeros(1)))
-        v = mask.values()[0]
+        v = self.spatial(pts, pres, 0.0, 0.0).values()[0]
         assert np.all(np.isneginf(v[:, 2]))
         assert np.all(np.isfinite(v[:, [0, 1, 3]]))
 
     def test_distance_bias_value(self):
         pts = np.array([[[0.0, 0.0], [3.0, 4.0]]])
-        mask = build_spatial_masks_batch(pts, np.ones((1, 2), dtype=bool), Tensor(np.ones(1)), Tensor(np.zeros(1)))
+        mask = self.spatial(pts, np.ones((1, 2), dtype=bool), 1.0, 0.0)
         assert mask.values()[0, 0, 1] == pytest.approx(5.0, abs=1e-12)
         assert mask.values()[0, 0, 0] == pytest.approx(0.0)  # diagonal distance 0
 
     def test_temporal_gap_bias(self):
-        pres = np.ones((2, 4), dtype=bool)
-        mask = build_temporal_mask(pres, Tensor(np.full(1, 2.0)), Tensor(np.full(1, 0.5)))
-        v = mask.values()
+        v = self.temporal(np.ones((2, 4), dtype=bool), 2.0, 0.5).values()
         assert v.shape == (2, 4, 4)
         assert v[0, 0, 3] == pytest.approx(6.5)
         assert v[0, 2, 2] == pytest.approx(0.5)
 
     def test_temporal_absent_steps(self):
         pres = np.array([[True, False, True, True]])
-        mask = build_temporal_mask(pres, Tensor(np.zeros(1)), Tensor(np.zeros(1)))
-        v = mask.values()
+        v = self.temporal(pres, 0.0, 0.0).values()
         assert np.all(np.isneginf(v[0, :, 1]))
         assert np.isfinite(v[0, :, [0, 2, 3]]).all()
 

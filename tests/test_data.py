@@ -5,8 +5,6 @@ from crowdcast.data import (
     GROUP_RADIUS,
     ParseError,
     Scene,
-    SplitError,
-    leave_one_out_split,
     normalize_window,
     parse_scene,
     synth_generate,
@@ -143,27 +141,6 @@ class TestNormalize:
         norm, offset = normalize_window(win)
         assert win.presence.all()
         assert np.max(np.abs(norm.positions + offset - win.positions)) < 1e-12
-
-
-class TestSplits:
-    def test_three_scenes(self):
-        folds = leave_one_out_split(["A", "B", "C"])
-        assert folds == [(["B", "C"], "A"), (["A", "C"], "B"), (["A", "B"], "C")]
-
-    def test_two_scenes(self):
-        assert len(leave_one_out_split(["A", "B"])) == 2
-
-    def test_five_subsets_match_protocol(self):
-        names = ["eth", "hotel", "univ", "zara1", "zara2"]
-        folds = leave_one_out_split(names)
-        assert len(folds) == 5
-        for train, test in folds:
-            assert test not in train
-            assert sorted(train + [test]) == sorted(names)
-
-    def test_single_scene_rejected(self):
-        with pytest.raises(SplitError):
-            leave_one_out_split(["only"])
 
 
 class TestSynth:

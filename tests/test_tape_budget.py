@@ -5,6 +5,8 @@ to composing them from generic ops (matmul, add, reshape, transpose,
 masked_softmax) breaks these counts.
 """
 
+import ast
+import inspect
 import sys
 from collections import Counter
 
@@ -13,7 +15,7 @@ import numpy as np
 import crowdcast.autodiff as ad
 from crowdcast import attention
 from crowdcast.config import TrainConfig
-from crowdcast.data import normalize_window
+from crowdcast.data import normalize_window, pack_windows
 from crowdcast.model import CrowdForecaster
 from conftest import random_window
 
@@ -61,3 +63,29 @@ def test_attention_is_one_node_per_call(monkeypatch):
 def test_total_at_most_half_of_unfused(monkeypatch):
     kinds, _ = count_tape_nodes(monkeypatch)
     assert sum(kinds.values()) <= UNFUSED_NODES // 2, kinds
+
+
+def test_every_engine_op_is_recorded(monkeypatch):
+    """Each op kind that ``autodiff`` defines is made by some model path: a
+    packed ``training_loss``, its backward, or ``sample_futures`` at K>1."""
+    defined = {
+        node.args[1].value
+        for node in ast.walk(ast.parse(inspect.getsource(ad)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_make"
+    }
+    made = set()
+    make = ad._make
+
+    def recording_make(data, op, *rest, **kwargs):
+        made.add(op)
+        return make(data, op, *rest, **kwargs)
+
+    monkeypatch.setattr(ad, "_make", recording_make)
+    cfg = TrainConfig()
+    model = CrowdForecaster(cfg, seed=0)
+    windows = [normalize_window(random_window(seed, n=n, holes=True))[0] for seed, n in ((0, 3), (1, 4))]
+    packed = pack_windows(windows)
+    loss, _ = model.training_loss(packed, rng=np.random.default_rng(1))
+    ad.backward(loss)
+    model.sample_futures(windows[0], 3, np.random.default_rng(2))
+    assert defined - made == set()

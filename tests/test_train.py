@@ -410,6 +410,43 @@ class TestCli:
         assert "from 1 scenes" in out
 
 
+class TestCliRejectsBadInput:
+    @pytest.fixture
+    def run(self, tmp_path):
+        """A two-scene data directory, a tiny config and its checkpoint."""
+        data = tmp_path / "data"
+        cli_main(["synth", "--seed", "5", "--out", str(data), "--scenes", "2",
+                  "--min-agents", "3", "--max-agents", "3"])
+        cfg = tiny_config(epochs=1, batch_size=4, stride=6)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(format_config(cfg))
+        ckpt = tmp_path / "model.ckpt"
+        CrowdForecaster(cfg, seed=cfg.seed).save(ckpt)
+        return tmp_path, data, cfg_path, ckpt
+
+    @pytest.mark.parametrize("window", ["999", "-1"])
+    def test_inspect_window_out_of_range(self, run, window):
+        tmp_path, data, cfg_path, ckpt = run
+        with pytest.raises(SystemExit, match="out of range"):
+            cli_main(["inspect", "--checkpoint", str(ckpt), "--config", str(cfg_path), "--data", str(data),
+                      "--window", window, "--out", str(tmp_path / "inspect")])
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_eval_k_must_be_positive(self, run, k, capsys):
+        tmp_path, data, cfg_path, ckpt = run
+        with pytest.raises(SystemExit):
+            cli_main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path), "--data", str(data),
+                      "--k", k, "--out", str(tmp_path / "eval")])
+        assert "must be a positive integer" in capsys.readouterr().err
+
+    def test_holdout_must_name_a_scene(self, run):
+        tmp_path, data, cfg_path, _ = run
+        with pytest.raises(SystemExit, match="'nosuch' is not a scene"):
+            cli_main(["train", "--config", str(cfg_path), "--data", str(data),
+                      "--out", str(tmp_path / "train"), "--holdout", "nosuch"])
+        assert not (tmp_path / "train").exists()
+
+
 def test_train_submodule_not_shadowed():
     import crowdcast.train as module
 
