@@ -346,12 +346,6 @@ def broadcast_to(x, shape):
     return _make(np.broadcast_to(x.data, shape), "broadcast_to", (x,), bw, check=False)
 
 
-def swapaxes(x, a, b):
-    axes = list(range(x.ndim))
-    axes[a], axes[b] = axes[b], axes[a]
-    return transpose(x, tuple(axes))
-
-
 def concat(tensors, axis=0):
     tensors = list(tensors)
     sizes = [t.shape[axis] for t in tensors]

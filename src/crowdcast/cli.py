@@ -60,8 +60,7 @@ def cmd_eval(args):
     per_scene = _windows_by_scene(scenes, cfg)
     all_rows, fold_rows = [], []
     for fold in sorted(per_scene):
-        rows, (ade, fde) = evaluate(model, per_scene[fold], args.k, args.seed,
-                                    joint_fde=cfg.fde_joint, fold=fold)
+        rows, (ade, fde) = evaluate(model, per_scene[fold], args.k, args.seed, fold=fold)
         all_rows.extend(rows)
         fold_rows.append((fold, ade, fde))
         print(f"fold {fold}: minADE{args.k} {ade:.4f}  minFDE{args.k} {fde:.4f}  ({len(rows)} windows)")
@@ -73,8 +72,11 @@ def cmd_eval(args):
 
 
 def cmd_synth(args):
-    scenes = synth_generate(args.seed, args.scenes, agents_range=(args.min_agents, args.max_agents),
-                            n_frames=args.frames)
+    try:
+        scenes = synth_generate(args.seed, args.scenes, agents_range=(args.min_agents, args.max_agents),
+                                n_frames=args.frames)
+    except ValueError as exc:
+        raise SystemExit(f"synth: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     for i, scene in enumerate(scenes):
         write_scene(scene, os.path.join(args.out, f"synth{i:03d}.txt"))
@@ -85,8 +87,8 @@ def cmd_inspect(args):
     cfg = parse_config(args.config) if args.config else TrainConfig()
     model = CrowdForecaster(cfg, seed=cfg.seed).load(args.checkpoint)
     if args.data:
-        scenes = _load_scenes(args.data)
-        windows = [w for name in sorted(scenes) for w in _windows_by_scene(scenes, cfg)[name]]
+        per_scene = _windows_by_scene(_load_scenes(args.data), cfg)
+        windows = [w for name in sorted(per_scene) for w in per_scene[name]]
     else:
         windows = [w for s in synth_generate(args.seed, 1)
                    for w in window_scene(s, stride=cfg.stride, t_in=cfg.t_in, t_out=cfg.t_out)]
@@ -127,7 +129,7 @@ def build_parser():
     p.add_argument("--data", required=True, help="directory of .txt scene files")
     p.add_argument("--out", required=True, help="output directory for checkpoints/report")
     p.add_argument("--holdout", default=None, help="scene name to exclude from training")
-    p.add_argument("--log-every", type=int, default=10)
+    p.add_argument("--log-every", type=_positive_int, default=10)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="best-of-K metrics per scene fold")

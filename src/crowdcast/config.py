@@ -41,7 +41,6 @@ class TrainConfig:
     t_in: int = 8
     t_out: int = 12
     stride: int = 1
-    fde_joint: bool = False  # take FDE from the ADE-minimizing sample
     precision: str = "f64"
 
     def __post_init__(self):
@@ -52,6 +51,10 @@ class TrainConfig:
                    self.sigma_prior, self.decay_every]
         if any(v <= 0 for v in numeric):
             raise ConfigError("all numeric config values must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if any(s < 1 for s in self.scales):
+            raise ConfigError(f"hypergraph scales must be at least 1, got {self.scales}")
         if self.d_model % 2 != 0:
             raise ConfigError("d_model must be even (sinusoidal positional encoding)")
         if self.d_model % self.heads != 0:
@@ -66,30 +69,23 @@ class TrainConfig:
         return np.float64 if self.precision == "f64" else np.float32
 
 
+# parser per field annotation; annotations are strings under
+# ``from __future__ import annotations``
+_PARSERS = {"float": float, "int": int, "str": str,
+            "tuple": lambda raw: tuple(int(v) for v in raw.split(",") if v.strip())}
+
+
 def _coerce(name, raw, typ):
     raw = raw.strip()
     try:
-        if typ is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-        if typ is tuple:
-            return tuple(int(v) for v in raw.split(",") if v.strip())
-        return raw
+        return _PARSERS[typ](raw)
     except ValueError:
-        raise ConfigError(f"config key {name!r}: cannot parse {raw!r} as {typ.__name__}") from None
+        raise ConfigError(f"config key {name!r}: cannot parse {raw!r} as {typ}") from None
 
 
 def parse_config(path):
     """Read a flat key=value file into a TrainConfig; unknown keys are errors."""
     by_name = {f.name: f.type for f in fields(TrainConfig)}
-    type_map = {"float": float, "int": int, "bool": bool, "tuple": tuple, "str": str}
     overrides = {}
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -102,10 +98,7 @@ def parse_config(path):
             key = key.strip()
             if key not in by_name:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            typ = by_name[key]
-            if isinstance(typ, str):
-                typ = type_map.get(typ, str)
-            overrides[key] = _coerce(key, raw, typ)
+            overrides[key] = _coerce(key, raw, by_name[key])
     return TrainConfig(**overrides)
 
 

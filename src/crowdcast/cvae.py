@@ -14,7 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .transformer import ffn_forward
+from .data import last_present
+from .transformer import ffn_forward, track_embedding
 
 
 class ContractError(ValueError):
@@ -36,11 +37,8 @@ class LatentPosterior:
 
 
 def observed_embedding(params, x_obs, presence_obs):
-    """Shared ReLU-affine embedding of the flattened observed track."""
-    n = x_obs.shape[0]
-    flat = (np.asarray(x_obs) * np.asarray(presence_obs, dtype=bool)[:, :, None]).reshape(n, -1)
-    w = params["cvae/obs/w"]
-    return ad.relu(ad.linear(Tensor(flat, dtype=w.dtype), w, params["cvae/obs/b"]))
+    """Observed-track embedding that the posterior and the decoder share."""
+    return track_embedding(params, "cvae/obs", x_obs, presence_obs)
 
 
 def encode_posterior(params, x_obs, presence_obs, x_fut, y_m, d_z):
@@ -219,26 +217,15 @@ def loss_total(pred, gt, presence_fut, posterior, recon, x_obs, presence_obs, ka
 # -- metrics ---------------------------------------------------------------
 
 
-def ade_fde(pred, gt, presence):
-    """Average / final displacement error over present future slots.
-
-    FDE averages each agent's error at its last present future timestep;
-    agents with no present future step are excluded from both metrics.
-    """
-    ades, fdes = _sample_errors(np.asarray(pred)[None], gt, presence)
-    return float(ades[0]), float(fdes[0])
-
-
-def best_of_k(samples, gt, presence, joint_fde=False):
+def best_of_k(samples, gt, presence):
     """(minADE_K, minFDE_K) over sampled futures [K, N, T, 2], scored in one pass.
 
-    Minima are taken independently unless ``joint_fde``, which scores FDE
-    on the ADE-minimizing sample.
+    ADE is the mean error over present future slots; FDE the mean over
+    agents of the error at each one's last present future step, leaving
+    out agents with no present future step.  The two minima over the K
+    samples are taken independently.  K=1 gives one future's ADE and FDE.
     """
     ades, fdes = _sample_errors(samples, gt, presence)
-    if joint_fde:
-        best = int(np.argmin(ades))
-        return float(ades[best]), float(fdes[best])
     return float(ades.min()), float(fdes.min())
 
 
@@ -251,5 +238,4 @@ def _sample_errors(samples, gt, presence):
         raise MetricError("no present future steps; ADE/FDE undefined")
     errs = np.linalg.norm(samples - gt, axis=-1)  # [K, N, T]
     agents = np.nonzero(presence.any(axis=1))[0]
-    last = presence.shape[1] - 1 - np.argmax(presence[agents, ::-1], axis=1)
-    return errs[:, presence].mean(axis=1), errs[:, agents, last].mean(axis=1)
+    return errs[:, presence].mean(axis=1), errs[:, agents, last_present(presence)[agents]].mean(axis=1)

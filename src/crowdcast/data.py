@@ -34,9 +34,6 @@ class Scene:
     def frame_ids(self):
         return sorted({f for f, _, _, _ in self.frames})
 
-    def agent_ids(self):
-        return sorted({a for _, a, _, _ in self.frames})
-
 
 @dataclass
 class TrajectoryWindow:
@@ -224,15 +221,17 @@ def pack_windows(windows):
     )
 
 
+def last_present(presence):
+    """Index of each row's last True along the last axis; -1 for a row with none."""
+    presence = np.asarray(presence, dtype=bool)
+    last = presence.shape[-1] - 1 - np.argmax(presence[..., ::-1], axis=-1)
+    return np.where(presence.any(axis=-1), last, -1)
+
+
 def last_observed_positions(window):
     """Per-agent position at the last present observed timestep, [N, 2]."""
     obs_pos, obs_pres = window.observed()
-    n = window.n_agents
-    anchors = np.zeros((n, 2))
-    for i in range(n):
-        idx = np.nonzero(obs_pres[i])[0]
-        anchors[i] = obs_pos[i, idx[-1]]
-    return anchors
+    return obs_pos[np.arange(window.n_agents), last_present(obs_pres)]
 
 
 def agent_relative_positions(window):
@@ -313,6 +312,8 @@ def synth_generate(seed, n_scenes, agents_range=(3, 6), n_frames=25, frame_inter
     lo, hi = agents_range
     if lo < 2 or hi > 16 or lo > hi:
         raise ValueError(f"agents_range must lie within [2, 16], got {agents_range}")
+    if n_frames < 2:
+        raise ValueError(f"n_frames must be at least 2, got {n_frames}")
     rng = np.random.default_rng(seed)
     scenes = []
     for _ in range(n_scenes):

@@ -5,7 +5,10 @@ window; see ``data.pack_windows``): agent tracks are embedded,
 covariance-whitened distances turn into a heat-kernel similarity matrix,
 and a KNN sweep links each agent with its K most similar peers into a
 hyperedge (duplicates merged).  Features then mix through the
-symmetric-normalized random-walk operator of each hypergraph.
+symmetric-normalized random-walk operator of each hypergraph.  The
+embedding is ``transformer.track_embedding`` (shared with the CVAE head)
+and the convolution ``transformer.graph_convolve`` (shared with the
+spatial GCN residual).
 
 Structure discovery (distances, similarity, KNN) is plain numpy and does
 not participate in differentiation; the convolution path does.
@@ -18,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .attention import pairwise_distances
 from .autodiff import Tensor
-from .transformer import ffn_forward
+from .transformer import ffn_forward, graph_convolve, track_embedding
 
 
 class HypergraphError(ValueError):
@@ -28,13 +32,13 @@ class HypergraphError(ValueError):
 
 @dataclass
 class Hypergraph:
-    """Incidence structure for one KNN scale with diagonal weights/degrees."""
+    """Incidence structure for one KNN scale with diagonal weights/degrees.
+
+    Construction checks that every vertex degree is positive.
+    """
 
     incidence: np.ndarray  # H in {0,1}^[N, M]
     edge_weights: np.ndarray  # w(e) > 0, [M]
-    scale: int
-    vertex_degrees: np.ndarray = None  # d(v) = sum_e w(e) H(v,e)
-    edge_degrees: np.ndarray = None  # d(e) = sum_v H(v,e)
 
     def __post_init__(self):
         H = np.asarray(self.incidence, dtype=np.float64)
@@ -51,8 +55,8 @@ class Hypergraph:
             raise HypergraphError("edge weights must be positive")
         self.incidence = H
         self.edge_weights = w
-        self.vertex_degrees = H @ w
-        self.edge_degrees = H.sum(axis=0)
+        self.vertex_degrees = H @ w  # d(v) = sum_e w(e) H(v,e)
+        self.edge_degrees = H.sum(axis=0)  # d(e) = sum_v H(v,e)
 
     @property
     def n_vertices(self):
@@ -65,27 +69,6 @@ class Hypergraph:
     def edges(self):
         """Hyperedges as sorted vertex-index tuples."""
         return [tuple(np.nonzero(self.incidence[:, e])[0]) for e in range(self.n_edges)]
-
-
-@dataclass
-class SimilarityMatrix:
-    """Heat-kernel similarity over embedding distances, diagonal 1."""
-
-    values: np.ndarray  # [N, N], entries in (0, 1]
-    bandwidth: float  # mean off-diagonal feature distance
-
-
-def embed_trajectories(x_obs, presence_obs, weight, bias):
-    """Per-agent embedding: ReLU affine over the flattened observed track.
-
-    Absent slots are zero-filled before flattening, so the embedding is a
-    function of the visible track only.
-    """
-    n = x_obs.shape[0]
-    if n < 2:
-        raise HypergraphError(f"trajectory embedding needs N >= 2 agents, got {n}")
-    flat = (x_obs * presence_obs[:, :, None]).reshape(n, -1)
-    return ad.relu(ad.linear(Tensor(flat, dtype=weight.dtype), weight, bias))
 
 
 def mahalanobis_matrix(embeddings, covariance=None):
@@ -106,25 +89,21 @@ def mahalanobis_matrix(embeddings, covariance=None):
         covariance = cov + eps * np.eye(d)
     chol = np.linalg.cholesky(covariance)
     white = np.linalg.solve(chol, q.T).T  # rows are whitened embeddings
-    diff = white[:, None, :] - white[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    d2 = np.maximum(d2, 0.0)
-    np.fill_diagonal(d2, 0.0)
-    dis = np.sqrt(d2)
-    return 0.5 * (dis + dis.T)
+    return pairwise_distances(white)
 
 
 def similarity_matrix(distances):
-    """S(i,j) = exp(-Dis(i,j)^2 / rho^2), rho the mean off-diagonal distance."""
+    """Heat-kernel similarity [N, N], diagonal 1: S(i,j) = exp(-Dis(i,j)^2 / rho^2),
+    with bandwidth rho the mean off-diagonal distance (all ones if rho is 0)."""
     dis = np.asarray(distances, dtype=np.float64)
     n = dis.shape[0]
     iu = np.triu_indices(n, k=1)
     rho = dis[iu].mean() if iu[0].size else 0.0
     if rho == 0.0:
-        return SimilarityMatrix(values=np.ones_like(dis), bandwidth=0.0)
+        return np.ones_like(dis)
     s = np.exp(-(dis**2) / rho**2)
     np.fill_diagonal(s, 1.0)
-    return SimilarityMatrix(values=s, bandwidth=float(rho))
+    return s
 
 
 def build_hyperedges_knn(similarity, k):
@@ -133,7 +112,7 @@ def build_hyperedges_knn(similarity, k):
     Ties break toward the lower agent index; duplicate vertex sets merge,
     so M <= N.  Edge weights are identity.
     """
-    s = similarity.values if isinstance(similarity, SimilarityMatrix) else np.asarray(similarity)
+    s = np.asarray(similarity)
     n = s.shape[0]
     if not 1 <= k <= n - 1:
         raise HypergraphError(f"KNN scale must satisfy 1 <= K <= N-1, got K={k}, N={n}")
@@ -144,21 +123,17 @@ def build_hyperedges_knn(similarity, k):
     edges = list(dict.fromkeys(map(tuple, members.tolist())))  # duplicates merged, first kept
     H = np.zeros((n, len(edges)))
     H[np.array(edges), np.arange(len(edges))[:, None]] = 1.0
-    return Hypergraph(incidence=H, edge_weights=np.ones(len(edges)), scale=k)
+    return Hypergraph(incidence=H, edge_weights=np.ones(len(edges)))
 
 
 def transition_matrix(g):
     """Row-stochastic random walk P = M_v^-1 H W M_e^-1 H^T."""
-    if np.any(g.vertex_degrees <= 0):
-        raise HypergraphError("zero vertex degree")
     H, w = g.incidence, g.edge_weights
     return (H * (w / g.edge_degrees)) @ H.T / g.vertex_degrees[:, None]
 
 
 def random_walk_matrix(g):
     """Symmetric walk O = M_v^-1/2 H W M_e^-1 H^T M_v^-1/2 (PSD)."""
-    if np.any(g.vertex_degrees <= 0):
-        raise HypergraphError("zero vertex degree")
     H, w = g.incidence, g.edge_weights
     inv_sqrt = 1.0 / np.sqrt(g.vertex_degrees)
     core = (H * (w / g.edge_degrees)) @ H.T
@@ -180,32 +155,16 @@ def partition_cost(g, f):
     return float(np.trace(f.T @ delta @ f))
 
 
-def hypergraph_convolve(operator, x, theta):
-    """First-order spectral convolution: ReLU(O X Theta).
-
-    operator: [N, N] walk operator, one hypergraph's ``random_walk_matrix``
-    or a block-diagonal union of several.
-    """
-    if x.shape[0] != operator.shape[0]:
-        raise ad.ShapeError(f"features {x.shape} do not align with {operator.shape[0]} vertices")
-    o = Tensor(operator, dtype=theta.dtype)
-    return ad.relu(ad.matmul(ad.matmul(o, x), theta))
-
-
 def effective_scales(configured, n):
     """Clamp configured KNN scales to N-1 and deduplicate, keeping order.
 
     Returns (scale, parameter index) pairs; the parameter index is the
     position of the first configured scale that mapped to that K.
     """
-    out = []
-    seen = set()
+    first = {}  # effective K -> first parameter index, in configured order
     for idx, k in enumerate(configured):
-        k_eff = min(int(k), n - 1)
-        if k_eff >= 1 and k_eff not in seen:
-            seen.add(k_eff)
-            out.append((k_eff, idx))
-    return out
+        first.setdefault(min(int(k), n - 1), idx)
+    return [(k, idx) for k, idx in first.items() if k >= 1]
 
 
 def _scale_layout(scales, counts):
@@ -226,27 +185,18 @@ def _scale_layout(scales, counts):
     return columns, uses, absent
 
 
-def scale_token_absent(segment, scales):
-    """[N, P] bool: True where an agent's segment has no token in column p.
-
-    The columns are those of ``multiscale_group_features`` for the same
-    ``segment`` and ``scales``.  A plain window has no absent token.
-    """
-    segment = np.asarray(segment)
-    return _scale_layout(scales, np.bincount(segment, minlength=1))[2][segment]
-
-
 def multiscale_group_features(x_obs, presence_obs, params, prefix, scales, dump=None, segment=None):
-    """Group-wise features [N, P, d_model] across KNN scales.
+    """Group-wise features [N, P, d_model] across KNN scales, and their
+    [N, P] bool absent mask, True where an agent's segment has no token.
 
     Per segment (``TrajectoryWindow.segment``; default one segment) and
     scale: embed, whiten-distance, similarity, KNN hypergraph.  Per scale
     parameter index the segments' walk operators form one block-diagonal
     operator for two stacked convolutions.  Scale outputs stack on axis 1,
     one column per parameter index that some segment uses, and mix
-    through a tokenwise MLP.  A token its segment lacks
-    (``scale_token_absent``) is zero, and so is the single token of a
-    segment with fewer than 2 agents.
+    through a tokenwise MLP.  A token its segment lacks is zero and
+    absent, and the single token of a segment with fewer than 2 agents is
+    zero but present.  A plain window has no absent token.
     """
     n = x_obs.shape[0]
     segment = np.zeros(n, dtype=np.intp) if segment is None else np.asarray(segment)
@@ -254,9 +204,9 @@ def multiscale_group_features(x_obs, presence_obs, params, prefix, scales, dump=
     columns, uses, absent = _scale_layout(scales, counts)
     w_out = params[f"{prefix}/mlp/w2"]
     if not columns:
-        return Tensor(np.zeros((n, 1, w_out.shape[1])), dtype=w_out.dtype)
+        return Tensor(np.zeros((n, 1, w_out.shape[1])), dtype=w_out.dtype), absent[segment]
 
-    q = embed_trajectories(x_obs, presence_obs, params[f"{prefix}/embed/w"], params[f"{prefix}/embed/b"])
+    q = track_embedding(params, f"{prefix}/embed", x_obs, presence_obs)
     members = [np.flatnonzero(segment == s) for s in range(len(counts))]
     sims = [similarity_matrix(mahalanobis_matrix(q.data[m])) if len(m) >= 2 else None for m in members]
 
@@ -270,9 +220,9 @@ def multiscale_group_features(x_obs, presence_obs, params, prefix, scales, dump=
             if dump is not None:
                 dump.append({"scale": use[idx], "edges": [[int(m[v]) for v in e] for e in g.edges()]})
             op[np.ix_(m, m)] = random_walk_matrix(g)
-        h1 = hypergraph_convolve(op, q, params[f"{prefix}/conv{idx}/theta1"])
-        per_scale.append(hypergraph_convolve(op, h1, params[f"{prefix}/conv{idx}/theta2"]))
+        h1 = graph_convolve(op, q, params[f"{prefix}/conv{idx}/theta1"])
+        per_scale.append(graph_convolve(op, h1, params[f"{prefix}/conv{idx}/theta2"]))
 
     tokens = ffn_forward(params, f"{prefix}/mlp", ad.stack(per_scale, axis=1))  # [N, P, d_model]
     keep = ~absent & (counts >= 2)[:, None]
-    return ad.mul(tokens, Tensor(keep[segment][:, :, None], dtype=w_out.dtype))
+    return ad.mul(tokens, Tensor(keep[segment][:, :, None], dtype=w_out.dtype)), absent[segment]

@@ -14,7 +14,7 @@ from .autodiff import Tensor
 from .checkpoint import load_archive, save_archive, verify_names_shapes
 from .data import agent_relative_positions
 from .fusion import fuse
-from .hypergraph import multiscale_group_features, scale_token_absent
+from .hypergraph import multiscale_group_features
 from .transformer import spatial_forward, temporal_forward
 
 
@@ -146,9 +146,9 @@ class CrowdForecaster:
         rel_obs = rel[:, : window.t_in]
         y_s = spatial_forward(self.params, cfg, rel_obs, pres_obs, record=record, scene_positions=x_obs, segment=seg)
         y_t = temporal_forward(self.params, cfg, rel_obs, pres_obs, record=record)
-        y_h = multiscale_group_features(rel_obs, pres_obs, self.params, "hyper", cfg.scales, dump=hyper_dump,
-                                        segment=seg)
-        y_m = fuse(self.params, cfg, y_s, y_t, y_h, record=record, h_absent=scale_token_absent(seg, cfg.scales))
+        y_h, h_absent = multiscale_group_features(rel_obs, pres_obs, self.params, "hyper", cfg.scales,
+                                                  dump=hyper_dump, segment=seg)
+        y_m = fuse(self.params, cfg, y_s, y_t, y_h, record=record, h_absent=h_absent)
         obs_emb = cvae.observed_embedding(self.params, rel_obs, pres_obs)
         return y_m, obs_emb, rel, anchors
 

@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .cvae import best_of_k
 from .config import config_dict
-from .data import normalize_window, pack_windows
+from .data import last_present, normalize_window, pack_windows
 from .model import CrowdForecaster
 from .optim import Adam, decayed_lr
 
@@ -93,11 +93,10 @@ def train(cfg, windows, out_dir=None, log=None):
         epochs_report.append({"epoch": epoch, "lr": opt.lr, **epoch_parts})
         if log is not None and (epoch % log == 0 or epoch == cfg.epochs - 1):
             print(f"epoch {epoch:4d}  lr {opt.lr:.2e}  loss {epoch_parts['total']:.4f}")
-        if out_dir is not None and epoch_parts["total"] < best_loss:
+        if epoch_parts["total"] < best_loss:
             best_loss = epoch_parts["total"]
-            model.save(f"{out_dir}/best.ckpt")
-        elif out_dir is None:
-            best_loss = min(best_loss, epoch_parts["total"])
+            if out_dir is not None:
+                model.save(f"{out_dir}/best.ckpt")
 
     report = {
         "epochs": epochs_report,
@@ -121,7 +120,7 @@ def _abort(out_dir, reason):
     raise TrainingAbort(f"training aborted: {reason}{where}")
 
 
-def evaluate(model, windows, k, seed, joint_fde=False, fold=""):
+def evaluate(model, windows, k, seed, fold=""):
     """Best-of-K metrics per window plus the fold mean; deterministic in seed.
 
     ``model`` needs a ``sample_futures(window, k, rng)`` method returning
@@ -134,7 +133,7 @@ def evaluate(model, windows, k, seed, joint_fde=False, fold=""):
         rng = np.random.default_rng([seed, wi])
         samples = model.sample_futures(norm, k, rng)
         gt, pres = norm.future()
-        min_ade, min_fde = best_of_k(samples, gt, pres, joint_fde=joint_fde)
+        min_ade, min_fde = best_of_k(samples, gt, pres)
         rows.append({"fold": fold, "window": wi, f"minADE{k}": min_ade, f"minFDE{k}": min_fde})
     mean_ade = float(np.mean([r[f"minADE{k}"] for r in rows])) if rows else float("nan")
     mean_fde = float(np.mean([r[f"minFDE{k}"] for r in rows])) if rows else float("nan")
@@ -142,22 +141,22 @@ def evaluate(model, windows, k, seed, joint_fde=False, fold=""):
 
 
 def baseline_constant_velocity(window):
-    """Extrapolate each agent's last observed velocity; [N, T_o, 2]."""
+    """Extrapolate each agent's last observed velocity; [N, T_o, 2].
+
+    The velocity is taken between the last two present observed steps; an
+    agent observed at one step only stays where it was.
+    """
     obs_pos, obs_pres = window.observed()
     n, t_in = obs_pres.shape
-    pred = np.zeros((n, window.t_out, 2))
-    for i in range(n):
-        idx = np.nonzero(obs_pres[i])[0]
-        last = idx[-1]
-        anchor = obs_pos[i, last]
-        if idx.size >= 2:
-            prev = idx[-2]
-            vel = (obs_pos[i, last] - obs_pos[i, prev]) / (last - prev)
-        else:
-            vel = np.zeros(2)
-        steps = np.arange(1, window.t_out + 1) + (t_in - 1 - last)
-        pred[i] = anchor + steps[:, None] * vel
-    return pred
+    rows = np.arange(n)
+    last = last_present(obs_pres)
+    prev = last_present(obs_pres & (np.arange(t_in) < last[:, None]))
+    anchor = obs_pos[rows, last]
+    moving = prev >= 0
+    vel = (anchor - obs_pos[rows, prev]) / np.where(moving, last - prev, 1)[:, None]
+    vel = np.where(moving[:, None], vel, 0.0)
+    steps = np.arange(1, window.t_out + 1) + (t_in - 1 - last)[:, None]  # [N, T_o]
+    return anchor[:, None, :] + steps[:, :, None] * vel[:, None, :]
 
 
 class ConstantVelocityModel:

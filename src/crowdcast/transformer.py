@@ -8,6 +8,10 @@ residually after attention.  The temporal encoder adds sinusoidal codes
 of each token's timestep.  Agents are unordered, so the spatial encoder
 adds only the code of the timestep it attends at, the same for every
 agent.  Absent (agent, timestep) slots are zeroed on output.
+
+``graph_convolve`` (ReLU(A X Theta)) runs the spatial GCN residual and the
+hypergraph branch; ``track_embedding`` embeds each agent's observed track
+for the hypergraph branch and the CVAE head.
 """
 
 from __future__ import annotations
@@ -26,6 +30,28 @@ def ffn_forward(params, prefix, x):
 
 def layer_norm_p(params, prefix, x):
     return ad.layer_norm(x, params[f"{prefix}/g"], params[f"{prefix}/b"])
+
+
+def track_embedding(params, prefix, x, presence):
+    """ReLU-affine embedding [N, d] of each agent's flattened track.
+
+    x: [N, T, 2]; presence: [N, T] bool.  Absent slots are zero-filled
+    before flattening, so the embedding reads the visible track only.
+    Parameters ``{prefix}/w`` and ``{prefix}/b``.
+    """
+    w = params[f"{prefix}/w"]
+    flat = (np.asarray(x) * np.asarray(presence, dtype=bool)[:, :, None]).reshape(len(x), -1)
+    return ad.relu(ad.linear(Tensor(flat, dtype=w.dtype), w, params[f"{prefix}/b"]))
+
+
+def graph_convolve(operator, x, theta):
+    """First-order graph convolution ReLU(A X Theta) (Kipf & Welling).
+
+    operator: [..., N, N] array A, a proximity adjacency per timestep or
+    a hypergraph walk operator; x: [..., N, d_in]; theta: [d_in, d_out].
+    """
+    a = Tensor(operator, dtype=theta.dtype)
+    return ad.relu(ad.matmul(ad.matmul(a, x), theta))
 
 
 def gcn_adjacency(dist, pair_ok, radius):
@@ -49,8 +75,7 @@ def encoder_block(params, prefix, x, heads, mask, adj=None, record=None, record_
                           mask=mask, record=record, record_key=record_key)
     x = ad.add(x, attended)
     if adj is not None:
-        conv = ad.relu(ad.matmul(ad.matmul(adj, x), params[f"{prefix}/gcn/w"]))
-        x = ad.add(x, conv)
+        x = ad.add(x, graph_convolve(adj, x, params[f"{prefix}/gcn/w"]))
     return ad.add(x, ffn_forward(params, f"{prefix}/ffn", layer_norm_p(params, f"{prefix}/ln2", x)))
 
 
@@ -66,8 +91,6 @@ def _encoder_stack(params, cfg, prefix, tokens, presence, codes, mask, adj=None,
     x = ad.linear(Tensor(tokens, dtype=dtype), params[f"{prefix}/embed/w"], params[f"{prefix}/embed/b"])
     x = ad.mul(x, keep)
     x = ad.add(x, Tensor(codes, dtype=dtype))
-    if adj is not None:
-        adj = Tensor(adj, dtype=dtype)
     for layer in range(cfg.layers):
         x = encoder_block(params, f"{prefix}/l{layer}", x, cfg.heads, mask, adj=adj,
                           record=record, record_key=f"attn/{prefix}/{layer}")
@@ -105,7 +128,7 @@ def spatial_forward(params, cfg, x_obs, presence_obs, record=None, scene_positio
     adj = gcn_adjacency(dist, ~absent & pres_t[:, :, None], cfg.gcn_radius)
     codes = positional_encoding(len(tokens_t), cfg.d_model)[:, None, :]  # same code for every agent
     x = _encoder_stack(params, cfg, "spatial", tokens_t, pres_t, codes, mask, adj=adj, record=record)
-    return ad.swapaxes(x, 0, 1)  # [N, T, d]
+    return ad.transpose(x, (1, 0, 2))  # [N, T, d]
 
 
 def temporal_forward(params, cfg, x_obs, presence_obs, record=None):

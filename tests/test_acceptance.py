@@ -14,12 +14,11 @@ import crowdcast.autodiff as ad
 from crowdcast.attention import AttentionMask, masked_mha
 from crowdcast.autodiff import Tensor, backward, numerical_gradient
 from crowdcast.config import TrainConfig
-from crowdcast.cvae import ade_fde, best_of_k
+from crowdcast.cvae import best_of_k
 from crowdcast.data import normalize_window, synth_generate, window_scene
 from crowdcast.fusion import fuse
 from crowdcast.hypergraph import (
     build_hyperedges_knn,
-    embed_trajectories,
     hypergraph_laplacian,
     mahalanobis_matrix,
     multiscale_group_features,
@@ -30,7 +29,7 @@ from crowdcast.hypergraph import (
 )
 from crowdcast.model import CrowdForecaster
 from crowdcast.train import ConstantVelocityModel, evaluate, train, write_metrics_jsonl, write_summary_csv
-from crowdcast.transformer import spatial_forward, temporal_forward
+from crowdcast.transformer import spatial_forward, temporal_forward, track_embedding
 
 from conftest import random_window, randomize_params, tiny_config
 from test_attention import mha_oracle, mha_params
@@ -74,7 +73,7 @@ def test_knn_construction_oracle():
         q = rng.normal(size=(n, 5))
         sim = similarity_matrix(mahalanobis_matrix(q))
         g = build_hyperedges_knn(sim, k)
-        np.testing.assert_array_equal(g.incidence, knn_oracle(sim.values, k))
+        np.testing.assert_array_equal(g.incidence, knn_oracle(sim, k))
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0
     report("knn-construction", f"100 cases in {elapsed:.2f}s")
@@ -182,23 +181,23 @@ def test_equivariance_suite():
         s_p = spatial_forward(params, cfg, x_obs[perm], pres[perm]).data
         worst = max(worst, float(np.max(np.abs(s_p - s[perm]))))
 
-        q = embed_trajectories(x_obs, pres, params["hyper/embed/w"], params["hyper/embed/b"]).data
-        sim = similarity_matrix(mahalanobis_matrix(q)).values
+        q = track_embedding(params, "hyper/embed", x_obs, pres).data
+        sim = similarity_matrix(mahalanobis_matrix(q))
         rows_distinct = all(
             np.unique(np.delete(sim[i], i).round(12)).size == n - 1 for i in range(n)
         )
         if rows_distinct:  # index tie-breaks would break equivariance
             hyper_trials += 1
-            h = multiscale_group_features(x_obs, pres, params, "hyper", cfg.scales).data
-            h_p = multiscale_group_features(x_obs[perm], pres[perm], params, "hyper", cfg.scales).data
+            h = multiscale_group_features(x_obs, pres, params, "hyper", cfg.scales)[0].data
+            h_p = multiscale_group_features(x_obs[perm], pres[perm], params, "hyper", cfg.scales)[0].data
             worst = max(worst, float(np.max(np.abs(h_p - h[perm]))))
 
         t = temporal_forward(params, cfg, x_obs, pres)
-        hh = multiscale_group_features(x_obs, pres, params, "hyper", cfg.scales)
+        hh, _ = multiscale_group_features(x_obs, pres, params, "hyper", cfg.scales)
         spat = spatial_forward(params, cfg, x_obs, pres)
         fused = fuse(params, cfg, spat, t, hh).data
         t_p = temporal_forward(params, cfg, x_obs[perm], pres[perm])
-        hh_p = multiscale_group_features(x_obs[perm], pres[perm], params, "hyper", cfg.scales)
+        hh_p, _ = multiscale_group_features(x_obs[perm], pres[perm], params, "hyper", cfg.scales)
         spat_p = spatial_forward(params, cfg, x_obs[perm], pres[perm])
         fused_p = fuse(params, cfg, spat_p, t_p, hh_p).data
         worst = max(worst, float(np.max(np.abs(fused_p - fused[perm]))))
@@ -208,15 +207,14 @@ def test_equivariance_suite():
 
 
 def test_metric_oracles():
-    """ade_fde/best_of_k match scalar references; minADE_K non-increasing."""
+    """best_of_k at K=1 matches the scalar reference; minADE_K non-increasing."""
     gt = np.zeros((2, 3, 2))
     pred = np.array([
         [[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]],
         [[0.0, 0.0], [6.0, 8.0], [0.0, 1.0]],
     ])
     presence = np.array([[True, True, True], [True, False, True]])
-    assert ade_fde(pred, gt, presence) == ade_fde_oracle(pred, gt, presence)
-    assert best_of_k(pred[None], gt, presence) == ade_fde(pred, gt, presence)
+    assert best_of_k(pred[None], gt, presence) == ade_fde_oracle(pred, gt, presence)
 
     rng = np.random.default_rng(47)
     for _ in range(100):

@@ -11,6 +11,7 @@ from crowdcast.attention import (
 )
 from crowdcast.autodiff import ShapeError, Tensor, gradcheck
 from crowdcast.config import ConfigError
+from crowdcast import transformer
 from crowdcast.transformer import spatial_forward, temporal_forward
 from conftest import random_window, randomize_params, tiny_config
 
@@ -420,6 +421,35 @@ class TestSpatialForward:
             return ad.tsum(ad.mul(spatial_forward(params, cfg, x, pres), Tensor(probe)))
 
         assert gradcheck(f, leaves, max_entries=6, rng=np.random.default_rng(1)) < 1e-3
+
+
+class TestGcnAdjacency:
+    """The proximity operator that the spatial GCN residual convolves with,
+    captured from ``spatial_forward`` on a two-segment window with holes."""
+
+    def test_symmetric_normalized_within_segments_and_present_agents(self, monkeypatch):
+        cfg, params, x, pres = encoder_setup(14, n=6, holes=True)
+        segment = np.array([0, 0, 0, 1, 1, 1])
+        seen = []
+        real = transformer.graph_convolve
+        monkeypatch.setattr(transformer, "graph_convolve", lambda op, h, theta: seen.append(op) or real(op, h, theta))
+        spatial_forward(params, cfg, x, pres, segment=segment)
+        assert len(seen) == cfg.layers
+        adj = seen[0]  # [T, N, N]
+        pres_t = pres.T  # [T, N]
+        assert (~pres_t).any()  # the window has absent agents to leave out
+
+        np.testing.assert_array_equal(adj, adj.swapaxes(-1, -2))
+        assert not adj[:, segment[:, None] != segment[None, :]].any()
+        assert not adj[~pres_t].any()  # rows of absent agents
+        assert not adj.swapaxes(-1, -2)[~pres_t].any()  # and their columns
+        dist = pairwise_distances(x.transpose(1, 0, 2))
+        linked = (dist < cfg.gcn_radius) & (segment[:, None] == segment[None, :])
+        linked &= pres_t[:, :, None] & pres_t[:, None, :]
+        deg = linked.sum(axis=-1)
+        expected = np.where(linked, 1.0 / np.sqrt(deg[:, :, None] * deg[:, None, :] + ~linked), 0.0)
+        np.testing.assert_allclose(adj, expected, rtol=1e-14, atol=0)
+        assert adj[np.broadcast_to(np.eye(6, dtype=bool), adj.shape) & pres_t[:, :, None]].min() > 0
 
 
 class TestTemporalForward:

@@ -7,7 +7,6 @@ from crowdcast.cvae import (
     ContractError,
     LatentPosterior,
     MetricError,
-    ade_fde,
     best_of_k,
     decode_trajectories,
     encode_posterior,
@@ -271,17 +270,19 @@ class TestLossTotal:
 
 
 class TestMetrics:
+    """ADE and FDE of one future: ``best_of_k`` with K=1."""
+
     def test_perfect(self):
         rng = np.random.default_rng(0)
         gt = rng.normal(size=(3, 5, 2))
-        ade, fde = ade_fde(gt, gt, np.ones((3, 5), dtype=bool))
+        ade, fde = best_of_k(gt[None], gt, np.ones((3, 5), dtype=bool))
         assert ade == 0.0 and fde == 0.0
 
     def test_constant_offset(self):
         rng = np.random.default_rng(1)
         gt = rng.normal(size=(3, 5, 2))
         pred = gt + np.array([1.0, 0.0])
-        ade, fde = ade_fde(pred, gt, np.ones((3, 5), dtype=bool))
+        ade, fde = best_of_k(pred[None], gt, np.ones((3, 5), dtype=bool))
         assert ade == pytest.approx(1.0, abs=1e-12)
         assert fde == pytest.approx(1.0, abs=1e-12)
 
@@ -292,7 +293,7 @@ class TestMetrics:
             [[0.0, 0.0], [6.0, 8.0], [0.0, 1.0]],
         ])
         presence = np.array([[True, True, True], [True, False, True]])
-        ade, fde = ade_fde(pred, gt, presence)
+        ade, fde = best_of_k(pred[None], gt, presence)
         o_ade, o_fde = ade_fde_oracle(pred, gt, presence)
         assert ade == o_ade and fde == o_fde
         assert ade == pytest.approx((1 + 2 + 5 + 0 + 1) / 5)
@@ -304,12 +305,12 @@ class TestMetrics:
         pred[0, 2] = [0.0, 7.0]
         pred[0, 3] = [9.0, 9.0]
         presence = np.array([[True, True, True, False]])  # last present step is t=2
-        _, fde = ade_fde(pred, gt, presence)
+        _, fde = best_of_k(pred[None], gt, presence)
         assert fde == pytest.approx(7.0)
 
     def test_no_present_steps_rejected(self):
         with pytest.raises(MetricError):
-            ade_fde(np.zeros((1, 3, 2)), np.zeros((1, 3, 2)), np.zeros((1, 3), dtype=bool))
+            best_of_k(np.zeros((1, 1, 3, 2)), np.zeros((1, 3, 2)), np.zeros((1, 3), dtype=bool))
 
 
 class TestBestOfK:
@@ -318,7 +319,8 @@ class TestBestOfK:
         gt = rng.normal(size=(2, 4, 2))
         pred = rng.normal(size=(2, 4, 2))
         presence = np.ones((2, 4), dtype=bool)
-        assert best_of_k(pred[None], gt, presence) == ade_fde(pred, gt, presence)
+        np.testing.assert_allclose(best_of_k(pred[None], gt, presence), ade_fde_oracle(pred, gt, presence),
+                                   rtol=1e-14)
 
     def test_perfect_sample_among_twenty(self):
         rng = np.random.default_rng(3)
@@ -340,21 +342,16 @@ class TestBestOfK:
             assert f <= prev_fde + 1e-15
             prev_ade, prev_fde = a, f
 
-    def test_joint_fde_switch(self):
+    def test_minima_taken_independently(self):
         gt = np.zeros((1, 2, 2))
         presence = np.ones((1, 2), dtype=bool)
         # sample 0: best ADE but bad FDE; sample 1: worse ADE, perfect FDE
         s0 = np.array([[[0.0, 0.0], [0.0, 1.0]]])
         s1 = np.array([[[5.0, 0.0], [0.0, 0.0]]])
-        samples = np.stack([s0, s1])
-        ade_i, fde_i = best_of_k(samples, gt, presence, joint_fde=False)
-        ade_j, fde_j = best_of_k(samples, gt, presence, joint_fde=True)
-        assert ade_i == ade_j == 0.5
-        assert fde_i == 0.0 and fde_j == 1.0
-
+        assert best_of_k(np.stack([s0, s1]), gt, presence) == (0.5, 0.0)
 
     def test_vectorized_equals_per_sample_loop(self):
-        """One pass over K equals ``ade_fde`` sample by sample, with holes
+        """One pass over K equals K=1 scoring sample by sample, with holes
         and an agent that has no future step."""
         rng = np.random.default_rng(5)
         gt = rng.normal(size=(4, 6, 2))
@@ -362,12 +359,10 @@ class TestBestOfK:
         presence[0, 0] = True
         presence[2] = False  # no future step
         samples = rng.normal(size=(7, 4, 6, 2))
-        per_sample = np.array([ade_fde(s, gt, presence) for s in samples])
+        per_sample = np.array([best_of_k(s[None], gt, presence) for s in samples])
         np.testing.assert_allclose(per_sample, [ade_fde_oracle(s, gt, presence) for s in samples],
                                    rtol=1e-14)
         assert best_of_k(samples, gt, presence) == (per_sample[:, 0].min(), per_sample[:, 1].min())
-        best = int(np.argmin(per_sample[:, 0]))
-        assert best_of_k(samples, gt, presence, joint_fde=True) == tuple(per_sample[best])
 
     def test_no_present_steps_rejected(self):
         with pytest.raises(MetricError):

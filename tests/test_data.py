@@ -5,6 +5,8 @@ from crowdcast.data import (
     GROUP_RADIUS,
     ParseError,
     Scene,
+    last_observed_positions,
+    last_present,
     normalize_window,
     parse_scene,
     synth_generate,
@@ -31,7 +33,7 @@ class TestParse:
         path.write_text("0 1 0.0 0.0\n10 1 1.0 0.0\n")
         scene = parse_scene(path)
         assert scene.frame_ids() == [0, 10]
-        assert scene.agent_ids() == [1]
+        assert {a for _, a, _, _ in scene.frames} == {1}
 
     def test_duplicate_rejected(self, tmp_path):
         path = tmp_path / "s.txt"
@@ -190,3 +192,31 @@ class TestSynth:
     def test_agents_range_enforced(self):
         with pytest.raises(ValueError):
             synth_generate(seed=0, n_scenes=1, agents_range=(1, 4))
+
+    def test_fewer_than_two_frames_rejected(self):
+        """Tracks interpolate over n_frames - 1 steps; one frame would
+        write non-finite positions."""
+        with pytest.raises(ValueError, match="n_frames"):
+            synth_generate(seed=0, n_scenes=1, n_frames=1)
+        (scene,) = synth_generate(seed=0, n_scenes=1, n_frames=2)
+        assert np.isfinite([r[2:] for r in scene.frames]).all()
+
+
+class TestLastPresent:
+    def test_matches_per_row_loop(self):
+        rng = np.random.default_rng(3)
+        presence = rng.random((40, 7)) < 0.4
+        presence[0] = False
+        expected = [np.nonzero(row)[0][-1] if row.any() else -1 for row in presence]
+        np.testing.assert_array_equal(last_present(presence), expected)
+        np.testing.assert_array_equal(last_present(presence.reshape(8, 5, 7)), np.reshape(expected, (8, 5)))
+
+    def test_last_observed_positions(self):
+        rng = np.random.default_rng(4)
+        scene = make_scene(25, 5, seed=4)
+        for w in window_scene(scene, stride=3):
+            w.presence[:, : w.t_in] &= rng.random((w.n_agents, w.t_in)) < 0.7
+            w.presence[:, 0] = True  # every agent keeps an observed step
+            w.positions[~w.presence] = 0.0
+            expected = [w.positions[i, np.nonzero(w.presence[i, : w.t_in])[0][-1]] for i in range(w.n_agents)]
+            np.testing.assert_array_equal(last_observed_positions(w), expected)

@@ -8,8 +8,6 @@ from crowdcast.hypergraph import (
     HypergraphError,
     build_hyperedges_knn,
     effective_scales,
-    embed_trajectories,
-    hypergraph_convolve,
     hypergraph_laplacian,
     mahalanobis_matrix,
     multiscale_group_features,
@@ -18,6 +16,7 @@ from crowdcast.hypergraph import (
     similarity_matrix,
     transition_matrix,
 )
+from crowdcast.transformer import graph_convolve, track_embedding
 
 
 def random_hypergraph(rng, n_max=12):
@@ -40,7 +39,7 @@ def random_hypergraph(rng, n_max=12):
             extra[lonely, 0] = 1.0
         H = np.concatenate([H, extra], axis=1)
     w = rng.uniform(0.5, 2.0, size=H.shape[1])
-    return Hypergraph(incidence=H, edge_weights=w, scale=0)
+    return Hypergraph(incidence=H, edge_weights=w)
 
 
 def knn_oracle(s, k):
@@ -60,7 +59,7 @@ def knn_oracle(s, k):
 
 
 def two_vertex_graph():
-    return Hypergraph(incidence=np.ones((2, 1)), edge_weights=np.ones(1), scale=1)
+    return Hypergraph(incidence=np.ones((2, 1)), edge_weights=np.ones(1))
 
 
 def hyper_params(rng, t_in, d_emb, d_model, n_scales, requires_grad=True):
@@ -82,12 +81,15 @@ def hyper_params(rng, t_in, d_emb, d_model, n_scales, requires_grad=True):
 
 
 class TestEmbedding:
+    """``track_embedding``, which embeds tracks for the hypergraph branch
+    (``hyper/embed``) and the CVAE head (``cvae/obs``)."""
+
     def test_zero_input_zero_bias(self):
         w = Tensor(np.ones((8, 4)))
         b = Tensor(np.zeros(4))
         x = np.zeros((2, 4, 2))
         pres = np.ones((2, 4), dtype=bool)
-        out = embed_trajectories(x, pres, w, b)
+        out = track_embedding({"e/w": w, "e/b": b}, "e", x, pres)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_identical_tracks_identical_embeddings(self):
@@ -97,7 +99,7 @@ class TestEmbedding:
         track = rng.normal(size=(4, 2))
         x = np.stack([track, track, rng.normal(size=(4, 2))])
         pres = np.ones((3, 4), dtype=bool)
-        out = embed_trajectories(x, pres, w, b).data
+        out = track_embedding({"e/w": w, "e/b": b}, "e", x, pres).data
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_gradient(self):
@@ -109,7 +111,7 @@ class TestEmbedding:
         probe = rng.normal(size=(3, 5))
 
         def f():
-            return ad.tsum(ad.mul(embed_trajectories(x, pres, w, b), Tensor(probe)))
+            return ad.tsum(ad.mul(track_embedding({"e/w": w, "e/b": b}, "e", x, pres), Tensor(probe)))
 
         assert gradcheck(f, [w, b]) < 1e-4
 
@@ -156,14 +158,13 @@ class TestMahalanobis:
 
 class TestSimilarity:
     def test_distance_equal_bandwidth(self):
-        dis = np.array([[0.0, 2.0], [2.0, 0.0]])  # rho = 2
+        dis = np.array([[0.0, 2.0], [2.0, 0.0]])  # bandwidth rho = 2
         sim = similarity_matrix(dis)
-        assert sim.bandwidth == pytest.approx(2.0)
-        assert sim.values[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
+        np.testing.assert_allclose(sim, [[1.0, np.exp(-1.0)], [np.exp(-1.0), 1.0]], rtol=0, atol=1e-12)
 
     def test_degenerate_all_zero(self):
         sim = similarity_matrix(np.zeros((4, 4)))
-        np.testing.assert_array_equal(sim.values, 1.0)
+        np.testing.assert_array_equal(sim, 1.0)
 
     def test_scalar_loop_oracle(self):
         rng = np.random.default_rng(4)
@@ -175,7 +176,7 @@ class TestSimilarity:
         for i in range(4):
             for j in range(4):
                 expected = 1.0 if i == j else np.exp(-dis[i, j] ** 2 / rho**2)
-                assert abs(sim.values[i, j] - expected) < 1e-12
+                assert abs(sim[i, j] - expected) < 1e-12
 
 
 class TestKnnConstruction:
@@ -202,7 +203,7 @@ class TestKnnConstruction:
             q = rng.normal(size=(n, 4))
             sim = similarity_matrix(mahalanobis_matrix(q))
             g = build_hyperedges_knn(sim, k)
-            np.testing.assert_array_equal(g.incidence, knn_oracle(sim.values, k))
+            np.testing.assert_array_equal(g.incidence, knn_oracle(sim, k))
 
     def test_exact_ties_break_toward_lower_index(self):
         """Similarities drawn from three values tie often; edges and their
@@ -278,7 +279,7 @@ class TestLaplacian:
 
     def test_complete_edge_rank(self):
         n = 5
-        g = Hypergraph(incidence=np.ones((n, 1)), edge_weights=np.ones(1), scale=n - 1)
+        g = Hypergraph(incidence=np.ones((n, 1)), edge_weights=np.ones(1))
         delta = hypergraph_laplacian(g)
         rank = np.sum(np.abs(np.linalg.eigvalsh(delta)) > 1e-10)
         assert rank == n - 1
@@ -319,17 +320,20 @@ class TestPartitionCost:
 
 
 class TestConvolution:
+    """``graph_convolve`` on hypergraph walk operators and on a stack of
+    per-timestep operators, as the spatial GCN residual runs it."""
+
     def test_averaging_operator_constant_rows(self):
         n, d = 4, 3
-        g = Hypergraph(incidence=np.ones((n, 1)), edge_weights=np.ones(1), scale=n - 1)
+        g = Hypergraph(incidence=np.ones((n, 1)), edge_weights=np.ones(1))
         c = np.array([1.5, -2.0, 0.5])
         x = Tensor(np.tile(c, (n, 1)))
-        y = hypergraph_convolve(random_walk_matrix(g), x, Tensor(np.eye(d)))
+        y = graph_convolve(random_walk_matrix(g), x, Tensor(np.eye(d)))
         np.testing.assert_allclose(y.data, np.tile(np.maximum(c, 0.0), (n, 1)), atol=1e-12)
 
     def test_zero_features(self):
         g = two_vertex_graph()
-        y = hypergraph_convolve(random_walk_matrix(g), Tensor(np.zeros((2, 3))), Tensor(np.ones((3, 3))))
+        y = graph_convolve(random_walk_matrix(g), Tensor(np.zeros((2, 3))), Tensor(np.ones((3, 3))))
         np.testing.assert_array_equal(y.data, 0.0)
 
     def test_gradient_wrt_features_and_weights(self):
@@ -340,9 +344,38 @@ class TestConvolution:
         probe = rng.normal(size=(g.n_vertices, 4))
 
         def f():
-            return ad.tsum(ad.mul(hypergraph_convolve(random_walk_matrix(g), x, theta), Tensor(probe)))
+            return ad.tsum(ad.mul(graph_convolve(random_walk_matrix(g), x, theta), Tensor(probe)))
 
         assert gradcheck(f, [x, theta]) < 1e-4
+
+    def test_batched_operator_equals_per_timestep_loop(self):
+        rng = np.random.default_rng(21)
+        ops = rng.uniform(0.0, 1.0, size=(5, 4, 4))  # [T, N, N]
+        x = rng.normal(size=(5, 4, 3))
+        theta = Tensor(rng.normal(size=(3, 6)))
+        batched = graph_convolve(ops, Tensor(x), theta).data
+        assert batched.shape == (5, 4, 6)
+        for t in range(5):
+            np.testing.assert_allclose(batched[t], graph_convolve(ops[t], Tensor(x[t]), theta).data,
+                                       rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(batched[t], np.maximum(ops[t] @ x[t] @ theta.data, 0.0),
+                                       rtol=1e-13, atol=1e-13)
+
+    def test_batched_gradient_wrt_features_and_weights(self):
+        rng = np.random.default_rng(22)
+        ops = rng.uniform(0.0, 1.0, size=(3, 4, 4))
+        x = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
+        theta = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        probe = rng.normal(size=(3, 4, 3))
+
+        def f():
+            return ad.tsum(ad.mul(graph_convolve(ops, x, theta), Tensor(probe)))
+
+        assert gradcheck(f, [x, theta]) < 1e-4
+
+    def test_misaligned_features_rejected(self):
+        with pytest.raises(ad.ShapeError):
+            graph_convolve(np.eye(3), Tensor(np.zeros((4, 2))), Tensor(np.ones((2, 2))))
 
 
 class TestMultiscale:
@@ -351,15 +384,16 @@ class TestMultiscale:
         p = hyper_params(rng, t_in=8, d_emb=8, d_model=8, n_scales=3)
         x = rng.normal(size=(9, 8, 2))
         pres = np.ones((9, 8), dtype=bool)
-        out = multiscale_group_features(x, pres, p, "hyper", (2, 3, 4))
+        out, absent = multiscale_group_features(x, pres, p, "hyper", (2, 3, 4))
         assert out.shape == (9, 3, 8)
+        assert absent.shape == (9, 3) and not absent.any()
 
     def test_scale_clamping_two_agents(self):
         rng = np.random.default_rng(17)
         p = hyper_params(rng, t_in=8, d_emb=8, d_model=8, n_scales=3)
         x = rng.normal(size=(2, 8, 2))
         pres = np.ones((2, 8), dtype=bool)
-        out = multiscale_group_features(x, pres, p, "hyper", (2, 3, 4))
+        out, _ = multiscale_group_features(x, pres, p, "hyper", (2, 3, 4))
         assert out.shape == (2, 1, 8)
         assert effective_scales((2, 3, 4), 2) == [(1, 0)]
 
@@ -368,8 +402,9 @@ class TestMultiscale:
         p = hyper_params(rng, t_in=8, d_emb=8, d_model=8, n_scales=3)
         x = rng.normal(size=(1, 8, 2))
         pres = np.ones((1, 8), dtype=bool)
-        out = multiscale_group_features(x, pres, p, "hyper", (2, 3, 4))
+        out, absent = multiscale_group_features(x, pres, p, "hyper", (2, 3, 4))
         assert out.shape == (1, 1, 8)
+        assert not absent.any()  # the single agent's one zero token is present
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_permutation_equivariance(self):
@@ -377,9 +412,9 @@ class TestMultiscale:
         p = hyper_params(rng, t_in=8, d_emb=8, d_model=8, n_scales=2, requires_grad=False)
         x = rng.normal(size=(6, 8, 2))
         pres = np.ones((6, 8), dtype=bool)
-        base = multiscale_group_features(x, pres, p, "hyper", (2, 3)).data
+        base = multiscale_group_features(x, pres, p, "hyper", (2, 3))[0].data
         perm = rng.permutation(6)
-        permuted = multiscale_group_features(x[perm], pres[perm], p, "hyper", (2, 3)).data
+        permuted = multiscale_group_features(x[perm], pres[perm], p, "hyper", (2, 3))[0].data
         np.testing.assert_allclose(permuted, base[perm], atol=1e-8)
 
     def test_dump_records_edges(self):

@@ -6,7 +6,7 @@ import pytest
 import crowdcast.autodiff as ad
 from crowdcast.config import TrainConfig
 from crowdcast.data import normalize_window, pack_windows, synth_generate, window_scene
-from crowdcast.hypergraph import effective_scales, scale_token_absent
+from crowdcast.hypergraph import effective_scales, multiscale_group_features
 from crowdcast.model import CrowdForecaster
 from crowdcast.train import train
 from conftest import randomize_params, random_window, tiny_config
@@ -66,15 +66,24 @@ class TestPackWindows:
             pack_windows([random_window(0, n=2), random_window(1, n=2, t_in=6)])
 
     def test_scale_tokens_padded_with_absent_mask(self):
-        counts = [w.n_agents for w in mixed_windows()]
+        windows = mixed_windows()
+        counts = [w.n_agents for w in windows]
         assert [len(effective_scales(SCALES, n)) for n in counts] == [0, 1, 1, 2, 3, 1]
-        absent = scale_token_absent(np.repeat(np.arange(6), counts), SCALES)
+        params = CrowdForecaster(tiny_config(scales=SCALES), seed=0).params
+
+        def group_features(window):
+            x_obs, pres = window.observed()
+            return multiscale_group_features(x_obs, pres, params, "hyper", SCALES, segment=window.segment)
+
+        tokens, absent = group_features(pack_windows(windows))
         rows = np.cumsum([0] + counts[:-1])  # first agent of each segment
         # the single agent keeps one present (zero) token
         np.testing.assert_array_equal(absent[rows], [[False, True, True], [False, True, True],
                                                      [False, True, True], [False, False, True],
                                                      [False, False, False], [False, True, True]])
-        assert not scale_token_absent(np.zeros(4, dtype=int), SCALES).any()
+        np.testing.assert_array_equal(absent, absent[rows][np.repeat(np.arange(6), counts)])
+        assert not tokens.data[absent].any()
+        assert not group_features(windows[3])[1].any()
 
 
 class TestPackedEqualsPerWindow:

@@ -78,7 +78,7 @@ class TestConfig:
         assert cfg.noise_std == 0.01
 
     def test_round_trip(self, tmp_path):
-        cfg = TrainConfig(learning_rate=3e-4, scales=(2, 5), fde_joint=True, epochs=7)
+        cfg = TrainConfig(learning_rate=3e-4, scales=(2, 5), precision="f32", epochs=7)
         path = tmp_path / "run.cfg"
         path.write_text(format_config(cfg))
         back = parse_config(path)
@@ -115,6 +115,17 @@ class TestConfig:
             TrainConfig(d_model=10, heads=4)
         with pytest.raises(ConfigError):
             TrainConfig(d_model=7)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(seed=-1)
+        assert TrainConfig(seed=0).seed == 0
+
+    @pytest.mark.parametrize("scales", [(0, -3), (2, 0), (-1,)])
+    def test_scales_below_one_rejected(self, scales):
+        """A scale below 1 would leave its hypergraph token out silently."""
+        with pytest.raises(ConfigError, match="scales"):
+            TrainConfig(scales=scales)
 
 
 class TestJitter:
@@ -332,6 +343,24 @@ class TestBaseline:
         pred = baseline_constant_velocity(window)
         np.testing.assert_allclose(pred[0], np.tile(window.positions[0, 5], (4, 1)), atol=1e-12)
 
+    def test_matches_per_agent_loop(self):
+        """Agents with gaps, one observed at a single step, one observed at
+        its last step only after a gap: each against a scalar reference."""
+        window = random_window(3, n=6, t_in=8, t_out=5, holes=True)
+        window.presence[:, : window.t_in] = np.random.default_rng(4).random((6, 8)) < 0.5
+        window.presence[0, : window.t_in] = False
+        window.presence[0, 2] = True  # a single observed step
+        window.presence[1, : window.t_in] = [True, False, False, False, False, False, True, False]
+        window.positions = window.positions * window.presence[:, :, None]
+        obs, pres = window.observed()
+        pred = baseline_constant_velocity(window)
+        for i in range(6):
+            idx = np.nonzero(pres[i])[0]
+            vel = (obs[i, idx[-1]] - obs[i, idx[-2]]) / (idx[-1] - idx[-2]) if idx.size >= 2 else np.zeros(2)
+            for t in range(window.t_out):
+                expected = obs[i, idx[-1]] + (t + window.t_in - idx[-1]) * vel
+                np.testing.assert_allclose(pred[i, t], expected, rtol=1e-13, atol=1e-13)
+
     def test_exact_on_constant_velocity_scenes(self):
         scenes = synth_generate(seed=21, n_scenes=3, kinds=("cv",))
         model = ConstantVelocityModel()
@@ -438,6 +467,20 @@ class TestCliRejectsBadInput:
             cli_main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path), "--data", str(data),
                       "--k", k, "--out", str(tmp_path / "eval")])
         assert "must be a positive integer" in capsys.readouterr().err
+
+    def test_train_log_every_must_be_positive(self, run, capsys):
+        tmp_path, data, cfg_path, _ = run
+        with pytest.raises(SystemExit):
+            cli_main(["train", "--config", str(cfg_path), "--data", str(data),
+                      "--out", str(tmp_path / "train"), "--log-every", "0"])
+        assert "must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, reason", [(["--frames", "1"], "n_frames"),
+                                               (["--min-agents", "1"], "agents_range")])
+    def test_synth_rejects_what_it_cannot_generate(self, tmp_path, flags, reason):
+        with pytest.raises(SystemExit, match=reason):
+            cli_main(["synth", "--seed", "0", "--out", str(tmp_path / "data"), "--scenes", "1"] + flags)
+        assert not (tmp_path / "data").exists()
 
     def test_holdout_must_name_a_scene(self, run):
         tmp_path, data, cfg_path, _ = run
