@@ -100,14 +100,15 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, recor
     qh = split(ad.linear_data(xq, wd["wq"], wd["bq"]), lq)
     kh = split(ad.linear_data(xkv, wd["wk"], wd["bk"]), lk)
     vh = split(ad.linear_data(xkv, wd["wv"], wd["bv"]), lk)
-    logits = (qh @ kh.swapaxes(-1, -2)) * scale
+    logits = qh @ kh.swapaxes(-1, -2)
+    logits *= scale
 
     bias, absent = None, np.zeros((), dtype=bool)
     if mask is not None:
         # insert the head axis explicitly; remaining dims broadcast
         bias = mask.bias
         if bias is not None:
-            logits = logits + bias.data.reshape(bias.shape[:-2] + (1,) + bias.shape[-2:])
+            logits += bias.data.reshape(bias.shape[:-2] + (1,) + bias.shape[-2:])
         absent = mask.absent
         if absent.ndim == logits.ndim - 1:
             absent = absent[..., None, :, :]
@@ -129,7 +130,7 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, recor
         if bias is not None and bias.requires_grad:
             shape = bias.shape[:-2] + (1,) + bias.shape[-2:]
             bias._accumulate(ad._unbroadcast(dlogits, shape).reshape(bias.shape))
-        dlogits = dlogits * scale
+        dlogits *= scale
         dqh = dlogits @ kh
         dkh = (qh.swapaxes(-1, -2) @ dlogits).swapaxes(-1, -2)
 
@@ -142,15 +143,18 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, recor
         dv_in, grads["wv"], grads["bv"] = ad.linear_grads(merge(dvh, lk), xkv, wd["wv"], need_kv)
         for gate in MHA_GATES:
             if w[gate].requires_grad:
-                w[gate]._accumulate(grads[gate])
+                w[gate]._accumulate(grads[gate], own=True)
         if q_in is kv_in:  # one input: accumulate its three paths once
             if need_q:
-                q_in._accumulate(dq_in + dk_in + dv_in)
+                dq_in += dk_in
+                dq_in += dv_in
+                q_in._accumulate(dq_in, own=True)
             return
         if need_q:
-            q_in._accumulate(dq_in)
+            q_in._accumulate(dq_in, own=True)
         if need_kv:
-            kv_in._accumulate(dk_in + dv_in)
+            dk_in += dv_in
+            kv_in._accumulate(dk_in, own=True)
 
     inputs = (q_in,) if q_in is kv_in else (q_in, kv_in)
     extra = () if bias is None else (bias,)

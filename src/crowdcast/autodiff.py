@@ -81,13 +81,21 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g):
-        # the first contribution is copied, so a grad never aliases an
-        # array that another tensor's grad or a backward closure holds
-        if self.grad is None:
-            self.grad = np.broadcast_to(g, self.data.shape).astype(self.data.dtype, copy=True)
-        else:
+    def _accumulate(self, g, own=False):
+        """Add the gradient contribution ``g`` to ``self.grad``.
+
+        A first contribution is copied, so a grad never aliases an array
+        that another tensor's grad or a backward closure holds, unless the
+        caller made ``g`` for this call alone and says so with ``own=True``:
+        then an array of the grad's shape and dtype is kept as it is.
+        """
+        if self.grad is not None:
             self.grad += g
+        elif own and type(g) is np.ndarray and g.shape == self.data.shape and g.dtype == self.data.dtype:
+            self.grad = g
+        else:
+            self.grad = np.empty(self.data.shape, self.data.dtype)
+            self.grad[...] = g  # broadcasts and casts
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -173,9 +181,9 @@ def mul(a, b):
 
     def bw(g, a=a, b=b, ad=ad, bd=bd):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * bd, a.shape))
+            a._accumulate(_unbroadcast(g * bd, a.shape), own=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * ad, b.shape))
+            b._accumulate(_unbroadcast(g * ad, b.shape), own=True)
 
     return _make(ad * bd, "mul", (a, b), bw)
 
@@ -185,7 +193,7 @@ def relu(x):
 
     def bw(g, x=x, out_data=out_data):
         if x.requires_grad:
-            x._accumulate(g * (out_data > 0))
+            x._accumulate(g * (out_data > 0), own=True)
 
     return _make(out_data, "relu", (x,), bw)
 
@@ -196,7 +204,7 @@ def exp(x):
 
     def bw(g, x=x, out_data=out_data):
         if x.requires_grad:
-            x._accumulate(g * out_data)
+            x._accumulate(g * out_data, own=True)
 
     return _make(out_data, "exp", (x,), bw)
 
@@ -213,7 +221,7 @@ def norm(x, axis=-1):
     def bw(g, x=x, xd=xd, out_data=out_data, axis=axis):
         if x.requires_grad:
             safe = np.expand_dims(np.where(out_data > 0, out_data, 1.0), axis)
-            x._accumulate(np.expand_dims(g, axis) * (xd / safe))
+            x._accumulate(np.expand_dims(g, axis) * (xd / safe), own=True)
 
     return _make(out_data, "norm", (x,), bw)
 
@@ -224,7 +232,7 @@ def absval(x):
 
     def bw(g, x=x, xd=xd):
         if x.requires_grad:
-            x._accumulate(g * np.sign(xd))
+            x._accumulate(g * np.sign(xd), own=True)
 
     return _make(np.abs(xd), "absval", (x,), bw)
 
@@ -237,9 +245,9 @@ def atan2(y, x):
     def bw(g, y=y, x=x, yd=yd, xd=xd):
         denom = np.maximum(xd * xd + yd * yd, 1e-18)
         if y.requires_grad:
-            y._accumulate(_unbroadcast(g * xd / denom, y.shape))
+            y._accumulate(_unbroadcast(g * xd / denom, y.shape), own=True)
         if x.requires_grad:
-            x._accumulate(_unbroadcast(-g * yd / denom, x.shape))
+            x._accumulate(_unbroadcast(-g * yd / denom, x.shape), own=True)
 
     return _make(np.arctan2(yd, xd), "atan2", (y, x), bw)
 
@@ -265,16 +273,16 @@ def matmul(a, b):
             k, n = bd.shape
             g2 = g.reshape(-1, n)
             if a.requires_grad:
-                a._accumulate((g2 @ bd.T).reshape(ad.shape))
+                a._accumulate((g2 @ bd.T).reshape(ad.shape), own=True)
             if b.requires_grad:
-                b._accumulate(ad.reshape(-1, k).T @ g2)
+                b._accumulate(ad.reshape(-1, k).T @ g2, own=True)
             return
         if a.requires_grad:
             ga = g @ np.swapaxes(bd, -1, -2)
-            a._accumulate(_unbroadcast(ga, a.shape))
+            a._accumulate(_unbroadcast(ga, a.shape), own=True)
         if b.requires_grad:
             gb = np.swapaxes(ad, -1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.shape))
+            b._accumulate(_unbroadcast(gb, b.shape), own=True)
 
     return _make(ad @ bd, "matmul", (a, b), bw)
 
@@ -292,14 +300,17 @@ def linear(x, w, b):
     def bw(g, x=x, w=w, b=b, xd=xd, wd=wd):
         for t, grad in zip((x, w, b), linear_grads(g, xd, wd, x.requires_grad)):
             if t.requires_grad:
-                t._accumulate(grad)
+                t._accumulate(grad, own=True)
 
     return _make(linear_data(xd, wd, b.data), "linear", (x, w, b), bw)
 
 
 def linear_data(xd, wd, bd):
-    """``xd @ wd + bd`` on plain arrays, as one GEMM over the folded leading axes."""
-    return (xd.reshape(-1, wd.shape[0]) @ wd).reshape(xd.shape[:-1] + wd.shape[1:]) + bd
+    """``xd @ wd + bd`` on plain arrays, as one GEMM over the folded leading
+    axes; the bias is added in place."""
+    out = xd.reshape(-1, wd.shape[0]) @ wd
+    out += bd
+    return out.reshape(xd.shape[:-1] + wd.shape[1:])
 
 
 def linear_grads(g, xd, wd, need_x=True):
@@ -307,7 +318,7 @@ def linear_grads(g, xd, wd, need_x=True):
     k, n = wd.shape
     g2 = g.reshape(-1, n)
     gx = (g2 @ wd.T).reshape(xd.shape) if need_x else None
-    return gx, xd.reshape(-1, k).T @ g2, _unbroadcast(g, (n,))
+    return gx, xd.reshape(-1, k).T @ g2, g2.sum(axis=0)
 
 
 # -- shape ops -----------------------------------------------------------
@@ -413,53 +424,67 @@ def softmax_data(xd, absent):
     ``absent`` (bool, broadcastable) marks keys that get weight 0.  A row
     with every key absent yields an all-zero row; callers must not attend
     from such rows.  NaN or +inf at a present key is an error, not an
-    all-zero row.
+    all-zero row.  The row sum is an ``einsum`` and the rest runs in place.
     """
-    absent = np.broadcast_to(np.asarray(absent, dtype=bool), xd.shape)
-    masked = np.where(absent, -np.inf, xd)
-    rowmax = masked.max(axis=-1, keepdims=True)
-    if not (rowmax < np.inf).all():  # the max of a row holding NaN is NaN
+    y = np.where(np.broadcast_to(absent, xd.shape), -np.inf, xd)  # an absent key's logit is never read
+    rowmax = y.max(axis=-1, keepdims=True)  # the max of a row holding NaN is NaN
+    if not (rowmax < np.inf).all():
         raise NonFiniteError("softmax logits contain NaN or +inf at a present key")
-    safe_max = np.where(np.isfinite(rowmax), rowmax, 0.0)
-    e = np.where(absent, 0.0, np.exp(masked - safe_max))
-    s = e.sum(axis=-1, keepdims=True)
-    return np.where(s > 0, e / np.where(s > 0, s, 1.0), 0.0)
+    rowmax[rowmax == -np.inf] = 0.0  # a row whose every key is absent stays all -inf
+    y -= rowmax
+    np.exp(y, out=y)  # exp(-inf) = 0 at absent keys
+    s = np.einsum("...i->...", y)[..., None]
+    s[s == 0.0] = 1.0  # an all-absent row is zero already
+    y /= s
+    return y
 
 
 def softmax_backward_data(g, y):
     """Gradient of the logits from the output gradient ``g`` and output ``y``."""
-    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+    out = g - np.einsum("...i,...i->...", g, y)[..., None]
+    out *= y
+    return out
 
 
 LAYER_NORM_EPS = 1e-5
 
 
 def layer_norm(x, gain, bias, eps=LAYER_NORM_EPS):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Rows are folded to [R, d]; the row means are GEMVs with a 1/d vector.
+    """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},)")
-    xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
+    x2 = x.data.reshape(-1, d)
+    mean_of = np.full(d, 1.0 / d, dtype=x2.dtype)
+    xhat = x2 - (x2 @ mean_of)[:, None]
+    out = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(out @ mean_of + eps)
+    xhat *= inv[:, None]
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def bw(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
-        lead = tuple(range(g.ndim - 1))
+        g2 = g.reshape(-1, d)
+        gx = g2 * xhat
         if bias.requires_grad:
-            bias._accumulate(g.sum(axis=lead))
+            bias._accumulate(g2.sum(axis=0), own=True)
         if gain.requires_grad:
-            gain._accumulate((g * xhat).sum(axis=lead))
+            gain._accumulate(gx.sum(axis=0), own=True)
         if x.requires_grad:
-            dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (dxhat - m1 - xhat * m2))
+            # dxhat = g * gain; its row means m1 and those of dxhat * xhat
+            # (m2) are GEMVs of g and g * xhat with gain / d
+            gain_of = gain.data / d
+            m1, m2 = g2 @ gain_of, gx @ gain_of
+            dx = g2 * gain.data
+            dx -= m1[:, None]
+            dx -= np.multiply(xhat, m2[:, None], out=gx)
+            dx *= inv[:, None]
+            x._accumulate(dx.reshape(x.shape), own=True)
 
-    return _make(out_data, "layer_norm", (x, gain, bias), bw)
+    return _make(out.reshape(x.shape), "layer_norm", (x, gain, bias), bw)
 
 
 # -- backward pass -------------------------------------------------------

@@ -41,20 +41,18 @@ def observed_embedding(params, x_obs, presence_obs):
     return track_embedding(params, "cvae/obs", x_obs, presence_obs)
 
 
-def encode_posterior(params, x_obs, presence_obs, x_fut, y_m, d_z):
+def encode_posterior(params, obs_emb, x_fut, presence_fut, y_m, d_z):
     """Diagonal-Gaussian posterior per agent, plus the observation recon.
 
-    Training-mode only: raises ContractError without a ground-truth
+    obs_emb: [N, d] the ``observed_embedding`` that the decoder also
+    reads; x_fut: [N, T_o, 2] ground-truth future; presence_fut: [N, T_o]
+    bool.  Training-mode only: raises ContractError without a ground-truth
     future.  Returns (LatentPosterior, reconstruction [N, T_i*2]).
     """
     if x_fut is None:
         raise ContractError("posterior encoding needs the ground-truth future (training mode)")
-    n = x_obs.shape[0]
-    w = params["cvae/fut/w"]
-    obs_e = observed_embedding(params, x_obs, presence_obs)
-    fut_flat = np.asarray(x_fut).reshape(n, -1)
-    fut_e = ad.relu(ad.linear(Tensor(fut_flat, dtype=w.dtype), w, params["cvae/fut/b"]))
-    joint = ad.concat([obs_e, fut_e, y_m], axis=1)
+    fut_e = track_embedding(params, "cvae/fut", x_fut, presence_fut)
+    joint = ad.concat([obs_emb, fut_e, y_m], axis=1)
     trunk = ad.relu(ad.linear(joint, params["cvae/post/w1"], params["cvae/post/b1"]))
     stats = ad.linear(trunk, params["cvae/post/w2"], params["cvae/post/b2"])
     mu = stats[:, :d_z]

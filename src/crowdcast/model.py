@@ -167,7 +167,7 @@ class CrowdForecaster:
         x_fut, pres_fut = window.future()
         y_m, obs_emb, rel, anchors = self.features(window)
         rel_obs, rel_fut = rel[:, :t_in], rel[:, t_in:]
-        posterior, recon = cvae.encode_posterior(self.params, rel_obs, pres_obs, rel_fut, y_m, cfg.d_z)
+        posterior, recon = cvae.encode_posterior(self.params, obs_emb, rel_fut, pres_fut, y_m, cfg.d_z)
         if latent_eps is None:
             latent_eps = rng.standard_normal((window.n_agents, cfg.d_z))
         z = cvae.reparameterize(posterior, latent_eps)

@@ -21,18 +21,35 @@ class Adam:
             t.zero_grad()
 
     def step(self):
+        """One update of every parameter that has a grad, in place.
+
+        The bias corrections are folded into the step size and epsilon
+        (Kingma & Ba, section 2): lr * m_hat / (sqrt(v_hat) + eps) equals
+        lr_t * m / (sqrt(v) + eps_t).
+        """
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        root = (1 - b2**self.t) ** 0.5  # a Python float keeps f32 moments in f32
+        lr_t = self.lr * root / (1 - b1**self.t)
+        eps_t = self.eps * root
         for name in sorted(self.params):
             p = self.params[name]
             g = p.grad
             if g is None:
                 continue
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1**self.t)
-            v_hat = self.v[name] / (1 - b2**self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = self.m[name], self.v[name]
+            step = np.multiply(g, 1 - b1)  # the one scratch array of this update
+            m *= b1
+            m += step
+            np.multiply(g, 1 - b2, out=step)
+            step *= g
+            v *= b2
+            v += step
+            np.sqrt(v, out=step)
+            step += eps_t
+            np.divide(m, step, out=step)
+            step *= lr_t
+            p.data -= step
 
 
 def decayed_lr(base_lr, epoch, factor=0.5, every=100):

@@ -205,6 +205,40 @@ def assert_grads_match(f, tensors):
         np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8)
 
 
+def mha_backward_oracle(p, prefix, x, heads, bias, absent, g):
+    """Gradients of sum(g * masked_mha(x, x)) by the textbook formulas, one
+    slice and one head at a time.  x, g: [B, L, d]; bias: [L, L] shared by
+    the slices; absent: [B, 1, L] keys."""
+    w = {gate: p[f"{prefix}/{gate}"].data for gate in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
+    dh = x.shape[-1] // heads
+    grads = {name: np.zeros_like(a) for name, a in w.items()}
+    grads["x"], grads["bias"] = np.zeros_like(x), np.zeros_like(bias)
+    for xb, gb, ab, dxb in zip(x, g, absent, grads["x"]):
+        proj = {c: xb @ w[f"w{c}"] + w[f"b{c}"] for c in "qkv"}
+        dproj = {c: np.zeros_like(a) for c, a in proj.items()}
+        mixed, dmixed = np.zeros_like(xb), gb @ w["wo"].T
+        for h in range(heads):
+            sl = slice(h * dh, (h + 1) * dh)
+            q, k, v = proj["q"][:, sl], proj["k"][:, sl], proj["v"][:, sl]
+            logits = np.where(ab, -np.inf, q @ k.T / np.sqrt(dh) + bias)
+            a = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            a /= a.sum(axis=-1, keepdims=True)
+            mixed[:, sl] = a @ v
+            da = dmixed[:, sl] @ v.T
+            dlogits = a * (da - (da * a).sum(axis=-1, keepdims=True))
+            grads["bias"] += dlogits
+            dproj["q"][:, sl] = dlogits @ k / np.sqrt(dh)
+            dproj["k"][:, sl] = dlogits.T @ q / np.sqrt(dh)
+            dproj["v"][:, sl] = a.T @ dmixed[:, sl]
+        grads["wo"] += mixed.T @ gb
+        grads["bo"] += gb.sum(axis=0)
+        for c, dc in dproj.items():
+            grads[f"w{c}"] += xb.T @ dc
+            grads[f"b{c}"] += dc.sum(axis=0)
+            dxb += dc @ w[f"w{c}"].T
+    return grads
+
+
 class TestFusedMha:
     """The one-node attention against the loop oracle and finite differences."""
 
@@ -295,6 +329,29 @@ class TestFusedMha:
         np.testing.assert_allclose(shared.grad, q_in.grad + kv_in.grad, rtol=1e-12, atol=1e-14)
         for k, t in p.items():
             np.testing.assert_allclose(shared_grads[k], t.grad, rtol=1e-12, atol=1e-14)
+
+    def test_strided_incoming_gradient(self):
+        """A transposed (non-contiguous) incoming gradient gives the textbook
+        grads of the input, the eight weights and the mask bias; it stays
+        untouched, and no grad shares its memory."""
+        rng = np.random.default_rng(28)
+        b, n, d, heads = 3, 5, 6, 2
+        p = grad_params(rng, d)
+        x = Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(n, n)), requires_grad=True)
+        absent = rng.random((b, 1, n)) < 0.3
+        absent[:, :, 0] = False
+        g = rng.normal(size=(d, n, b)).T
+        kept = g.copy()
+        masked_mha(p, "blk", x, x, heads, mask=AttentionMask(bias=bias, absent=absent))._backward(g)
+        expected = mha_backward_oracle(p, "blk", x.data, heads, bias.data, absent, g)
+        got = {"x": x, "bias": bias, **{k.split("/")[1]: t for k, t in p.items()}}
+        # the key bias gradient is 0 in exact arithmetic: measure against the largest
+        scale = max(float(np.abs(e).max()) for e in expected.values())
+        for name, t in got.items():
+            np.testing.assert_allclose(t.grad, expected[name], rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+            assert not np.shares_memory(t.grad, g)
+        np.testing.assert_array_equal(g, kept)
 
     def test_f32_in_f32_out(self):
         rng = np.random.default_rng(25)

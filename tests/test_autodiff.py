@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,20 @@ class TestLinear:
         out = ad.linear(x, w, b)
         assert out._parents == (x, w, b)
 
+    def test_strided_incoming_gradient(self):
+        """A transposed (non-contiguous) incoming gradient gives the textbook
+        grads, is left untouched, and no grad shares its memory."""
+        rng = np.random.default_rng(9)
+        x, w, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((3, 2, 4), (4, 5), (5,)))
+        g = rng.normal(size=(5, 2, 3)).T
+        kept = g.copy()
+        ad.linear(x, w, b)._backward(g)
+        np.testing.assert_allclose(x.grad, g @ w.data.T, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(w.grad, np.einsum("pqk,pqn->kn", x.data, g), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(b.grad, g.sum(axis=(0, 1)), rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(g, kept)
+        assert not any(np.shares_memory(t.grad, g) for t in (x, w, b))
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
@@ -114,6 +130,34 @@ class TestSoftmaxRows:
         # an absent key's logit is never read
         np.testing.assert_array_equal(ad.softmax_data(np.array([1.0, np.nan]), np.array([False, True])), [1.0, 0.0])
 
+    @pytest.mark.parametrize("shape, mask_shape", [((3, 2, 4, 5), (3, 1, 1, 5)), ((2, 2, 4, 4), (2, 1, 4, 4))])
+    def test_matches_scalar_loop(self, shape, mask_shape):
+        """Forward and backward against a loop over rows and keys, with an
+        attention-style broadcast mask, NaN at absent keys and rows whose
+        every key is absent."""
+        rng = np.random.default_rng(11)
+        x = rng.normal(scale=3.0, size=shape)
+        absent = rng.random(mask_shape) < 0.3
+        absent[0] = True  # every row of the first slice is fully absent
+        full = np.broadcast_to(absent, shape)
+        x[full] = np.nan  # an absent key's logit is never read
+        g = rng.normal(size=shape)
+        y = ad.softmax_data(x, absent)
+        dx = ad.softmax_backward_data(g, y)
+        for row in np.ndindex(shape[:-1]):
+            keys = [j for j in range(shape[-1]) if not full[row + (j,)]]
+            expect = np.zeros(shape[-1])
+            if keys:
+                top = max(x[row + (j,)] for j in keys)
+                total = sum(math.exp(x[row + (j,)] - top) for j in keys)
+                for j in keys:
+                    expect[j] = math.exp(x[row + (j,)] - top) / total
+            dot = sum(g[row + (j,)] * expect[j] for j in range(shape[-1]))
+            np.testing.assert_allclose(y[row], expect, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(dx[row], [expect[j] * (g[row + (j,)] - dot) for j in range(shape[-1])],
+                                       rtol=1e-12, atol=1e-15)
+        assert not y[0].any() and not dx[0].any()
+
     def test_gradient(self):
         """``softmax_backward_data`` against central differences of
         sum(w * softmax_data(x)), with one absent key per row."""
@@ -148,6 +192,35 @@ class TestLayerNorm:
         out = ad.layer_norm(Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16))).data
         assert np.all(np.abs(out.mean(axis=-1)) < 1e-6)
         assert np.all(np.abs(out.var(axis=-1) - 1.0) < 1e-4)
+
+    @pytest.mark.parametrize("shape", [(8, 5, 16), (5, 19, 16)])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_matches_two_pass_formula(self, shape, dtype, tol, strided):
+        """Forward and backward against the textbook two-pass formula in
+        64-bit, on [T, N, d] and [N, L, d] rows, with a contiguous or a
+        transposed incoming gradient; the incoming array stays untouched."""
+        rng = np.random.default_rng(12)
+        d = shape[-1]
+        x, gain, bias = (rng.normal(loc=1.0, scale=2.0, size=s).astype(dtype) for s in (shape, (d,), (d,)))
+        g = rng.normal(size=shape[::-1]).astype(dtype).T if strided else rng.normal(size=shape).astype(dtype)
+        kept = g.copy()
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gain, bias))
+        out = ad.layer_norm(xt, gt, bt)
+        out._backward(g)
+
+        x, gain, bias, g64 = (a.astype(np.float64) for a in (x, gain, bias, g))
+        mu = x.mean(axis=-1, keepdims=True)
+        std = np.sqrt(((x - mu) ** 2).mean(axis=-1, keepdims=True) + ad.LAYER_NORM_EPS)
+        xhat = (x - mu) / std
+        dxhat = g64 * gain
+        dx = (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) / std
+        for got, want in ((out.data, xhat * gain + bias), (xt.grad, dx), (gt.grad, (g64 * xhat).sum(axis=(0, 1))),
+                          (bt.grad, g64.sum(axis=(0, 1)))):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
+        np.testing.assert_array_equal(g, kept)
+        assert not any(np.shares_memory(t.grad, g) for t in (xt, gt, bt))
 
     def test_gradient(self):
         rng = np.random.default_rng(2)

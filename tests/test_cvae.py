@@ -43,7 +43,9 @@ class TestPosterior:
         pres = np.ones((3, 8), dtype=bool)
         x_fut = rng.normal(size=(3, 12, 2))
         y_m = Tensor(rng.normal(size=(3, tiny_cfg.d_model)))
-        post, recon = encode_posterior(model.params, x_obs, pres, x_fut, y_m, tiny_cfg.d_z)
+        obs_emb = observed_embedding(model.params, x_obs, pres)
+        post, recon = encode_posterior(model.params, obs_emb, x_fut, np.ones((3, 12), dtype=bool), y_m,
+                                       tiny_cfg.d_z)
         np.testing.assert_array_equal(post.mu.data, 0.0)
         np.testing.assert_array_equal(post.log_sigma.data, 0.0)
         np.testing.assert_array_equal(recon.data, 0.0)
@@ -51,8 +53,9 @@ class TestPosterior:
     def test_shapes(self, tiny_cfg):
         model = randomize_params(CrowdForecaster(tiny_cfg, seed=0), 1)
         rng = np.random.default_rng(1)
-        post, recon = encode_posterior(model.params, rng.normal(size=(5, 8, 2)),
-                                       np.ones((5, 8), dtype=bool), rng.normal(size=(5, 12, 2)),
+        obs_emb = observed_embedding(model.params, rng.normal(size=(5, 8, 2)), np.ones((5, 8), dtype=bool))
+        post, recon = encode_posterior(model.params, obs_emb, rng.normal(size=(5, 12, 2)),
+                                       np.ones((5, 12), dtype=bool),
                                        Tensor(rng.normal(size=(5, tiny_cfg.d_model))), tiny_cfg.d_z)
         assert post.mu.shape == (5, tiny_cfg.d_z)
         assert post.log_sigma.shape == (5, tiny_cfg.d_z)
@@ -61,8 +64,8 @@ class TestPosterior:
     def test_missing_future_rejected(self, tiny_cfg):
         model = CrowdForecaster(tiny_cfg, seed=0)
         with pytest.raises(ContractError):
-            encode_posterior(model.params, np.zeros((2, 8, 2)), np.ones((2, 8), dtype=bool),
-                             None, Tensor(np.zeros((2, tiny_cfg.d_model))), tiny_cfg.d_z)
+            encode_posterior(model.params, Tensor(np.zeros((2, tiny_cfg.d_model))), None, None,
+                             Tensor(np.zeros((2, tiny_cfg.d_model))), tiny_cfg.d_z)
 
     def test_gradient(self, tiny_cfg):
         model = randomize_params(CrowdForecaster(tiny_cfg, seed=2), 3)
@@ -77,12 +80,32 @@ class TestPosterior:
                           if k.startswith(("cvae/obs", "cvae/fut", "cvae/post", "cvae/recon"))]
 
         def f():
-            post, recon = encode_posterior(model.params, x_obs, pres, x_fut, y_m, tiny_cfg.d_z)
+            obs_emb = observed_embedding(model.params, x_obs, pres)
+            post, recon = encode_posterior(model.params, obs_emb, x_fut, np.ones((2, 12), dtype=bool), y_m,
+                                           tiny_cfg.d_z)
             return ad.add(ad.tsum(ad.mul(post.mu, Tensor(probe_mu))),
                           ad.add(ad.tsum(ad.mul(post.log_sigma, Tensor(probe_mu))),
                                  ad.tsum(ad.mul(recon, Tensor(probe_r)))))
 
         assert gradcheck(f, leaves, max_entries=8, rng=np.random.default_rng(4)) < 1e-3
+
+    def test_absent_future_slot_ignored(self, tiny_cfg):
+        """The future embedding reads present slots only: garbage in an
+        absent future slot leaves the posterior and the recon unchanged."""
+        model = randomize_params(CrowdForecaster(tiny_cfg, seed=0), 1)
+        rng = np.random.default_rng(5)
+        obs_emb = Tensor(rng.normal(size=(2, tiny_cfg.d_model)))
+        y_m = Tensor(rng.normal(size=(2, tiny_cfg.d_model)))
+        x_fut = rng.normal(size=(2, 12, 2))
+        pres_fut = np.ones((2, 12), dtype=bool)
+        pres_fut[1, 7:] = False
+        x_fut[~pres_fut] = 0.0
+        garbage = x_fut.copy()
+        garbage[1, 7:] = 99.0
+        clean = encode_posterior(model.params, obs_emb, x_fut, pres_fut, y_m, tiny_cfg.d_z)
+        dirty = encode_posterior(model.params, obs_emb, garbage, pres_fut, y_m, tiny_cfg.d_z)
+        for a, b in ((clean[0].mu, dirty[0].mu), (clean[0].log_sigma, dirty[0].log_sigma), (clean[1], dirty[1])):
+            np.testing.assert_array_equal(a.data, b.data)
 
 
 class TestSampling:

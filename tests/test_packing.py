@@ -114,6 +114,27 @@ class TestPackedEqualsPerWindow:
             assert np.max(np.abs(grads[name] - refs[name])) <= 1e-10 * scale, name
 
 
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_packed_grads_own_their_memory(precision):
+    """Ops hand their freshly made gradients over without a copy; after a
+    packed loss and backward, no parameter's grad shares memory with
+    another's grad or with any parameter's data."""
+    model = randomize_params(CrowdForecaster(TrainConfig(precision=precision), seed=0), seed=1)
+    for t in model.params.values():
+        t.data = t.data.astype(model.cfg.dtype)  # randomize_params writes f64
+    windows = mixed_windows()
+    packed = pack_windows(windows)
+    total, _ = model.training_loss(packed, rng=np.random.default_rng(2))
+    ad.backward(total)
+    params = [model.params[name] for name in sorted(model.params)]
+    grads = [p.grad for p in params if p.grad is not None]
+    assert len(grads) == len(params)
+    for i, g in enumerate(grads):
+        assert g.dtype == model.cfg.dtype
+        assert not any(np.shares_memory(g, other) for other in grads[i + 1:])
+        assert not any(np.shares_memory(g, p.data) for p in params)
+
+
 def train_small_corpus():
     """The seed-7 64-window corpus the acceptance run trains on."""
     scenes = synth_generate(7, 12, agents_range=(3, 6))

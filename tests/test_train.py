@@ -33,6 +33,8 @@ def adam_oracle(theta0, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
     m = [0.0] * len(theta)
     v = [0.0] * len(theta)
     for t, g in enumerate(grads, start=1):
+        if g is None:  # no grad this step: moments and parameters stay
+            continue
         for i in range(len(theta)):
             m[i] = b1 * m[i] + (1 - b1) * g[i]
             v[i] = b2 * v[i] + (1 - b2) * g[i] * g[i]
@@ -54,6 +56,26 @@ class TestAdam:
             opt.step()
         expected = adam_oracle(theta0, grads, lr=0.01)
         assert np.max(np.abs(params["w"].data - np.array(expected))) < 1e-12
+
+    def test_several_shapes_and_missing_grads(self):
+        """Each parameter follows the scalar reference with the shared step
+        count, including one that has no grad for some steps."""
+        rng = np.random.default_rng(1)
+        shapes = {"a": (3,), "b": (2, 4), "c": (2, 2, 3)}
+        theta0 = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        grads = {name: [rng.normal(size=shape) for _ in range(12)] for name, shape in shapes.items()}
+        grads["b"][3:7] = [None] * 4
+        params = {name: Tensor(theta.copy(), requires_grad=True) for name, theta in theta0.items()}
+        opt = Adam(params, lr=0.01)
+        for step in range(12):
+            for name, t in params.items():
+                g = grads[name][step]
+                t.grad = None if g is None else g.copy()
+            opt.step()
+        for name, t in params.items():
+            flat = [None if g is None else g.reshape(-1) for g in grads[name]]
+            expected = np.reshape(adam_oracle(theta0[name].reshape(-1), flat, lr=0.01), shapes[name])
+            assert np.max(np.abs(t.data - expected)) < 1e-12, name
 
     def test_skips_missing_grads(self):
         params = {"w": Tensor(np.ones(3), requires_grad=True)}

@@ -1,0 +1,100 @@
+"""Numerics snapshot of the forecaster, for comparing two checkouts.
+
+    python3 tools/numerics.py dump OUT.npz
+    python3 tools/numerics.py compare A.npz B.npz
+
+``dump`` loads ``perfbench/eval-k20.ckpt`` into the default model, in f64
+and in f32, and records the loss and every parameter gradient of one packed
+training batch: the first 8 windows of the seed-7 corpus, with fixed latent
+draws.  It also records ``sample_futures`` at K=20 (f64) on the same
+windows, drawn as ``train.evaluate`` draws them.  crowdcast is imported
+from the ``src`` beside this script, so running the script of each checkout
+snapshots that checkout.
+
+``compare`` prints the worst differences of B against A: the loss relative
+to A's loss, the gradients relative to A's largest gradient entry over all
+parameters (the global max|grad|), and the samples in absolute terms.
+Gradients are not compared parameter by parameter: a few are zero in exact
+arithmetic (the key bias of an attention, the mask biases; softmax is
+shift-invariant), so a per-parameter relative error on them is rounding
+noise.
+"""
+
+import os
+import sys
+
+# One BLAS thread, as the benchmark runs: results then do not depend on
+# how the BLAS splits its sums.  Must be set before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from crowdcast import autodiff as ad  # noqa: E402
+from crowdcast.config import TrainConfig  # noqa: E402
+from crowdcast.data import normalize_window, pack_windows, synth_generate, window_scene  # noqa: E402
+from crowdcast.model import CrowdForecaster  # noqa: E402
+
+CHECKPOINT = os.path.join(ROOT, "perfbench", "eval-k20.ckpt")
+CORPUS_SEED = 7
+N_WINDOWS = 8
+K = 20
+
+
+def corpus_windows():
+    """The first windows of the seed-7 training corpus, normalized."""
+    windows = [w for scene in synth_generate(CORPUS_SEED, 12, agents_range=(3, 6)) for w in window_scene(scene)]
+    return [normalize_window(w)[0] for w in windows[:N_WINDOWS]]
+
+
+def dump(path):
+    windows = corpus_windows()
+    packed = pack_windows(windows)
+    out = {}
+    for precision in ("f64", "f32"):
+        cfg = TrainConfig(precision=precision)
+        model = CrowdForecaster(cfg).load(CHECKPOINT)
+        eps = np.random.default_rng(0).standard_normal((packed.n_agents, cfg.d_z))
+        total, _ = model.training_loss(packed, latent_eps=eps)
+        ad.backward(total)
+        out[f"{precision}/loss"] = np.float64(total.data)
+        for name, p in model.params.items():
+            out[f"{precision}/grad/{name}"] = np.zeros(p.shape) if p.grad is None else p.grad.astype(np.float64)
+        if precision == "f64":
+            for wi, window in enumerate(windows):
+                out[f"samples/{wi}"] = model.sample_futures(window, K, np.random.default_rng([0, wi]))
+    np.savez(path, **out)
+    print(f"wrote {len(out)} arrays to {path}")
+
+
+def compare(path_a, path_b):
+    a, b = np.load(path_a), np.load(path_b)
+    if sorted(a.files) != sorted(b.files):
+        sys.exit(f"the two snapshots hold different arrays: {sorted(set(a.files) ^ set(b.files))}")
+    for precision in ("f64", "f32"):
+        la, lb = float(a[f"{precision}/loss"]), float(b[f"{precision}/loss"])
+        print(f"{precision} loss: {la!r} against {lb!r}, relative difference {abs(lb - la) / abs(la):.3g}")
+        names = [k for k in a.files if k.startswith(f"{precision}/grad/")]
+        scale = max(float(np.abs(a[k]).max()) for k in names)
+        worst = max(names, key=lambda k: float(np.abs(a[k] - b[k]).max()))
+        diff = float(np.abs(a[worst] - b[worst]).max())
+        where = f", in {worst[len(precision) + 6:]}" if diff else ""
+        print(f"{precision} gradients: worst difference {diff / scale:.3g} x max|grad| ({scale:.4g}){where}")
+    samples = [k for k in a.files if k.startswith("samples/")]
+    diff = max(float(np.abs(a[k] - b[k]).max()) for k in samples)
+    print(f"K={K} samples: worst absolute difference {diff:.3g} over {len(samples)} windows")
+
+
+def main(argv):
+    if len(argv) == 2 and argv[0] == "dump":
+        dump(argv[1])
+    elif len(argv) == 3 and argv[0] == "compare":
+        compare(argv[1], argv[2])
+    else:
+        sys.exit(__doc__)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
