@@ -11,7 +11,7 @@ import numpy as np
 
 from .checkpoint import save_archive
 from .config import TrainConfig, format_config, parse_config
-from .data import normalize_window, parse_scene, synth_generate, window_scene, write_scene
+from .data import ParseError, normalize_window, parse_scene, synth_generate, window_scene, write_scene
 from .model import CrowdForecaster
 from .train import evaluate, train, write_metrics_jsonl, write_summary_csv
 
@@ -20,7 +20,10 @@ def _load_scenes(data_dir):
     names = sorted(f for f in os.listdir(data_dir) if f.endswith(".txt"))
     if not names:
         raise SystemExit(f"no .txt scene files under {data_dir}")
-    return {os.path.splitext(n)[0]: parse_scene(os.path.join(data_dir, n)) for n in names}
+    try:
+        return {os.path.splitext(n)[0]: parse_scene(os.path.join(data_dir, n)) for n in names}
+    except ParseError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _windows_by_scene(scenes, cfg):

@@ -84,42 +84,67 @@ class TrajectoryWindow:
 
 
 def parse_scene(path, frame_interval=0.4):
-    """Parse a frame file; rejects malformed rows and duplicate (frame, agent)."""
-    frames = []
-    seen = set()
+    """Parse a frame file; rejects malformed rows and duplicate (frame, agent).
+
+    Rows come back sorted by (frame, agent).  The file is read and split
+    once and checked as arrays; only a file that fails a check is scanned
+    again, line by line, to report its first offending line.
+    """
     with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cols = line.split()
-            if len(cols) < 4:
-                raise ParseError(f"{path}:{lineno}: expected >= 4 columns, got {len(cols)}")
-            try:
-                frame_f, agent_f = float(cols[0]), float(cols[1])
-                x, y = float(cols[2]), float(cols[3])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric field") from None
-            if frame_f != int(frame_f) or agent_f != int(agent_f):
-                raise ParseError(f"{path}:{lineno}: frame/agent ids must be integers")
-            if not (np.isfinite(x) and np.isfinite(y)):
-                raise ParseError(f"{path}:{lineno}: non-finite position")
-            key = (int(frame_f), int(agent_f))
-            if key in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate (frame, agent) pair {key}")
-            seen.add(key)
-            frames.append((key[0], key[1], x, y))
-    if not frames:
+        lines = fh.read().split("\n")
+    split = [line.split() for line in lines]
+    rows = [cols for cols in split if cols]
+    if not rows:
         raise ParseError(f"{path}: empty scene")
-    frames.sort(key=lambda r: (r[0], r[1]))
-    return Scene(frames=frames, frame_interval=frame_interval)
+    if min(map(len, rows)) >= 4:
+        try:
+            frame, agent, x, y = (np.fromiter(map(float, col), float, len(rows)) for col in list(zip(*rows))[:4])
+        except ValueError:
+            pass
+        else:
+            ids_ok = np.isfinite(frame) & np.isfinite(agent) & (frame == np.floor(frame)) & (agent == np.floor(agent))
+            if ids_ok.all() and np.isfinite(x).all() and np.isfinite(y).all():
+                # integral floats order and compare as the ints they hold
+                order = np.lexsort((agent, frame))
+                frame, agent = frame[order], agent[order]
+                if not np.any((frame[1:] == frame[:-1]) & (agent[1:] == agent[:-1])):
+                    frames = list(zip(map(int, frame.tolist()), map(int, agent.tolist()),
+                                      x[order].tolist(), y[order].tolist()))
+                    return Scene(frames=frames, frame_interval=frame_interval)
+    raise _first_fault(path, split)
+
+
+def _first_fault(path, split):
+    """The ParseError for the first offending line of a file split into columns.
+
+    Called only for a file that ``parse_scene``'s array checks rejected,
+    so some line fails one of these per-line checks.
+    """
+    seen = set()
+    for lineno, cols in enumerate(split, start=1):
+        if not cols:
+            continue
+        if len(cols) < 4:
+            return ParseError(f"{path}:{lineno}: expected >= 4 columns, got {len(cols)}")
+        try:
+            frame_f, agent_f, x, y = map(float, cols[:4])
+        except ValueError:
+            return ParseError(f"{path}:{lineno}: non-numeric field")
+        if not (np.isfinite(frame_f) and np.isfinite(agent_f)) or frame_f != int(frame_f) or agent_f != int(agent_f):
+            return ParseError(f"{path}:{lineno}: frame/agent ids must be integers")
+        if not (np.isfinite(x) and np.isfinite(y)):
+            return ParseError(f"{path}:{lineno}: non-finite position")
+        key = (int(frame_f), int(agent_f))
+        if key in seen:
+            return ParseError(f"{path}:{lineno}: duplicate (frame, agent) pair {key}")
+        seen.add(key)
 
 
 def write_scene(scene, path):
     """Write a scene in the frame-file format; round-trips through parse."""
+    rows = sorted(scene.frames, key=lambda r: (r[0], r[1]))
     with open(path, "w") as fh:
-        for frame_id, agent_id, x, y in sorted(scene.frames, key=lambda r: (r[0], r[1])):
-            fh.write(f"{frame_id} {agent_id} {x!r} {y!r}\n")
+        fh.write("".join([f"{frame_id} {agent_id} {x!r} {y!r}\n" for frame_id, agent_id, x, y in rows]))
 
 
 def window_scene(scene, stride=1, t_in=T_IN_DEFAULT, t_out=T_OUT_DEFAULT):
@@ -128,47 +153,60 @@ def window_scene(scene, stride=1, t_in=T_IN_DEFAULT, t_out=T_OUT_DEFAULT):
     Agents present for fewer than 2 observed steps are dropped from that
     window, and a window in which no kept agent has a future step is
     skipped, since nothing in it can be scored.  Returns an empty list
-    when the scene is too short.
+    when the scene is too short.  Where a hand-built scene repeats a
+    (frame, agent) row, the last one wins.
+
+    The rows are sorted once; each window then costs time and memory in
+    its own rows and its [N, t_in + t_out] arrays, never in the scene's
+    frames times its agents.
     """
     if stride < 1:
         raise ValueError("stride must be a positive integer")
     span = t_in + t_out
-    frame_ids = scene.frame_ids()
+    if not scene.frames:
+        return []
+    frame_col, agent_col, x_col, y_col = zip(*scene.frames)
+    frame, agent = np.array(frame_col), np.array(agent_col)
+    order = np.lexsort((agent, frame))  # stable: repeated rows keep their list order
+    frame, agent = frame[order], agent[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = (frame[1:] != frame[:-1]) | (agent[1:] != agent[:-1])
+    if not last.all():
+        order, frame, agent = order[last], frame[last], agent[last]
+    xy = np.array([x_col, y_col], dtype=float).T[order]
+    first = np.ones(len(frame), dtype=bool)
+    first[1:] = frame[1:] != frame[:-1]
+    frame_ids = frame[first].tolist()
     if len(frame_ids) < span:
         return []
-    frame_index = {f: i for i, f in enumerate(frame_ids)}
-
-    by_agent = {}
-    for frame_id, agent_id, x, y in scene.frames:
-        by_agent.setdefault(agent_id, {})[frame_index[frame_id]] = (x, y)
+    step = np.cumsum(first) - 1  # each row's index among the scene's distinct frames
+    bounds = np.searchsorted(step, np.arange(len(frame_ids) + 1))
 
     windows = []
     for start in range(0, len(frame_ids) - span + 1, stride):
-        agents = []
-        for agent_id in sorted(by_agent):
-            steps = by_agent[agent_id]
-            observed = sum(1 for t in range(start, start + t_in) if t in steps)
-            if observed >= 2:
-                agents.append(agent_id)
-        if not agents:
+        lo, mid, hi = bounds[start], bounds[start + t_in], bounds[start + span]
+        seen = np.sort(agent[lo:mid])
+        again = seen[1:][seen[1:] == seen[:-1]]  # agents with >= 2 observed rows, repeated
+        new = np.ones(len(again), dtype=bool)
+        new[1:] = again[1:] != again[:-1]
+        agents = again[new]
+        if not agents.size:
             continue
-        n = len(agents)
-        positions = np.zeros((n, span, 2))
-        presence = np.zeros((n, span), dtype=bool)
-        for i, agent_id in enumerate(agents):
-            steps = by_agent[agent_id]
-            for t in range(span):
-                pt = steps.get(start + t)
-                if pt is not None:
-                    positions[i, t] = pt
-                    presence[i, t] = True
-        if not presence[:, t_in:].any():
+        slot = np.searchsorted(agents, agent[lo:hi])
+        kept = agents[np.minimum(slot, agents.size - 1)] == agent[lo:hi]
+        t = step[lo:hi][kept] - start
+        if not np.any(t >= t_in):
             continue
+        cell = slot[kept] * span + t
+        positions = np.zeros((agents.size, span, 2))
+        presence = np.zeros((agents.size, span), dtype=bool)
+        positions.reshape(-1, 2)[cell] = xy[lo:hi][kept]
+        presence.reshape(-1)[cell] = True
         windows.append(
             TrajectoryWindow(
                 positions=positions,
                 presence=presence,
-                agent_ids=agents,
+                agent_ids=agents.tolist(),
                 origin_frame=frame_ids[start],
                 t_in=t_in,
                 t_out=t_out,
@@ -261,30 +299,46 @@ def _cv_tracks(rng, n_frames):
     return start + ts * (goal - start)
 
 
-def _avoider_tracks(rng, n_agents, n_frames, dt):
-    """Goal-directed walkers with pairwise exponential repulsion."""
+def _avoider_draws(rng, n_agents):
+    """Starts, goals [n, 2] and speeds [n, 1] of a group of avoiding walkers."""
     starts = np.stack([_arena_point(rng) for _ in range(n_agents)])
     goals = np.stack([_arena_point(rng) for _ in range(n_agents)])
     speed = rng.uniform(0.8, 1.4, size=(n_agents, 1))
-    pos = starts.copy()
-    out = np.zeros((n_agents, n_frames, 2))
-    out[:, 0] = pos
+    return starts, goals, speed
+
+
+def _avoider_tracks(draws, n_frames, dt):
+    """Goal-directed walkers with pairwise exponential repulsion within each group.
+
+    ``draws`` holds one ``_avoider_draws`` result per group.  All groups
+    step together, padded to the largest; a walker sums its partners'
+    pushes in index order, so each group's tracks are those of simulating
+    it alone.  Returns one [n, n_frames, 2] array per group.
+    """
+    sizes = [len(starts) for starts, _, _ in draws]
+    g, m = len(draws), max(sizes)
+    starts, goals, speed = np.zeros((g, m, 2)), np.zeros((g, m, 2)), np.zeros((g, m, 1))
+    member = np.zeros((g, m), dtype=bool)
+    for k, (n, (s, goal, v)) in enumerate(zip(sizes, draws)):
+        starts[k, :n], goals[k, :n], speed[k, :n], member[k, :n] = s, goal, v, True
+    apart = ~(member[:, :, None] & member[:, None, :] & ~np.eye(m, dtype=bool))
+    pos = starts
+    out = np.zeros((g, m, n_frames, 2))
+    out[:, :, 0] = pos
     for t in range(1, n_frames):
         to_goal = goals - pos
-        dist_goal = np.linalg.norm(to_goal, axis=1, keepdims=True)
+        dist_goal = np.sqrt((to_goal * to_goal).sum(axis=-1, keepdims=True))
         v_des = speed * to_goal / np.maximum(dist_goal, 1e-9)
-        push = np.zeros_like(pos)
-        for i in range(n_agents):
-            delta = pos[i] - pos
-            d = np.linalg.norm(delta, axis=1)
-            for j in range(n_agents):
-                if j == i or d[j] > 4.0:
-                    continue
-                push[i] += 1.5 * np.exp(-d[j] / 0.8) * delta[j] / max(d[j], 1e-9)
-        pos = pos + dt * (v_des + push)
-        pos = np.clip(pos, 0.5, ARENA - 0.5)
-        out[:, t] = pos
-    return out
+        delta = pos[:, :, None] - pos[:, None, :]  # [g, i, j, 2]: walker i minus walker j
+        d = np.sqrt((delta * delta).sum(axis=-1))
+        terms = 1.5 * np.exp(-d / 0.8)[..., None] * delta / np.maximum(d, 1e-9)[..., None]
+        terms[apart | (d > 4.0)] = 0.0
+        push = terms[:, :, 0]
+        for j in range(1, m):
+            push = push + terms[:, :, j]
+        pos = np.minimum(np.maximum(pos + dt * (v_des + push), 0.5), ARENA - 0.5)
+        out[:, :, t] = pos
+    return [out[k, :n] for k, n in enumerate(sizes)]
 
 
 def _group_tracks(rng, n_agents, n_frames):
@@ -315,7 +369,8 @@ def synth_generate(seed, n_scenes, agents_range=(3, 6), n_frames=25, frame_inter
     if n_frames < 2:
         raise ValueError(f"n_frames must be at least 2, got {n_frames}")
     rng = np.random.default_rng(seed)
-    scenes = []
+    drawn = []  # (agent count, track blocks, groups) per scene
+    avoiders = []  # (track blocks, slot, draws): simulated together once every draw is made
     for _ in range(n_scenes):
         n_agents = int(rng.integers(lo, hi + 1))
         tracks = []
@@ -331,19 +386,23 @@ def synth_generate(seed, n_scenes, agents_range=(3, 6), n_frames=25, frame_inter
                 remaining -= 1
             elif kind == "avoid":
                 take = int(min(remaining, rng.integers(2, 4)))
-                tracks.append(_avoider_tracks(rng, take, n_frames, frame_interval))
+                avoiders.append((tracks, len(tracks), _avoider_draws(rng, take)))
+                tracks.append(None)
                 remaining -= take
             else:
                 take = int(min(remaining, rng.integers(2, 5)))
                 tracks.append(_group_tracks(rng, take, n_frames))
                 groups.append(list(range(first_id, first_id + take)))
                 remaining -= take
-        all_tracks = np.concatenate(tracks, axis=0)
-        frames = []
-        for agent_id in range(all_tracks.shape[0]):
-            for t in range(n_frames):
-                x, y = all_tracks[agent_id, t]
-                frames.append((t, agent_id, float(x), float(y)))
-        frames.sort(key=lambda r: (r[0], r[1]))
+        drawn.append((n_agents, tracks, groups))
+    if avoiders:
+        walked = _avoider_tracks([draws for _, _, draws in avoiders], n_frames, frame_interval)
+        for (tracks, slot, _), walkers in zip(avoiders, walked):
+            tracks[slot] = walkers
+    scenes = []
+    for n_agents, tracks, groups in drawn:
+        steps = np.concatenate(tracks, axis=0).transpose(1, 0, 2).reshape(-1, 2)  # rows in (frame, agent) order
+        frames = list(zip(np.arange(n_frames).repeat(n_agents).tolist(), list(range(n_agents)) * n_frames,
+                          steps[:, 0].tolist(), steps[:, 1].tolist()))
         scenes.append(Scene(frames=frames, frame_interval=frame_interval, groups=groups))
     return scenes

@@ -504,6 +504,17 @@ class TestCliRejectsBadInput:
             cli_main(["synth", "--seed", "0", "--out", str(tmp_path / "data"), "--scenes", "1"] + flags)
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "inspect"])
+    def test_malformed_scene_file_is_one_line_error(self, run, command):
+        tmp_path, data, cfg_path, ckpt = run
+        (data / "synth001.txt").write_text("0 1 0.0 0.0\n1 1 oops 0.0\n")
+        args = {"train": ["--out", str(tmp_path / "train")],
+                "eval": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")],
+                "inspect": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "inspect")]}[command]
+        with pytest.raises(SystemExit, match=r"synth001\.txt:2: non-numeric field$"):
+            cli_main([command, "--config", str(cfg_path), "--data", str(data)] + args)
+        assert not (tmp_path / command).exists()
+
     def test_holdout_must_name_a_scene(self, run):
         tmp_path, data, cfg_path, _ = run
         with pytest.raises(SystemExit, match="'nosuch' is not a scene"):

@@ -17,11 +17,13 @@ parameters (the global max|grad|), and the samples in absolute terms.
 Gradients are not compared parameter by parameter: a few are zero in exact
 arithmetic (the key bias of an attention, the mask biases; softmax is
 shift-invariant), so a per-parameter relative error on them is rounding
-noise.
+noise.  The corpus digests either match or differ.
 """
 
+import hashlib
 import os
 import sys
+import tempfile
 
 # One BLAS thread, as the benchmark runs: results then do not depend on
 # how the BLAS splits its sums.  Must be set before numpy loads.
@@ -34,19 +36,49 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from crowdcast import autodiff as ad  # noqa: E402
 from crowdcast.config import TrainConfig  # noqa: E402
-from crowdcast.data import normalize_window, pack_windows, synth_generate, window_scene  # noqa: E402
+from crowdcast.data import (  # noqa: E402
+    normalize_window, pack_windows, parse_scene, synth_generate, window_scene, write_scene,
+)
 from crowdcast.model import CrowdForecaster  # noqa: E402
 
 CHECKPOINT = os.path.join(ROOT, "perfbench", "eval-k20.ckpt")
 CORPUS_SEED = 7
 N_WINDOWS = 8
 K = 20
+# The corpora the benchmark and the acceptance run cut windows from (the
+# dense ones are those grad-dense draws at --seed 0):
+# name -> (seed, scenes, agents_range, kinds, stride).
+CORPORA = {
+    "seed7": (7, 12, (3, 6), ("cv", "avoid", "group"), 1),
+    "seed70": (70, 3, (3, 6), ("avoid", "group"), 4),
+    "seed11": (11, 4, (12, 16), ("cv", "avoid", "group"), 1),
+    **{f"dense{n}": ([0, n], 6, (n, n), ("cv", "avoid", "group"), 1) for n in range(12, 17)},
+}
 
 
 def corpus_windows():
     """The first windows of the seed-7 training corpus, normalized."""
     windows = [w for scene in synth_generate(CORPUS_SEED, 12, agents_range=(3, 6)) for w in window_scene(scene)]
     return [normalize_window(w)[0] for w in windows[:N_WINDOWS]]
+
+
+def corpus_digests(workdir):
+    """sha256 of each corpus's written files and of the windows cut from them."""
+    out = {}
+    for name, (seed, n_scenes, agents_range, kinds, stride) in CORPORA.items():
+        files, windows = hashlib.sha256(), hashlib.sha256()
+        for i, scene in enumerate(synth_generate(seed, n_scenes, agents_range=agents_range, kinds=kinds)):
+            path = os.path.join(workdir, f"{name}-{i:03d}.txt")
+            write_scene(scene, path)
+            with open(path, "rb") as fh:
+                files.update(fh.read())
+            for w in window_scene(parse_scene(path), stride=stride):
+                windows.update(w.positions.tobytes())
+                windows.update(w.presence.tobytes())
+                windows.update(repr((w.agent_ids, w.origin_frame)).encode())
+        out[f"data/{name}/files"] = np.array(files.hexdigest())
+        out[f"data/{name}/windows"] = np.array(windows.hexdigest())
+    return out
 
 
 def dump(path):
@@ -65,6 +97,8 @@ def dump(path):
         if precision == "f64":
             for wi, window in enumerate(windows):
                 out[f"samples/{wi}"] = model.sample_futures(window, K, np.random.default_rng([0, wi]))
+    with tempfile.TemporaryDirectory() as workdir:
+        out.update(corpus_digests(workdir))
     np.savez(path, **out)
     print(f"wrote {len(out)} arrays to {path}")
 
@@ -85,6 +119,10 @@ def compare(path_a, path_b):
     samples = [k for k in a.files if k.startswith("samples/")]
     diff = max(float(np.abs(a[k] - b[k]).max()) for k in samples)
     print(f"K={K} samples: worst absolute difference {diff:.3g} over {len(samples)} windows")
+    for kind in ("files", "windows"):
+        keys = [k for k in a.files if k.startswith("data/") and k.endswith(f"/{kind}")]
+        differ = [k.split("/")[1] for k in keys if a[k] != b[k]]
+        print(f"corpus {kind}: {len(differ)} of {len(keys)} digests differ{': ' + ', '.join(differ) if differ else ''}")
 
 
 def main(argv):
