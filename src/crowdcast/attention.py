@@ -68,7 +68,8 @@ def distance_bias_mask(distances, absent, weight, bias):
 MHA_GATES = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
 
-def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, record_key=None, return_attn=False):
+def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, record_key=None, return_attn=False,
+               residual=None):
     """Multi-head attention with an additive mask, heads mixed by a final FC.
 
     q_in: [..., Lq, d_model]; kv_in: [..., Lk, d_model] with the same
@@ -79,7 +80,9 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, recor
     One tape node: the forward runs projections, head split, scaled
     logits, mask, softmax, context and output projection on plain arrays,
     and its backward gives the gradients of both inputs, the eight
-    weights and biases, and the mask bias.  ``return_attn`` also returns
+    weights and biases, and the mask bias.  ``residual`` (a tensor of the
+    output's shape) is added in place to the output array, and the
+    backward hands it the output gradient.  ``return_attn`` also returns
     the weights [..., h, Lq, Lk] as a constant Tensor.
     """
     d_model = q_in.shape[-1]
@@ -119,8 +122,14 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, recor
 
     mixed = (attn @ vh).swapaxes(-3, -2).reshape(lead + (lq, d_model))
     out_data = ad.linear_data(mixed, wd["wo"], wd["bo"])
+    if residual is not None:
+        if residual.shape != out_data.shape:
+            raise ShapeError(f"masked_mha: residual {residual.shape} does not match output {out_data.shape}")
+        out_data += residual.data
 
     def bw(g):
+        if residual is not None and residual.requires_grad:
+            residual._accumulate(g)
         grads = {}
         dmixed, grads["wo"], grads["bo"] = ad.linear_grads(g, mixed, wd["wo"])
         dctx = split(dmixed, lq)
@@ -158,7 +167,8 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, recor
 
     inputs = (q_in,) if q_in is kv_in else (q_in, kv_in)
     extra = () if bias is None else (bias,)
-    out = ad._make(out_data, "masked_mha", inputs + tuple(w.values()) + extra, bw)
+    lead_res = () if residual is None else (residual,)  # walked as the separate add node it replaces
+    out = ad._make(out_data, "masked_mha", lead_res + inputs + tuple(w.values()) + extra, bw)
     if return_attn:
         return out, Tensor(attn)
     return out

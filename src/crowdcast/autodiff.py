@@ -188,16 +188,6 @@ def mul(a, b):
     return _make(ad * bd, "mul", (a, b), bw)
 
 
-def relu(x):
-    out_data = np.maximum(x.data, 0.0)
-
-    def bw(g, x=x, out_data=out_data):
-        if x.requires_grad:
-            x._accumulate(g * (out_data > 0), own=True)
-
-    return _make(out_data, "relu", (x,), bw)
-
-
 def exp(x):
     with np.errstate(over="ignore"):
         out_data = np.exp(x.data)
@@ -287,38 +277,60 @@ def matmul(a, b):
     return _make(ad @ bd, "matmul", (a, b), bw)
 
 
-def linear(x, w, b):
+def linear(x, w, b=None, relu=False, residual=None):
     """Affine map ``x @ w + b`` over the last axis, as one node.
 
-    w: [k, n]; b: [n].  The weight gradient is one GEMM over x's leading
-    axes folded together.
+    w: [k, n]; b: [n] or None.  The weight gradient is one GEMM over x's
+    leading axes folded together.  Two epilogues run in place on the one
+    output array: ``relu`` clamps it at zero, then ``residual`` (a tensor
+    of the output's shape) is added.  The backward reads the ReLU mask off
+    the output, or off a bool mask kept when a residual follows the ReLU.
     """
-    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
-        raise ShapeError(f"linear: x {x.shape}, w {w.shape}, b {b.shape} disagree")
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or (b is not None and b.shape != (w.shape[1],)):
+        raise ShapeError(f"linear: x {x.shape}, w {w.shape}, b {None if b is None else b.shape} disagree")
     xd, wd = x.data, w.data
+    out = linear_data(xd, wd, None if b is None else b.data)
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    active = None
+    if residual is not None:
+        if residual.shape != out.shape:
+            raise ShapeError(f"linear: residual {residual.shape} does not match output {out.shape}")
+        if relu:
+            active = out > 0
+        out += residual.data
 
-    def bw(g, x=x, w=w, b=b, xd=xd, wd=wd):
-        for t, grad in zip((x, w, b), linear_grads(g, xd, wd, x.requires_grad)):
-            if t.requires_grad:
+    def bw(g):
+        if residual is not None and residual.requires_grad:
+            residual._accumulate(g)
+        if relu:
+            g = g * (out > 0 if active is None else active)
+        gx, gw, gb = linear_grads(g, xd, wd, x.requires_grad, b is not None and b.requires_grad)
+        for t, grad in ((x, gx), (w, gw), (b, gb)):
+            if grad is not None and t.requires_grad:
                 t._accumulate(grad, own=True)
 
-    return _make(linear_data(xd, wd, b.data), "linear", (x, w, b), bw)
+    # the residual leads the parents, so the tape is walked in the order of
+    # the separate add node it replaces
+    parents = (() if residual is None else (residual,)) + (x, w) + (() if b is None else (b,))
+    return _make(out, "linear", parents, bw)
 
 
-def linear_data(xd, wd, bd):
+def linear_data(xd, wd, bd=None):
     """``xd @ wd + bd`` on plain arrays, as one GEMM over the folded leading
-    axes; the bias is added in place."""
+    axes; the bias, if any, is added in place."""
     out = xd.reshape(-1, wd.shape[0]) @ wd
-    out += bd
+    if bd is not None:
+        out += bd
     return out.reshape(xd.shape[:-1] + wd.shape[1:])
 
 
-def linear_grads(g, xd, wd, need_x=True):
-    """Gradients (x or None, w, b) of ``xd @ wd + b`` from its output gradient."""
+def linear_grads(g, xd, wd, need_x=True, need_b=True):
+    """Gradients (x or None, w, b or None) of ``xd @ wd + b`` from its output gradient."""
     k, n = wd.shape
     g2 = g.reshape(-1, n)
     gx = (g2 @ wd.T).reshape(xd.shape) if need_x else None
-    return gx, xd.reshape(-1, k).T @ g2, g2.sum(axis=0)
+    return gx, xd.reshape(-1, k).T @ g2, g2.sum(axis=0) if need_b else None
 
 
 # -- shape ops -----------------------------------------------------------

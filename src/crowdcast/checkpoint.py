@@ -54,7 +54,10 @@ def load_archive(path):
     out = {}
     for _ in range(count):
         nlen = u32()
-        name = blob[off : off + nlen].decode("utf-8")
+        try:
+            name = blob[off : off + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: record name is not UTF-8") from None
         off += nlen
         ndim = u32()
         shape = tuple(u32() for _ in range(ndim))

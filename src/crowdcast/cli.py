@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from .checkpoint import save_archive
+from .checkpoint import CheckpointError, save_archive
 from .config import TrainConfig, format_config, parse_config
 from .data import ParseError, normalize_window, parse_scene, synth_generate, window_scene, write_scene
 from .model import CrowdForecaster
@@ -23,6 +23,15 @@ def _load_scenes(data_dir):
     try:
         return {os.path.splitext(n)[0]: parse_scene(os.path.join(data_dir, n)) for n in names}
     except ParseError as exc:
+        raise SystemExit(str(exc)) from None
+
+
+def _load_model(cfg, path):
+    try:
+        return CrowdForecaster(cfg, seed=cfg.seed).load(path)
+    except OSError as exc:
+        raise SystemExit(f"{path}: cannot read checkpoint: {exc.strerror or exc}") from None
+    except CheckpointError as exc:  # names the path
         raise SystemExit(str(exc)) from None
 
 
@@ -58,7 +67,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg = parse_config(args.config) if args.config else TrainConfig()
-    model = CrowdForecaster(cfg, seed=cfg.seed).load(args.checkpoint)
+    model = _load_model(cfg, args.checkpoint)
     scenes = _load_scenes(args.data)
     per_scene = _windows_by_scene(scenes, cfg)
     all_rows, fold_rows = [], []
@@ -88,7 +97,7 @@ def cmd_synth(args):
 
 def cmd_inspect(args):
     cfg = parse_config(args.config) if args.config else TrainConfig()
-    model = CrowdForecaster(cfg, seed=cfg.seed).load(args.checkpoint)
+    model = _load_model(cfg, args.checkpoint)
     if args.data:
         per_scene = _windows_by_scene(_load_scenes(args.data), cfg)
         windows = [w for name in sorted(per_scene) for w in per_scene[name]]

@@ -53,7 +53,7 @@ def encode_posterior(params, obs_emb, x_fut, presence_fut, y_m, d_z):
         raise ContractError("posterior encoding needs the ground-truth future (training mode)")
     fut_e = track_embedding(params, "cvae/fut", x_fut, presence_fut)
     joint = ad.concat([obs_emb, fut_e, y_m], axis=1)
-    trunk = ad.relu(ad.linear(joint, params["cvae/post/w1"], params["cvae/post/b1"]))
+    trunk = ad.linear(joint, params["cvae/post/w1"], params["cvae/post/b1"], relu=True)
     stats = ad.linear(trunk, params["cvae/post/w2"], params["cvae/post/b2"])
     mu = stats[:, :d_z]
     log_sigma = stats[:, d_z:]

@@ -28,7 +28,6 @@ class Scene:
     """Raw trajectory records: (frame_id, agent_id, x, y) rows."""
 
     frames: list  # list of (frame_id, agent_id, x, y)
-    frame_interval: float = 0.4
     groups: list = None  # synthetic-only: agent-id lists sharing a goal
 
     def frame_ids(self):
@@ -83,15 +82,19 @@ class TrajectoryWindow:
             raise ValueError("absent slots must hold zeros")
 
 
-def parse_scene(path, frame_interval=0.4):
-    """Parse a frame file; rejects malformed rows and duplicate (frame, agent).
+def parse_scene(path):
+    """Parse a UTF-8 frame file; rejects malformed rows and duplicate
+    (frame, agent).
 
     Rows come back sorted by (frame, agent).  The file is read and split
     once and checked as arrays; only a file that fails a check is scanned
     again, line by line, to report its first offending line.
     """
-    with open(path, "r") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
     split = [line.split() for line in lines]
     rows = [cols for cols in split if cols]
     if not rows:
@@ -110,7 +113,7 @@ def parse_scene(path, frame_interval=0.4):
                 if not np.any((frame[1:] == frame[:-1]) & (agent[1:] == agent[:-1])):
                     frames = list(zip(map(int, frame.tolist()), map(int, agent.tolist()),
                                       x[order].tolist(), y[order].tolist()))
-                    return Scene(frames=frames, frame_interval=frame_interval)
+                    return Scene(frames=frames)
     raise _first_fault(path, split)
 
 
@@ -362,6 +365,7 @@ def synth_generate(seed, n_scenes, agents_range=(3, 6), n_frames=25, frame_inter
 
     Each scene mixes constant-velocity walkers, mutually avoiding walkers,
     and small goal-sharing groups inside a 20 m x 20 m arena.
+    ``frame_interval`` is the avoiders' time step in seconds.
     """
     lo, hi = agents_range
     if lo < 2 or hi > 16 or lo > hi:
@@ -404,5 +408,5 @@ def synth_generate(seed, n_scenes, agents_range=(3, 6), n_frames=25, frame_inter
         steps = np.concatenate(tracks, axis=0).transpose(1, 0, 2).reshape(-1, 2)  # rows in (frame, agent) order
         frames = list(zip(np.arange(n_frames).repeat(n_agents).tolist(), list(range(n_agents)) * n_frames,
                           steps[:, 0].tolist(), steps[:, 1].tolist()))
-        scenes.append(Scene(frames=frames, frame_interval=frame_interval, groups=groups))
+        scenes.append(Scene(frames=frames, groups=groups))
     return scenes

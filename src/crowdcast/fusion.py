@@ -36,10 +36,9 @@ def cross_modal_attention(params, prefix, target, sources, heads, record=None, r
     q_in = layer_norm_p(params, f"{prefix}/ln_q", target)
     kv_in = layer_norm_p(params, f"{prefix}/ln_kv", kv)
     mask = None if absent is None else AttentionMask(bias=None, absent=absent[:, None, :])
-    attended = masked_mha(params, f"{prefix}/attn", q_in, kv_in, heads, mask=mask,
-                          record=record, record_key=record_key)
-    x = ad.add(target, attended)
-    return ad.add(x, ffn_forward(params, f"{prefix}/ffn", layer_norm_p(params, f"{prefix}/ln2", x)))
+    x = masked_mha(params, f"{prefix}/attn", q_in, kv_in, heads, mask=mask,
+                   record=record, record_key=record_key, residual=target)
+    return ffn_forward(params, f"{prefix}/ffn", layer_norm_p(params, f"{prefix}/ln2", x), residual=x)
 
 
 def fuse(params, cfg, y_s, y_t, y_h, record=None, h_absent=None):

@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from . import cvae
 from .autodiff import Tensor
-from .checkpoint import load_archive, save_archive, verify_names_shapes
+from .checkpoint import CheckpointError, load_archive, save_archive, verify_names_shapes
 from .data import agent_relative_positions
 from .fusion import fuse
 from .hypergraph import multiscale_group_features
@@ -122,7 +122,10 @@ class CrowdForecaster:
 
     def load(self, path):
         loaded = load_archive(path)
-        verify_names_shapes(loaded, {name: t.shape for name, t in self.params.items()})
+        try:
+            verify_names_shapes(loaded, {name: t.shape for name, t in self.params.items()})
+        except CheckpointError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
         for name, t in self.params.items():
             t.data = loaded[name].astype(t.dtype)
         return self

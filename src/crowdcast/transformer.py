@@ -23,9 +23,10 @@ from .attention import distance_bias_mask, masked_mha, pairwise_distances, posit
 from .autodiff import Tensor
 
 
-def ffn_forward(params, prefix, x):
-    h = ad.relu(ad.linear(x, params[f"{prefix}/w1"], params[f"{prefix}/b1"]))
-    return ad.linear(h, params[f"{prefix}/w2"], params[f"{prefix}/b2"])
+def ffn_forward(params, prefix, x, residual=None):
+    """affine -> ReLU -> affine, plus ``residual`` if given."""
+    h = ad.linear(x, params[f"{prefix}/w1"], params[f"{prefix}/b1"], relu=True)
+    return ad.linear(h, params[f"{prefix}/w2"], params[f"{prefix}/b2"], residual=residual)
 
 
 def layer_norm_p(params, prefix, x):
@@ -41,17 +42,18 @@ def track_embedding(params, prefix, x, presence):
     """
     w = params[f"{prefix}/w"]
     flat = (np.asarray(x) * np.asarray(presence, dtype=bool)[:, :, None]).reshape(len(x), -1)
-    return ad.relu(ad.linear(Tensor(flat, dtype=w.dtype), w, params[f"{prefix}/b"]))
+    return ad.linear(Tensor(flat, dtype=w.dtype), w, params[f"{prefix}/b"], relu=True)
 
 
-def graph_convolve(operator, x, theta):
-    """First-order graph convolution ReLU(A X Theta) (Kipf & Welling).
+def graph_convolve(operator, x, theta, residual=None):
+    """First-order graph convolution ReLU(A X Theta) (Kipf & Welling), plus
+    ``residual`` if given.
 
     operator: [..., N, N] array A, a proximity adjacency per timestep or
     a hypergraph walk operator; x: [..., N, d_in]; theta: [d_in, d_out].
     """
     a = Tensor(operator, dtype=theta.dtype)
-    return ad.relu(ad.matmul(ad.matmul(a, x), theta))
+    return ad.linear(ad.matmul(a, x), theta, relu=True, residual=residual)
 
 
 def gcn_adjacency(dist, pair_ok, radius):
@@ -71,12 +73,11 @@ def gcn_adjacency(dist, pair_ok, radius):
 def encoder_block(params, prefix, x, heads, mask, adj=None, record=None, record_key=None):
     """Pre-norm self-attention (+ optional GCN residual) + feed-forward."""
     attn_in = layer_norm_p(params, f"{prefix}/ln1", x)
-    attended = masked_mha(params, f"{prefix}/attn", attn_in, attn_in, heads,
-                          mask=mask, record=record, record_key=record_key)
-    x = ad.add(x, attended)
+    x = masked_mha(params, f"{prefix}/attn", attn_in, attn_in, heads,
+                   mask=mask, record=record, record_key=record_key, residual=x)
     if adj is not None:
-        x = ad.add(x, graph_convolve(adj, x, params[f"{prefix}/gcn/w"]))
-    return ad.add(x, ffn_forward(params, f"{prefix}/ffn", layer_norm_p(params, f"{prefix}/ln2", x)))
+        x = graph_convolve(adj, x, params[f"{prefix}/gcn/w"], residual=x)
+    return ffn_forward(params, f"{prefix}/ffn", layer_norm_p(params, f"{prefix}/ln2", x), residual=x)
 
 
 def _encoder_stack(params, cfg, prefix, tokens, presence, codes, mask, adj=None, record=None):

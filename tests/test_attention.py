@@ -353,6 +353,41 @@ class TestFusedMha:
             assert not np.shares_memory(t.grad, g)
         np.testing.assert_array_equal(g, kept)
 
+    @pytest.mark.parametrize("attention", ["self", "cross"])
+    def test_residual_epilogue(self, attention):
+        """``residual=`` adds in place what a separate add node added, and
+        the residual takes the output gradient.  Self-attention's residual
+        here is its own input, whose three paths and residual sum up."""
+        rng = np.random.default_rng(29)
+        d, lq, lk, heads = 4, 3, 5, 2
+        p = grad_params(rng, d)
+        q_in = Tensor(rng.normal(size=(2, lq, d)), requires_grad=True)
+        if attention == "self":
+            kv_in = residual = q_in
+        else:
+            kv_in = Tensor(rng.normal(size=(2, lk, d)), requires_grad=True)
+            residual = Tensor(rng.normal(size=(2, lq, d)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(lq, kv_in.shape[-2])), requires_grad=True)
+        mask = AttentionMask(bias=bias, absent=np.zeros((2, 1, kv_in.shape[-2]), dtype=bool))
+        plain = masked_mha(p, "blk", q_in, kv_in, heads, mask=mask)
+        out = masked_mha(p, "blk", q_in, kv_in, heads, mask=mask, residual=residual)
+        np.testing.assert_array_equal(out.data, residual.data + plain.data)
+        # the key bias gradient is 0 in exact arithmetic, so a relative error means nothing there
+        leaves = list(dict.fromkeys([q_in, kv_in, residual, bias] + [t for k, t in p.items() if k != "blk/bk"]))
+
+        def f():
+            y = masked_mha(p, "blk", q_in, kv_in, heads, mask=mask, residual=residual)
+            return ad.tsum(ad.mul(y, y))
+
+        assert gradcheck(f, leaves) < 1e-4
+
+    def test_residual_shape_must_match(self):
+        rng = np.random.default_rng(30)
+        p = mha_params(rng, 4)
+        q_in, kv_in = Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(3, 4)))
+        with pytest.raises(ShapeError):
+            masked_mha(p, "blk", q_in, kv_in, 2, residual=kv_in)
+
     def test_f32_in_f32_out(self):
         rng = np.random.default_rng(25)
         d, n, heads = 4, 3, 2
@@ -489,7 +524,8 @@ class TestGcnAdjacency:
         segment = np.array([0, 0, 0, 1, 1, 1])
         seen = []
         real = transformer.graph_convolve
-        monkeypatch.setattr(transformer, "graph_convolve", lambda op, h, theta: seen.append(op) or real(op, h, theta))
+        monkeypatch.setattr(transformer, "graph_convolve",
+                            lambda op, h, theta, residual=None: seen.append(op) or real(op, h, theta, residual))
         spatial_forward(params, cfg, x, pres, segment=segment)
         assert len(seen) == cfg.layers
         adj = seen[0]  # [T, N, N]

@@ -289,7 +289,7 @@ class TestBackward:
         def run():
             rng = np.random.default_rng(42)
             x = Tensor(rng.normal(size=(5, 5)), requires_grad=True)
-            y = ad.relu(ad.matmul(x, Tensor(rng.normal(size=(5, 5)))))
+            y = ad.linear(x, Tensor(rng.normal(size=(5, 5))), relu=True)
             backward(ad.tsum(ad.mul(y, y)))
             return x.grad.copy()
 
@@ -316,7 +316,7 @@ class TestPerOpGradients:
         self._check(lambda a, b: ad.mul(ad.sub(a, b), a), [(3, 4), (3, 4)], 1)
 
     def test_relu(self):
-        self._check(lambda a: ad.relu(a), [(4, 4)], 3)
+        self._check(lambda a: ad.linear(a, Tensor(np.eye(4)), relu=True), [(4, 4)], 3)
 
     def test_exp(self):
         self._check(lambda a: ad.exp(a), [(6,)], 4)
@@ -339,6 +339,41 @@ class TestPerOpGradients:
 
         self._check(square_of_affine, [(2, 3, 4), (4, 5), (5,)], 21)
         self._check(square_of_affine, [(3, 4), (4, 2), (2,)], 22)
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("residual", [True, False])
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_linear_epilogues(self, relu, residual, bias):
+        """ReLU, then the residual, run on the one output array.  The ReLU
+        mask is taken before the residual is added: the sum's sign differs
+        from the ReLU's at many entries of these draws."""
+        shapes = [(2, 3, 4), (4, 5)] + [(5,)] * bias + [(2, 3, 5)] * residual
+
+        def square_of_epilogue(x, w, *rest):
+            y = ad.linear(x, w, rest[0] if bias else None, relu=relu, residual=rest[-1] if residual else None)
+            return ad.mul(y, y)
+
+        self._check(square_of_epilogue, shapes, 23)
+        rng = np.random.default_rng(23)
+        x, w, *rest = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        expected = x.data @ w.data + (rest[0].data if bias else 0.0)
+        if relu:
+            expected = np.maximum(expected, 0.0)
+        if residual:
+            expected = expected + rest[-1].data
+        y = ad.linear(x, w, rest[0] if bias else None, relu=relu, residual=rest[-1] if residual else None)
+        np.testing.assert_allclose(y.data, expected, rtol=1e-12, atol=1e-12)
+        g = rng.normal(size=y.shape)
+        y._backward(g)
+        for t in (x, w, *rest):
+            assert not np.shares_memory(t.grad, g)
+        if residual:
+            np.testing.assert_array_equal(rest[-1].grad, g)
+
+    def test_linear_residual_shape_must_match(self):
+        x, w = Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 2)))
+        with pytest.raises(ShapeError):
+            ad.linear(x, w, residual=Tensor(np.zeros((3, 4))))
 
     def test_reshape_transpose(self):
         self._check(lambda a: ad.transpose(ad.reshape(a, (4, 3)), (1, 0)), [(3, 4)], 8)

@@ -164,6 +164,12 @@ class TestParse:
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: frame/agent ids must be integers$"):
             parse_scene(path)
 
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"0 1 0.0 0.0\n1 1 \xff 0.0\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not UTF-8 text$"):
+            parse_scene(path)
+
     def test_ids_beyond_int64_are_exact(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("1e20 5 1.0 2.0\n-3 -1e19 3.0 4.0\n")

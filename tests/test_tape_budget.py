@@ -1,13 +1,16 @@
-"""Tape budget: how many autodiff nodes one ``training_loss`` records, by kind.
+"""Tape budget: how many autodiff nodes one ``training_loss`` records, by
+kind, and how many bytes its forward holds.
 
-Attention and affine layers are one node each.  A change that falls back
-to composing them from generic ops (matmul, add, reshape, transpose,
-masked_softmax) breaks these counts.
+Attention and affine layers are one node each, and the ReLU and residual
+adds of a layer run in place on its output array.  A change that falls
+back to composing them from generic ops (matmul, add, reshape, transpose,
+masked_softmax, a separate ReLU) breaks these counts.
 """
 
 import ast
 import inspect
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -15,7 +18,7 @@ import numpy as np
 import crowdcast.autodiff as ad
 from crowdcast import attention
 from crowdcast.config import TrainConfig
-from crowdcast.data import normalize_window, pack_windows
+from crowdcast.data import normalize_window, pack_windows, synth_generate, window_scene
 from crowdcast.model import CrowdForecaster
 from conftest import random_window
 
@@ -23,6 +26,13 @@ from conftest import random_window
 # nodes: 90 matmul, 97 add, 40 reshape, 41 transpose and 8 masked_softmax
 # among them.
 UNFUSED_NODES = 389
+# With ReLU and the residual adds as epilogues of the affine and attention
+# nodes; 182 when each was a node of its own.
+FUSED_NODES = 144
+# Traced memory after the forward of the seed-7 corpus's first 8 windows,
+# packed (48 agents): 49.2 MiB with a ReLU and an add node per layer, 38.3
+# MiB with them as epilogues (numpy 2, f64).
+FORWARD_MIB = 42
 
 
 def count_tape_nodes(monkeypatch):
@@ -63,6 +73,30 @@ def test_attention_is_one_node_per_call(monkeypatch):
 def test_total_at_most_half_of_unfused(monkeypatch):
     kinds, _ = count_tape_nodes(monkeypatch)
     assert sum(kinds.values()) <= UNFUSED_NODES // 2, kinds
+
+
+def test_relu_and_residuals_are_epilogues(monkeypatch):
+    kinds, _ = count_tape_nodes(monkeypatch)
+    assert sum(kinds.values()) <= FUSED_NODES, kinds
+    assert kinds["relu"] == 0
+
+
+def test_forward_tape_bytes():
+    """The tape of one packed training batch fits its byte budget."""
+    scenes = synth_generate(7, 12, agents_range=(3, 6))
+    windows = [w for scene in scenes for w in window_scene(scene)][:8]
+    packed = pack_windows([normalize_window(w)[0] for w in windows])
+    cfg = TrainConfig()
+    model = CrowdForecaster(cfg, seed=0)
+    eps = np.random.default_rng(0).standard_normal((packed.n_agents, cfg.d_z))
+    tracemalloc.start()
+    try:
+        loss, _ = model.training_loss(packed, latent_eps=eps)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad
+    assert traced < FORWARD_MIB * 2**20, f"{traced / 2**20:.1f} MiB"
 
 
 def test_every_engine_op_is_recorded(monkeypatch):

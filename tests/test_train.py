@@ -515,6 +515,47 @@ class TestCliRejectsBadInput:
             cli_main([command, "--config", str(cfg_path), "--data", str(data)] + args)
         assert not (tmp_path / command).exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "inspect"])
+    def test_non_utf8_scene_file_is_one_line_error(self, run, command):
+        tmp_path, data, cfg_path, ckpt = run
+        (data / "synth001.txt").write_bytes(b"0 1 0.0 0.0\n1 1 \xff 0.0\n")
+        args = {"train": ["--out", str(tmp_path / "train")],
+                "eval": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")],
+                "inspect": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "inspect")]}[command]
+        with pytest.raises(SystemExit, match=r"synth001\.txt: not UTF-8 text$"):
+            cli_main([command, "--config", str(cfg_path), "--data", str(data)] + args)
+        assert not (tmp_path / command).exists()
+
+    @staticmethod
+    def _load_checkpoint(command, run, ckpt):
+        tmp_path, data, cfg_path, _ = run
+        cli_main([command, "--checkpoint", str(ckpt), "--config", str(cfg_path), "--data", str(data),
+                  "--out", str(tmp_path / command)])
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_missing_checkpoint_is_one_line_error(self, run, command):
+        ckpt = run[0] / "nosuch.ckpt"
+        with pytest.raises(SystemExit, match=f"^{re.escape(str(ckpt))}: cannot read checkpoint: No such file"):
+            self._load_checkpoint(command, run, ckpt)
+        assert not (run[0] / command).exists()
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_unreadable_checkpoint_is_one_line_error(self, run, command):
+        ckpt = run[0] / "data"  # a directory
+        with pytest.raises(SystemExit, match=f"^{re.escape(str(ckpt))}: cannot read checkpoint: Is a directory$"):
+            self._load_checkpoint(command, run, ckpt)
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    @pytest.mark.parametrize("blob, reason", [(b"HSTTN1xx", "truncated archive"),
+                                              (b"HSTTN1\x01\x00\x00\x00\x01\x00\x00\x00\xff",
+                                               "record name is not UTF-8"),
+                                              (b"HSTTN1\x00\x00\x00\x00", "parameter names disagree")])
+    def test_malformed_checkpoint_is_one_line_error(self, run, command, blob, reason):
+        ckpt = run[0] / "bad.ckpt"
+        ckpt.write_bytes(blob)
+        with pytest.raises(SystemExit, match=f"^{re.escape(str(ckpt))}: {reason}"):
+            self._load_checkpoint(command, run, ckpt)
+
     def test_holdout_must_name_a_scene(self, run):
         tmp_path, data, cfg_path, _ = run
         with pytest.raises(SystemExit, match="'nosuch' is not a scene"):
