@@ -9,6 +9,15 @@ or explicit size-1 axes; anything fancier needs an explicit reshape.
 All op outputs must be finite.  Attention masks carry their absent keys
 as a boolean array beside a finite bias; ``softmax_data`` gives those keys
 exact-zero weight.  Only the ops some model path records are defined.
+
+Backward closures read their operands' arrays, not copies: ``linear``
+reads its ReLU mask off its output, and ``layer_norm`` rebuilds its
+normalized rows from its input.  So no array is written after the node
+that reads it is recorded.  The exceptions are a node's own output, which
+its epilogues write before ``_make`` returns, and leaves such as the
+parameters, which ``Adam.step``, ``CrowdForecaster.load`` and
+``numerical_gradient`` write in place only while no tape that reads them
+awaits its backward.
 """
 
 from __future__ import annotations
@@ -465,20 +474,26 @@ def layer_norm(x, gain, bias, eps=LAYER_NORM_EPS):
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     Rows are folded to [R, d]; the row means are GEMVs with a 1/d vector.
+    The tape keeps the row means and inverse deviations, [R] each; the
+    backward rebuilds the normalized rows from ``x.data`` with the same two
+    operations as the forward, so they are bit-identical.
     """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},)")
     x2 = x.data.reshape(-1, d)
     mean_of = np.full(d, 1.0 / d, dtype=x2.dtype)
-    xhat = x2 - (x2 @ mean_of)[:, None]
+    mu = x2 @ mean_of
+    xhat = x2 - mu[:, None]
     out = np.multiply(xhat, xhat)
     inv = 1.0 / np.sqrt(out @ mean_of + eps)
     xhat *= inv[:, None]
     np.multiply(xhat, gain.data, out=out)
     out += bias.data
 
-    def bw(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
+    def bw(g, x=x, gain=gain, bias=bias, mu=mu, inv=inv):
+        xhat = x.data.reshape(-1, d) - mu[:, None]
+        xhat *= inv[:, None]
         g2 = g.reshape(-1, d)
         gx = g2 * xhat
         if bias.requires_grad:

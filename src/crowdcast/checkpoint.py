@@ -2,7 +2,7 @@
 
 Layout: magic ``HSTTN1``, u32 record count, then per record a u32
 name length, UTF-8 name, u32 ndim, u32 dims, and the values as
-little-endian float32.
+little-endian float32.  Records load as stored, in float32.
 """
 
 from __future__ import annotations
@@ -35,7 +35,11 @@ def save_archive(path, arrays):
 
 
 def load_archive(path):
-    """Read an archive back as an ordered name -> float64 array dict."""
+    """Read an archive back as an ordered name -> float32 array dict.
+
+    The arrays are read-only views of the file's bytes, as stored; no
+    record is copied or widened.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(MAGIC)] != MAGIC:
@@ -61,12 +65,13 @@ def load_archive(path):
         off += nlen
         ndim = u32()
         shape = tuple(u32() for _ in range(ndim))
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
-        raw = blob[off : off + nbytes]
-        if len(raw) != nbytes:
+        size = 1  # a Python int: a product of u32 dims must not wrap
+        for dim in shape:
+            size *= dim
+        if off + 4 * size > len(blob):
             raise CheckpointError(f"{path}: truncated data for record {name!r}")
-        off += nbytes
-        out[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+        out[name] = np.frombuffer(blob, dtype="<f4", count=size, offset=off).reshape(shape)
+        off += 4 * size
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes after last record")
     return out

@@ -121,13 +121,18 @@ class CrowdForecaster:
         save_archive(path, {name: t.data for name, t in self.params.items()})
 
     def load(self, path):
+        """Copy an archive's float32 records into the parameters' own arrays.
+
+        Names and shapes are checked first, so a load that fails changes no
+        parameter.  Widening float32 to float64 is exact.
+        """
         loaded = load_archive(path)
         try:
             verify_names_shapes(loaded, {name: t.shape for name, t in self.params.items()})
         except CheckpointError as exc:
             raise CheckpointError(f"{path}: {exc}") from None
         for name, t in self.params.items():
-            t.data = loaded[name].astype(t.dtype)
+            np.copyto(t.data, loaded[name])
         return self
 
     # -- forward paths -------------------------------------------------------

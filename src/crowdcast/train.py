@@ -52,7 +52,8 @@ def train(cfg, windows, out_dir=None, log=None):
     runs one forward and one backward over it.  Checkpoints go to
     ``out_dir`` ("best.ckpt" at the lowest-loss epoch, "final.ckpt" at the
     end); a non-finite loss or gradient aborts with the last good
-    checkpoint kept.
+    checkpoint kept.  Gradients are dropped after each step, so the
+    returned model holds none.
     """
     if not windows:
         raise ValueError("training needs at least one window")
@@ -70,7 +71,6 @@ def train(cfg, windows, out_dir=None, log=None):
         sums, count = {}, 0
         for start in range(0, len(order), cfg.batch_size):
             batch = [normalized[i] for i in order[start : start + cfg.batch_size]]
-            opt.zero_grad()
             augmented, eps = [], []
             for window in batch:  # per window, in turn: jitter, rotation, latent draws
                 augmented.append(random_rotation(gaussian_jitter(window, rng, cfg.noise_std), rng))
@@ -86,6 +86,7 @@ def train(cfg, windows, out_dir=None, log=None):
             if bad is not None:
                 _abort(out_dir, f"non-finite gradient of parameter {bad!r}")
             opt.step()
+            opt.zero_grad()  # no gradient outlives its step
             for key, value in parts.items():  # parts are means over the batch's windows
                 sums[key] = sums.get(key, 0.0) + value * len(batch)
             count += len(batch)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,9 @@ def test_round_trip(tmp_path):
         assert loaded[name].shape == arrays[name].shape
         # storage is float32; round-tripping the loaded values is exact
         np.testing.assert_allclose(loaded[name], arrays[name], atol=1e-6)
+        # records load as stored
+        assert loaded[name].dtype == np.float32
+        np.testing.assert_array_equal(loaded[name], arrays[name].astype(np.float32))
     save_archive(tmp_path / "again.ckpt", loaded)
     reloaded = load_archive(tmp_path / "again.ckpt")
     for name in arrays:
@@ -68,3 +73,13 @@ def test_deterministic_bytes(tmp_path):
     save_archive(tmp_path / "one.ckpt", arrays)
     save_archive(tmp_path / "two.ckpt", arrays)
     assert (tmp_path / "one.ckpt").read_bytes() == (tmp_path / "two.ckpt").read_bytes()
+
+
+def test_record_size_does_not_wrap(tmp_path):
+    """Four dims of 65536 multiply to 2**64 records, which wrap to 0 in
+    int64; the record must read as truncated, not as empty."""
+    blob = MAGIC + struct.pack("<II", 1, 1) + b"w" + struct.pack("<5I", 4, *[65536] * 4)
+    path = tmp_path / "wrap.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointError, match="truncated data for record 'w'"):
+        load_archive(path)

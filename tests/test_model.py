@@ -3,7 +3,7 @@ import pytest
 
 from crowdcast import cvae
 from crowdcast.autodiff import backward, no_grad
-from crowdcast.checkpoint import CheckpointError
+from crowdcast.checkpoint import CheckpointError, load_archive, save_archive
 from crowdcast.config import TrainConfig
 from crowdcast.data import normalize_window
 from crowdcast.model import CrowdForecaster
@@ -115,6 +115,42 @@ def test_checkpoint_config_mismatch_rejected(tiny_cfg, tmp_path):
     fewer_layers = CrowdForecaster(tiny_config(layers=2), seed=0)
     with pytest.raises(CheckpointError):
         fewer_layers.load(path)
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_load_writes_archive_values_into_parameter_arrays(tmp_path, precision):
+    """``load`` copies each float32 record into the parameter's own array,
+    which keeps its dtype; the widening to float64 is exact."""
+    cfg = tiny_config(precision=precision)
+    path = tmp_path / "m.ckpt"
+    randomize_params(CrowdForecaster(cfg, seed=0), 5).save(path)
+    model = CrowdForecaster(cfg, seed=1)
+    arrays = {name: t.data for name, t in model.params.items()}
+    model.load(path)
+    stored = load_archive(path)
+    for name, t in model.params.items():
+        assert t.data is arrays[name] and t.dtype == cfg.dtype
+        np.testing.assert_array_equal(t.data, stored[name])
+
+
+@pytest.mark.parametrize("fault", ["shape", "truncated"])
+def test_failed_load_changes_no_parameter(tiny_cfg, tmp_path, fault):
+    """A load that fails on the last record, by the model's order or the
+    archive's, leaves every parameter as it was."""
+    model = CrowdForecaster(tiny_cfg, seed=0)
+    arrays = {name: np.full(t.shape, 0.5) for name, t in model.params.items()}
+    if fault == "shape":
+        last = list(model.params)[-1]
+        arrays[last] = np.full(model.params[last].size + 1, 0.5)
+    path = tmp_path / "m.ckpt"
+    save_archive(path, arrays)
+    if fault == "truncated":
+        path.write_bytes(path.read_bytes()[:-4])
+    before = {name: t.data.copy() for name, t in model.params.items()}
+    with pytest.raises(CheckpointError):
+        model.load(path)
+    for name, t in model.params.items():
+        np.testing.assert_array_equal(t.data, before[name])
 
 
 def test_attention_record_names(tiny_cfg):

@@ -31,8 +31,11 @@ UNFUSED_NODES = 389
 FUSED_NODES = 144
 # Traced memory after the forward of the seed-7 corpus's first 8 windows,
 # packed (48 agents): 49.2 MiB with a ReLU and an add node per layer, 38.3
-# MiB with them as epilogues (numpy 2, f64).
-FORWARD_MIB = 42
+# MiB with them as epilogues, 33.4 MiB once layer norm keeps only its row
+# means and inverse deviations and rebuilds its normalized rows in the
+# backward (numpy 2, f64).  A layer norm that stores its normalized copy
+# again breaks this budget.
+FORWARD_MIB = 36
 
 
 def count_tape_nodes(monkeypatch):

@@ -233,6 +233,11 @@ class TestTrain:
         last = report["epochs"][-1]["total"]
         assert last < first
 
+    def test_returned_model_holds_no_gradients(self):
+        """Gradients are dropped after each Adam step, so none outlives it."""
+        model, _ = train(tiny_config(epochs=2, batch_size=4), small_corpus())
+        assert [name for name, t in model.params.items() if t.grad is not None] == []
+
     def test_report_structure(self, tmp_path):
         cfg = tiny_config(epochs=2, batch_size=4)
         _, report = train(cfg, small_corpus(), out_dir=str(tmp_path))
@@ -549,7 +554,10 @@ class TestCliRejectsBadInput:
     @pytest.mark.parametrize("blob, reason", [(b"HSTTN1xx", "truncated archive"),
                                               (b"HSTTN1\x01\x00\x00\x00\x01\x00\x00\x00\xff",
                                                "record name is not UTF-8"),
-                                              (b"HSTTN1\x00\x00\x00\x00", "parameter names disagree")])
+                                              (b"HSTTN1\x00\x00\x00\x00", "parameter names disagree"),
+                                              # dims whose product is 2**64, which wraps to 0 in int64
+                                              (b"HSTTN1\x01\x00\x00\x00\x01\x00\x00\x00w\x04\x00\x00\x00"
+                                               + b"\x00\x00\x01\x00" * 4, "truncated data for record 'w'")])
     def test_malformed_checkpoint_is_one_line_error(self, run, command, blob, reason):
         ckpt = run[0] / "bad.ckpt"
         ckpt.write_bytes(blob)

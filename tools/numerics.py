@@ -7,9 +7,10 @@
 and in f32, and records the loss and every parameter gradient of one packed
 training batch: the first 8 windows of the seed-7 corpus, with fixed latent
 draws.  It also records ``sample_futures`` at K=20 (f64) on the same
-windows, drawn as ``train.evaluate`` draws them.  crowdcast is imported
-from the ``src`` beside this script, so running the script of each checkout
-snapshots that checkout.
+windows, drawn as ``train.evaluate`` draws them, and, by ``tracemalloc``,
+the bytes each precision's forward tape holds and the peak while its
+backward runs.  crowdcast is imported from the ``src`` beside this script,
+so running the script of each checkout snapshots that checkout.
 
 ``compare`` prints the worst differences of B against A: the loss relative
 to A's loss, the gradients relative to A's largest gradient entry over all
@@ -17,13 +18,16 @@ parameters (the global max|grad|), and the samples in absolute terms.
 Gradients are not compared parameter by parameter: a few are zero in exact
 arithmetic (the key bias of an attention, the mask biases; softmax is
 shift-invariant), so a per-parameter relative error on them is rounding
-noise.  The corpus digests either match or differ.
+noise.  The corpus digests either match or differ.  The memory figures
+are printed for both sides; a snapshot from before they were recorded
+reads "not recorded".
 """
 
 import hashlib
 import os
 import sys
 import tempfile
+import tracemalloc
 
 # One BLAS thread, as the benchmark runs: results then do not depend on
 # how the BLAS splits its sums.  Must be set before numpy loads.
@@ -89,8 +93,14 @@ def dump(path):
         cfg = TrainConfig(precision=precision)
         model = CrowdForecaster(cfg).load(CHECKPOINT)
         eps = np.random.default_rng(0).standard_normal((packed.n_agents, cfg.d_z))
+        tracemalloc.start()
         total, _ = model.training_loss(packed, latent_eps=eps)
+        tape, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         ad.backward(total)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        out[f"mem/{precision}/forward_tape"], out[f"mem/{precision}/backward_peak"] = np.int64(tape), np.int64(peak)
         out[f"{precision}/loss"] = np.float64(total.data)
         for name, p in model.params.items():
             out[f"{precision}/grad/{name}"] = np.zeros(p.shape) if p.grad is None else p.grad.astype(np.float64)
@@ -105,8 +115,9 @@ def dump(path):
 
 def compare(path_a, path_b):
     a, b = np.load(path_a), np.load(path_b)
-    if sorted(a.files) != sorted(b.files):
-        sys.exit(f"the two snapshots hold different arrays: {sorted(set(a.files) ^ set(b.files))}")
+    differ = sorted(k for k in set(a.files) ^ set(b.files) if not k.startswith("mem/"))
+    if differ:
+        sys.exit(f"the two snapshots hold different arrays: {differ}")
     for precision in ("f64", "f32"):
         la, lb = float(a[f"{precision}/loss"]), float(b[f"{precision}/loss"])
         print(f"{precision} loss: {la!r} against {lb!r}, relative difference {abs(lb - la) / abs(la):.3g}")
@@ -123,6 +134,11 @@ def compare(path_a, path_b):
         keys = [k for k in a.files if k.startswith("data/") and k.endswith(f"/{kind}")]
         differ = [k.split("/")[1] for k in keys if a[k] != b[k]]
         print(f"corpus {kind}: {len(differ)} of {len(keys)} digests differ{': ' + ', '.join(differ) if differ else ''}")
+    for precision in ("f64", "f32"):
+        for field in ("forward_tape", "backward_peak"):
+            key = f"mem/{precision}/{field}"
+            sides = [f"{int(s[key]) / 2**20:.2f} MiB" if key in s.files else "not recorded" for s in (a, b)]
+            print(f"{precision} {field.replace('_', ' ')} (tracemalloc): {sides[0]} against {sides[1]}")
 
 
 def main(argv):
