@@ -69,7 +69,7 @@ MHA_GATES = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
 
 def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, record_key=None, return_attn=False,
-               residual=None):
+               residual=None, norm=None):
     """Multi-head attention with an additive mask, heads mixed by a final FC.
 
     q_in: [..., Lq, d_model]; kv_in: [..., Lk, d_model] with the same
@@ -80,10 +80,15 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, recor
     One tape node: the forward runs projections, head split, scaled
     logits, mask, softmax, context and output projection on plain arrays,
     and its backward gives the gradients of both inputs, the eight
-    weights and biases, and the mask bias.  ``residual`` (a tensor of the
-    output's shape) is added in place to the output array, and the
-    backward hands it the output gradient.  ``return_attn`` also returns
-    the weights [..., h, Lq, Lk] as a constant Tensor.
+    weights and biases, and the mask bias.  ``norm`` is a layer-norm
+    prologue: the prefix of the ``g``/``b`` parameters that normalize
+    both inputs (one norm when ``q_in is kv_in``), or a (query, key/value)
+    pair of prefixes.  The normalized inputs are temporaries; the tape
+    keeps their row stats, and the backward rebuilds them from the inputs.
+    ``residual`` (a tensor of the output's shape) is added in place to the
+    output array, and the backward hands it the output gradient.
+    ``return_attn`` also returns the weights [..., h, Lq, Lk] as a
+    constant Tensor.
     """
     d_model = q_in.shape[-1]
     if d_model % heads != 0:
@@ -94,7 +99,11 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, recor
     dh = d_model // heads
     w = {gate: params[f"{prefix}/{gate}"] for gate in MHA_GATES}
     wd = {gate: t.data for gate, t in w.items()}
-    xq, xkv = q_in.data, kv_in.data
+    nq, nkv = (norm, norm) if norm is None or isinstance(norm, str) else norm
+    shared = q_in is kv_in and nq == nkv  # one input array for queries, keys and values
+    ln_q, ln_kv = (None if n is None else (params[f"{n}/g"], params[f"{n}/b"]) for n in (nq, nkv))
+    xq, stats_q = ad.prenorm_data(q_in, ln_q)
+    xkv, stats_kv = (xq, stats_q) if shared else ad.prenorm_data(kv_in, ln_kv)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=xq.dtype)
 
     def split(x, length):  # [..., L, d] -> [..., h, L, dh], a view
@@ -135,40 +144,47 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, recor
         dctx = split(dmixed, lq)
         dattn = dctx @ vh.swapaxes(-1, -2)
         dvh = attn.swapaxes(-1, -2) @ dctx
-        dlogits = ad.softmax_backward_data(dattn, attn)
+        del dmixed, dctx
+        dlogits = ad.softmax_backward_data(dattn, attn, out=dattn)
         if bias is not None and bias.requires_grad:
             shape = bias.shape[:-2] + (1,) + bias.shape[-2:]
             bias._accumulate(ad._unbroadcast(dlogits, shape).reshape(bias.shape))
         dlogits *= scale
         dqh = dlogits @ kh
         dkh = (qh.swapaxes(-1, -2) @ dlogits).swapaxes(-1, -2)
+        del dattn, dlogits
 
-        def merge(gh, length):  # [..., h, L, dh] -> [..., L, d]
-            return gh.swapaxes(-3, -2).reshape(lead + (length, d_model))
+        def merge(gh, length):  # [..., h, L, dh] -> [R, d]
+            return gh.swapaxes(-3, -2).reshape(-1, d_model)
 
-        need_q, need_kv = q_in.requires_grad, kv_in.requires_grad
+        need_q = q_in.requires_grad or ln_q is not None
+        need_kv = kv_in.requires_grad or ln_kv is not None
+        xq = ad.prenorm_rebuild(q_in, ln_q, stats_q)
+        xkv = xq if shared else ad.prenorm_rebuild(kv_in, ln_kv, stats_kv)
         dq_in, grads["wq"], grads["bq"] = ad.linear_grads(merge(dqh, lq), xq, wd["wq"], need_q)
+        del dqh
         dk_in, grads["wk"], grads["bk"] = ad.linear_grads(merge(dkh, lk), xkv, wd["wk"], need_kv)
+        del dkh
         dv_in, grads["wv"], grads["bv"] = ad.linear_grads(merge(dvh, lk), xkv, wd["wv"], need_kv)
-        for gate in MHA_GATES:
-            if w[gate].requires_grad:
-                w[gate]._accumulate(grads[gate], own=True)
-        if q_in is kv_in:  # one input: accumulate its three paths once
+        del dvh, xq, xkv
+        ad._accumulate_grads((w[gate], grads[gate]) for gate in MHA_GATES)
+        if shared:  # one input: accumulate its three paths once
             if need_q:
                 dq_in += dk_in
                 dq_in += dv_in
-                q_in._accumulate(dq_in, own=True)
+                ad.prenorm_backward(q_in, ln_q, stats_q, dq_in)
             return
         if need_q:
-            q_in._accumulate(dq_in, own=True)
+            ad.prenorm_backward(q_in, ln_q, stats_q, dq_in)
         if need_kv:
             dk_in += dv_in
-            kv_in._accumulate(dk_in, own=True)
+            ad.prenorm_backward(kv_in, ln_kv, stats_kv, dk_in)
 
     inputs = (q_in,) if q_in is kv_in else (q_in, kv_in)
     extra = () if bias is None else (bias,)
     lead_res = () if residual is None else (residual,)  # walked as the separate add node it replaces
-    out = ad._make(out_data, "masked_mha", lead_res + inputs + tuple(w.values()) + extra, bw)
+    norms = tuple(t for ln in (ln_q, ln_kv) if ln is not None for t in ln)
+    out = ad._make(out_data, "masked_mha", lead_res + inputs + tuple(w.values()) + norms + extra, bw)
     if return_attn:
         return out, Tensor(attn)
     return out

@@ -11,13 +11,15 @@ as a boolean array beside a finite bias; ``softmax_data`` gives those keys
 exact-zero weight.  Only the ops some model path records are defined.
 
 Backward closures read their operands' arrays, not copies: ``linear``
-reads its ReLU mask off its output, and ``layer_norm`` rebuilds its
-normalized rows from its input.  So no array is written after the node
-that reads it is recorded.  The exceptions are a node's own output, which
-its epilogues write before ``_make`` returns, and leaves such as the
-parameters, which ``Adam.step``, ``CrowdForecaster.load`` and
-``numerical_gradient`` write in place only while no tape that reads them
-awaits its backward.
+reads its ReLU mask off its output, ``layer_norm`` rebuilds its
+normalized rows from its input, and each pre-norm sublayer backward
+(``ffn``, and ``attention.masked_mha`` with a norm) reads the residual
+stream it was given to rebuild its normalized rows (``ffn`` its hidden
+layer too).  So no array is written after the node that reads it is
+recorded.  The exceptions are a node's own output, which its epilogues
+write before ``_make`` returns, and leaves such as the parameters, which
+``Adam.step``, ``CrowdForecaster.load`` and ``numerical_gradient`` write
+in place only while no tape that reads them awaits its backward.
 """
 
 from __future__ import annotations
@@ -315,9 +317,7 @@ def linear(x, w, b=None, relu=False, residual=None):
         if relu:
             g = g * (out > 0 if active is None else active)
         gx, gw, gb = linear_grads(g, xd, wd, x.requires_grad, b is not None and b.requires_grad)
-        for t, grad in ((x, gx), (w, gw), (b, gb)):
-            if grad is not None and t.requires_grad:
-                t._accumulate(grad, own=True)
+        _accumulate_grads(((x, gx), (w, gw), (b, gb)))
 
     # the residual leads the parents, so the tape is walked in the order of
     # the separate add node it replaces
@@ -340,6 +340,53 @@ def linear_grads(g, xd, wd, need_x=True, need_b=True):
     g2 = g.reshape(-1, n)
     gx = (g2 @ wd.T).reshape(xd.shape) if need_x else None
     return gx, xd.reshape(-1, k).T @ g2, g2.sum(axis=0) if need_b else None
+
+
+def ffn(x, w1, b1, w2, b2, norm=None, residual=None):
+    """Feed-forward sublayer ``ReLU(LN(x) @ w1 + b1) @ w2 + b2``, plus
+    ``residual`` if given, as one node.
+
+    ``norm`` is the (gain, bias) pair of the layer norm, or None to feed x
+    as it is.  The tape keeps x and the norm's row stats; the backward
+    rebuilds the normalized rows and the hidden layer with the forward's
+    own operations, then writes the hidden gradient over the rebuilt
+    hidden layer.
+    """
+    k, n = w1.shape[0], w2.shape[1]
+    if (w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != k or w2.shape[0] != w1.shape[1]
+            or b1.shape != (w1.shape[1],) or b2.shape != (n,)):
+        raise ShapeError(f"ffn: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape} disagree")
+    w1d, b1d, w2d, b2d = w1.data, b1.data, w2.data, b2.data
+    xn, stats = prenorm_data(x, norm)
+    h = linear_data(xn, w1d, b1d)
+    np.maximum(h, 0.0, out=h)
+    out = linear_data(h, w2d, b2d).reshape(x.shape[:-1] + (n,))
+    if residual is not None:
+        if residual.shape != out.shape:
+            raise ShapeError(f"ffn: residual {residual.shape} does not match output {out.shape}")
+        out += residual.data
+
+    def bw(g):
+        if residual is not None and residual.requires_grad:
+            residual._accumulate(g)
+        g2 = g.reshape(-1, n)
+        xn = prenorm_rebuild(x, norm, stats)
+        h = linear_data(xn, w1d, b1d)
+        np.maximum(h, 0.0, out=h)
+        gw2, gb2 = h.T @ g2, g2.sum(axis=0)
+        active = h > 0
+        dh = np.matmul(g2, w2d.T, out=h)
+        dh *= active
+        dxn, gw1, gb1 = linear_grads(dh, xn, w1d, x.requires_grad or norm is not None)
+        del xn, h, dh, active
+        _accumulate_grads(((w2, gw2), (b2, gb2), (w1, gw1), (b1, gb1)))
+        if dxn is not None:
+            prenorm_backward(x, norm, stats, dxn)
+
+    # the residual leads the parents, so the tape is walked in the order of
+    # the separate nodes this one replaces
+    parents = (() if residual is None else (residual,)) + (x, w1, b1, w2, b2) + (() if norm is None else norm)
+    return _make(out, "ffn", parents, bw)
 
 
 # -- shape ops -----------------------------------------------------------
@@ -460,9 +507,10 @@ def softmax_data(xd, absent):
     return y
 
 
-def softmax_backward_data(g, y):
-    """Gradient of the logits from the output gradient ``g`` and output ``y``."""
-    out = g - np.einsum("...i,...i->...", g, y)[..., None]
+def softmax_backward_data(g, y, out=None):
+    """Gradient of the logits from the output gradient ``g`` and output
+    ``y``, into ``out`` if given (``out=g`` runs in place)."""
+    out = np.subtract(g, np.einsum("...i,...i->...", g, y)[..., None], out=out)
     out *= y
     return out
 
@@ -470,48 +518,115 @@ def softmax_backward_data(g, y):
 LAYER_NORM_EPS = 1e-5
 
 
-def layer_norm(x, gain, bias, eps=LAYER_NORM_EPS):
+def layer_norm(x, gain, bias):
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    Rows are folded to [R, d]; the row means are GEMVs with a 1/d vector.
-    The tape keeps the row means and inverse deviations, [R] each; the
-    backward rebuilds the normalized rows from ``x.data`` with the same two
-    operations as the forward, so they are bit-identical.
+    Rows are folded to [R, d].  The tape keeps the row means and inverse
+    deviations, [R] each; the backward rebuilds the normalized rows from
+    ``x.data`` (``layer_norm_rows``), so they are bit-identical.
     """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},)")
-    x2 = x.data.reshape(-1, d)
+    norm = (gain, bias)
+    out, stats = prenorm_data(x, norm)
+
+    def bw(g):
+        prenorm_backward(x, norm, stats, g.reshape(-1, d))
+
+    return _make(out.reshape(x.shape), "layer_norm", (x, gain, bias), bw)
+
+
+def layer_norm_data(x2, gd, bd):
+    """Layer norm of the rows of ``x2`` [R, d] on plain arrays: (out, mu,
+    inv), with the row means and inverse deviations [R].  The row means
+    are GEMVs with a 1/d vector."""
+    d = x2.shape[-1]
     mean_of = np.full(d, 1.0 / d, dtype=x2.dtype)
     mu = x2 @ mean_of
     xhat = x2 - mu[:, None]
     out = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(out @ mean_of + eps)
+    inv = 1.0 / np.sqrt(out @ mean_of + LAYER_NORM_EPS)
     xhat *= inv[:, None]
-    np.multiply(xhat, gain.data, out=out)
-    out += bias.data
+    np.multiply(xhat, gd, out=out)
+    out += bd
+    return out, mu, inv
 
-    def bw(g, x=x, gain=gain, bias=bias, mu=mu, inv=inv):
-        xhat = x.data.reshape(-1, d) - mu[:, None]
-        xhat *= inv[:, None]
-        g2 = g.reshape(-1, d)
-        gx = g2 * xhat
-        if bias.requires_grad:
-            bias._accumulate(g2.sum(axis=0), own=True)
-        if gain.requires_grad:
-            gain._accumulate(gx.sum(axis=0), own=True)
-        if x.requires_grad:
-            # dxhat = g * gain; its row means m1 and those of dxhat * xhat
-            # (m2) are GEMVs of g and g * xhat with gain / d
-            gain_of = gain.data / d
-            m1, m2 = g2 @ gain_of, gx @ gain_of
-            dx = g2 * gain.data
-            dx -= m1[:, None]
-            dx -= np.multiply(xhat, m2[:, None], out=gx)
-            dx *= inv[:, None]
-            x._accumulate(dx.reshape(x.shape), own=True)
 
-    return _make(out.reshape(x.shape), "layer_norm", (x, gain, bias), bw)
+def layer_norm_rows(x2, mu, inv):
+    """The normalized rows of ``x2`` [R, d], rebuilt from the row stats by
+    the forward's own two operations."""
+    xhat = x2 - mu[:, None]
+    xhat *= inv[:, None]
+    return xhat
+
+
+def layer_norm_grads(g2, xhat, inv, gd, need_x=True):
+    """Gradients (x or None, gain, bias) of layer norm from its output
+    gradient ``g2`` [R, d], the normalized rows and the inverse deviations."""
+    d = g2.shape[-1]
+    gbias = g2.sum(axis=0)
+    gx = g2 * xhat
+    ggain = gx.sum(axis=0)
+    if not need_x:
+        return None, ggain, gbias
+    # dxhat = g * gain; its row means m1 and those of dxhat * xhat (m2) are
+    # GEMVs of g and g * xhat with gain / d
+    gain_of = gd / d
+    m1, m2 = g2 @ gain_of, gx @ gain_of
+    dx = g2 * gd
+    dx -= m1[:, None]
+    dx -= np.multiply(xhat, m2[:, None], out=gx)
+    dx *= inv[:, None]
+    return dx, ggain, gbias
+
+
+# A pre-norm sublayer (``ffn``, ``attention.masked_mha``) runs the layer norm
+# of its input as a prologue: the forward normalizes into a temporary, the
+# tape keeps the row stats, and the backward rebuilds the normalized rows
+# from the input.  ``norm`` is a (gain, bias) pair, or None for no norm.
+
+
+def prenorm_data(x, norm):
+    """The rows [R, d] of ``x`` through ``norm`` and their row stats (mu,
+    inv); without a norm, x's own rows and None."""
+    x2 = x.data.reshape(-1, x.shape[-1])
+    if norm is None:
+        return x2, None
+    out, mu, inv = layer_norm_data(x2, norm[0].data, norm[1].data)
+    return out, (mu, inv)
+
+
+def prenorm_rebuild(x, norm, stats):
+    """The backward's copy of ``prenorm_data``'s rows, bit-identical."""
+    x2 = x.data.reshape(-1, x.shape[-1])
+    if norm is None:
+        return x2
+    out = layer_norm_rows(x2, *stats)
+    out *= norm[0].data
+    out += norm[1].data
+    return out
+
+
+def prenorm_backward(x, norm, stats, g2):
+    """Hand the gradient ``g2`` [R, d] of the prologue's rows through the
+    norm to x, the gain and the bias; ``g2`` must be the caller's own.
+    The normalized rows are rebuilt once more here, so a caller need not
+    hold them while its own temporaries are alive."""
+    if norm is not None:
+        gain, bias = norm
+        xhat = layer_norm_rows(x.data.reshape(-1, x.shape[-1]), *stats)
+        g2, ggain, gbias = layer_norm_grads(g2, xhat, stats[1], gain.data, x.requires_grad)
+        _accumulate_grads(((bias, gbias), (gain, ggain)))
+    if g2 is not None and x.requires_grad:
+        x._accumulate(g2.reshape(x.shape), own=True)
+
+
+def _accumulate_grads(pairs):
+    """Hand each (tensor, fresh gradient or None) pair to its tensor."""
+    for t, grad in pairs:
+        if grad is not None and t.requires_grad:
+            t._accumulate(grad, own=True)
 
 
 # -- backward pass -------------------------------------------------------

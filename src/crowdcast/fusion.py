@@ -33,12 +33,10 @@ def cross_modal_attention(params, prefix, target, sources, heads, record=None, r
         if s.shape[0] != target.shape[0] or s.shape[-1] != d:
             raise ShapeError(f"modality shapes disagree: {target.shape} vs {s.shape}")
     kv = sources[0] if len(sources) == 1 else ad.concat(sources, axis=1)
-    q_in = layer_norm_p(params, f"{prefix}/ln_q", target)
-    kv_in = layer_norm_p(params, f"{prefix}/ln_kv", kv)
     mask = None if absent is None else AttentionMask(bias=None, absent=absent[:, None, :])
-    x = masked_mha(params, f"{prefix}/attn", q_in, kv_in, heads, mask=mask,
-                   record=record, record_key=record_key, residual=target)
-    return ffn_forward(params, f"{prefix}/ffn", layer_norm_p(params, f"{prefix}/ln2", x), residual=x)
+    x = masked_mha(params, f"{prefix}/attn", target, kv, heads, mask=mask, record=record, record_key=record_key,
+                   residual=target, norm=(f"{prefix}/ln_q", f"{prefix}/ln_kv"))
+    return ffn_forward(params, f"{prefix}/ffn", x, residual=x, norm=f"{prefix}/ln2")
 
 
 def fuse(params, cfg, y_s, y_t, y_h, record=None, h_absent=None):

@@ -23,10 +23,11 @@ from .attention import distance_bias_mask, masked_mha, pairwise_distances, posit
 from .autodiff import Tensor
 
 
-def ffn_forward(params, prefix, x, residual=None):
-    """affine -> ReLU -> affine, plus ``residual`` if given."""
-    h = ad.linear(x, params[f"{prefix}/w1"], params[f"{prefix}/b1"], relu=True)
-    return ad.linear(h, params[f"{prefix}/w2"], params[f"{prefix}/b2"], residual=residual)
+def ffn_forward(params, prefix, x, residual=None, norm=None):
+    """affine -> ReLU -> affine, plus ``residual`` if given, as one ``ffn``
+    node; ``norm`` is the prefix of a layer norm run on x first."""
+    ln = None if norm is None else (params[f"{norm}/g"], params[f"{norm}/b"])
+    return ad.ffn(x, *(params[f"{prefix}/{name}"] for name in ("w1", "b1", "w2", "b2")), norm=ln, residual=residual)
 
 
 def layer_norm_p(params, prefix, x):
@@ -71,13 +72,13 @@ def gcn_adjacency(dist, pair_ok, radius):
 
 
 def encoder_block(params, prefix, x, heads, mask, adj=None, record=None, record_key=None):
-    """Pre-norm self-attention (+ optional GCN residual) + feed-forward."""
-    attn_in = layer_norm_p(params, f"{prefix}/ln1", x)
-    x = masked_mha(params, f"{prefix}/attn", attn_in, attn_in, heads,
-                   mask=mask, record=record, record_key=record_key, residual=x)
+    """Pre-norm self-attention (+ optional GCN residual) + feed-forward;
+    each sublayer runs its layer norm as a prologue."""
+    x = masked_mha(params, f"{prefix}/attn", x, x, heads, mask=mask, record=record, record_key=record_key,
+                   residual=x, norm=f"{prefix}/ln1")
     if adj is not None:
         x = graph_convolve(adj, x, params[f"{prefix}/gcn/w"], residual=x)
-    return ffn_forward(params, f"{prefix}/ffn", layer_norm_p(params, f"{prefix}/ln2", x), residual=x)
+    return ffn_forward(params, f"{prefix}/ffn", x, residual=x, norm=f"{prefix}/ln2")
 
 
 def _encoder_stack(params, cfg, prefix, tokens, presence, codes, mask, adj=None, record=None):

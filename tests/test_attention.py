@@ -423,6 +423,88 @@ class TestFusedMha:
             masked_mha(p, "blk", Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 3, 4))), 2)
 
 
+class TestNormPrologue:
+    """``masked_mha(norm=)`` against finite differences and against
+    layer_norm nodes feeding the attention, as the encoder blocks and the
+    fusion cross-attentions once recorded them."""
+
+    @staticmethod
+    def setup(seed, attention, dtype=np.float64):
+        """Parameters, inputs and mask: self-attention over one input with a
+        learned bias, or cross-attention from 3 queries to 5 keys of which
+        some are absent."""
+        rng = np.random.default_rng(seed)
+        d, lq, lk = 6, 3, 5
+        p = grad_params(rng, d)
+        for name in ("ln_q", "ln_kv"):
+            p[f"{name}/g"] = Tensor(1.0 + 0.3 * rng.normal(size=d), requires_grad=True)
+            p[f"{name}/b"] = Tensor(0.3 * rng.normal(size=d), requires_grad=True)
+        for t in p.values():
+            t.data = t.data.astype(dtype)
+        q_in = Tensor(rng.normal(loc=0.5, scale=2.0, size=(2, lq, d)), requires_grad=True, dtype=dtype)
+        if attention == "self":
+            bias = Tensor(rng.normal(size=(lq, lq)), requires_grad=True, dtype=dtype)
+            mask = AttentionMask(bias=bias, absent=rng.random((2, 1, lq)) < 0.3)
+            return p, q_in, q_in, mask, "ln_q", [bias]
+        kv_in = Tensor(rng.normal(loc=-0.5, scale=2.0, size=(2, lk, d)), requires_grad=True, dtype=dtype)
+        absent = rng.random((2, 1, lk)) < 0.4
+        absent[:, :, 0] = False
+        return p, q_in, kv_in, AttentionMask(bias=None, absent=absent), ("ln_q", "ln_kv"), []
+
+    @pytest.mark.parametrize("attention", ["self", "cross"])
+    def test_gradient(self, attention):
+        p, q_in, kv_in, mask, norm, extra = self.setup(50, attention)
+        probe = np.random.default_rng(51).normal(size=q_in.shape)
+        if attention == "self":
+            del p["ln_kv/g"], p["ln_kv/b"]
+        # the key bias gradient is 0 in exact arithmetic, so a relative error means nothing there
+        leaves = list(dict.fromkeys([q_in, kv_in] + extra + [t for k, t in p.items() if k != "blk/bk"]))
+
+        def f():
+            return probe_loss(masked_mha(p, "blk", q_in, kv_in, 2, mask=mask, residual=q_in, norm=norm), probe)
+
+        assert gradcheck(f, leaves) < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("attention", ["self", "cross"])
+    def test_equals_layer_norm_nodes(self, attention, dtype):
+        """Output and every gradient are bit-identical to layer_norm nodes
+        feeding a plain masked_mha."""
+        probe = np.random.default_rng(52).normal(size=(2, 3, 6)).astype(dtype)
+        results = []
+        for prologue in (False, True):
+            p, q_in, kv_in, mask, norm, extra = self.setup(53, attention, dtype)
+            if prologue:
+                out = masked_mha(p, "blk", q_in, kv_in, 2, mask=mask, residual=q_in, norm=norm)
+            else:
+                q_n = ad.layer_norm(q_in, p["ln_q/g"], p["ln_q/b"])
+                kv_n = q_n if attention == "self" else ad.layer_norm(kv_in, p["ln_kv/g"], p["ln_kv/b"])
+                out = masked_mha(p, "blk", q_n, kv_n, 2, mask=mask, residual=q_in)
+            ad.backward(probe_loss(out, probe))
+            leaves = {"q_in": q_in, "kv_in": kv_in, **p, **{f"mask{i}": t for i, t in enumerate(extra)}}
+            results.append((out, {name: t.grad for name, t in leaves.items()}))
+        (out_c, grads_c), (out_f, grads_f) = results
+        assert out_f.dtype == dtype
+        np.testing.assert_array_equal(out_f.data, out_c.data)
+        for name, grad in grads_c.items():
+            if grad is None:  # the other norm of self-attention
+                assert grads_f[name] is None, name
+                continue
+            assert grads_f[name].dtype == dtype
+            np.testing.assert_array_equal(grads_f[name], grad, err_msg=name)
+
+    def test_norm_pair_on_one_input(self):
+        """Two norms on one input take two prologues and sum both paths."""
+        p, q_in, _, _, _, _ = self.setup(54, "cross")
+        probe = np.random.default_rng(55).normal(size=q_in.shape)
+        leaves = [q_in] + [t for k, t in p.items() if k != "blk/bk"]
+
+        def f():
+            return probe_loss(masked_mha(p, "blk", q_in, q_in, 2, norm=("ln_q", "ln_kv")), probe)
+
+        assert gradcheck(f, leaves) < 1e-4
+
+
 class TestMaskBuilders:
     """``distance_bias_mask`` over agent distances at one timestep (a
     leading T=1 axis) and over time gaps."""

@@ -235,6 +235,84 @@ class TestLayerNorm:
         assert gradcheck(f, [x, g, b]) < 1e-4
 
 
+class TestFfn:
+    """The feed-forward sublayer as one node, against finite differences and
+    against the layer_norm -> linear(relu) -> linear(residual) nodes it
+    replaces."""
+
+    @staticmethod
+    def leaves(seed, norm, residual, dtype=np.float64, shape=(2, 5, 4), hidden=6):
+        rng = np.random.default_rng(seed)
+        d = shape[-1]
+        shapes = {"x": shape, "w1": (d, hidden), "b1": (hidden,), "w2": (hidden, d), "b2": (d,)}
+        if norm:
+            shapes.update(gain=(d,), bias=(d,))
+        if residual == "other":
+            shapes["residual"] = shape
+        t = {name: Tensor(rng.normal(loc=0.5, size=s), requires_grad=True, dtype=dtype) for name, s in shapes.items()}
+        if residual == "input":  # the encoder blocks' case
+            t["residual"] = t["x"]
+        return t
+
+    @staticmethod
+    def fused(t):
+        norm = (t["gain"], t["bias"]) if "gain" in t else None
+        return ad.ffn(t["x"], t["w1"], t["b1"], t["w2"], t["b2"], norm=norm, residual=t.get("residual"))
+
+    @staticmethod
+    def composed(t):
+        x = ad.layer_norm(t["x"], t["gain"], t["bias"]) if "gain" in t else t["x"]
+        h = ad.linear(x, t["w1"], t["b1"], relu=True)
+        return ad.linear(h, t["w2"], t["b2"], residual=t.get("residual"))
+
+    @pytest.mark.parametrize("norm", [True, False])
+    @pytest.mark.parametrize("residual", [None, "input", "other"])
+    def test_gradient(self, norm, residual):
+        t = self.leaves(40, norm, residual)
+        probe = Tensor(np.random.default_rng(41).normal(size=t["x"].shape))
+        leaves = list(dict.fromkeys(t.values()))
+        assert gradcheck(lambda: ad.tsum(ad.mul(self.fused(t), probe)), leaves) < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("norm", [True, False])
+    @pytest.mark.parametrize("residual", [None, "input", "other"])
+    def test_equals_composed_nodes(self, norm, residual, dtype):
+        """Output and every gradient are bit-identical to the separate nodes."""
+        probe = np.random.default_rng(42).normal(size=(2, 5, 4)).astype(dtype)
+        results = []
+        for build in (self.composed, self.fused):
+            t = self.leaves(43, norm, residual, dtype)
+            out = build(t)
+            backward(ad.tsum(ad.mul(out, Tensor(probe))))
+            results.append((out.data, {name: leaf.grad for name, leaf in t.items()}))
+        (out_c, grads_c), (out_f, grads_f) = results
+        assert out_f.dtype == dtype
+        np.testing.assert_array_equal(out_f, out_c)
+        for name, grad in grads_c.items():
+            assert grads_f[name].dtype == dtype
+            np.testing.assert_array_equal(grads_f[name], grad, err_msg=name)
+
+    def test_one_node_keeps_incoming_gradient(self):
+        """One tape node; a transposed incoming gradient stays untouched and
+        no grad shares its memory."""
+        t = self.leaves(44, True, "other")
+        out = self.fused(t)
+        assert set(map(id, out._parents)) == set(map(id, t.values()))
+        g = np.random.default_rng(45).normal(size=out.shape[::-1]).T
+        kept = g.copy()
+        out._backward(g)
+        np.testing.assert_array_equal(g, kept)
+        np.testing.assert_array_equal(t["residual"].grad, g)
+        assert not any(np.shares_memory(leaf.grad, g) for leaf in t.values())
+
+    def test_shapes_must_agree(self):
+        t = self.leaves(46, False, None)
+        with pytest.raises(ShapeError):
+            ad.ffn(t["x"], t["w1"], t["b1"], t["w1"], t["b2"])
+        with pytest.raises(ShapeError):
+            ad.ffn(t["x"], t["w1"], t["b1"], t["w2"], t["b2"], residual=t["w1"])
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         w = Tensor(np.array([3.0, -1.0, 2.0]), requires_grad=True)

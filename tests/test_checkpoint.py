@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -82,4 +83,25 @@ def test_record_size_does_not_wrap(tmp_path):
     path = tmp_path / "wrap.ckpt"
     path.write_bytes(blob)
     with pytest.raises(CheckpointError, match="truncated data for record 'w'"):
+        load_archive(path)
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, np.inf, np.nan])
+def test_save_refuses_non_finite_values(tmp_path, value):
+    """A value beyond float32's range would be stored as inf; the save
+    refuses it, and the other non-finite values, before opening the file."""
+    path = tmp_path / "x.ckpt"
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: non-finite values in record 'b'$"):
+        save_archive(path, {"a": np.zeros(3), "b": np.array([1.0, value])})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_load_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "x.ckpt"
+    save_archive(path, {"a": np.zeros(2), "b": np.ones(3)})
+    blob = bytearray(path.read_bytes())
+    blob[-4:] = struct.pack("<f", value)  # the last value of the last record
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: non-finite values in record 'b'$"):
         load_archive(path)

@@ -1,10 +1,12 @@
 """Tape budget: how many autodiff nodes one ``training_loss`` records, by
-kind, and how many bytes its forward holds.
+kind, how many bytes its forward holds and how high its backward peaks.
 
 Attention and affine layers are one node each, and the ReLU and residual
-adds of a layer run in place on its output array.  A change that falls
-back to composing them from generic ops (matmul, add, reshape, transpose,
-masked_softmax, a separate ReLU) breaks these counts.
+adds of a layer run in place on its output array.  The pre-norm sublayers
+run their layer norm as a prologue, and each feed-forward sublayer is one
+``ffn`` node.  A change that falls back to composing them from generic ops
+(matmul, add, reshape, transpose, masked_softmax, a separate ReLU or layer
+norm) breaks these counts.
 """
 
 import ast
@@ -29,13 +31,23 @@ UNFUSED_NODES = 389
 # With ReLU and the residual adds as epilogues of the affine and attention
 # nodes; 182 when each was a node of its own.
 FUSED_NODES = 144
+# With the sublayers' layer norms as prologues and one ``ffn`` node per
+# feed-forward sublayer: 19 layer_norm nodes fewer, and 10 ffn nodes in
+# place of 20 linear ones.  Three layer norms stay nodes of their own: the
+# ``ln_out`` of the spatial, temporal and fusion stacks.
+PRENORM_NODES = 115
 # Traced memory after the forward of the seed-7 corpus's first 8 windows,
 # packed (48 agents): 49.2 MiB with a ReLU and an add node per layer, 38.3
 # MiB with them as epilogues, 33.4 MiB once layer norm keeps only its row
-# means and inverse deviations and rebuilds its normalized rows in the
-# backward (numpy 2, f64).  A layer norm that stores its normalized copy
-# again breaks this budget.
-FORWARD_MIB = 36
+# means and inverse deviations, 22.6 MiB once the sublayers' norms are
+# prologues and the ffn node rebuilds its hidden layer in the backward
+# (numpy 2, f64).  A sublayer that keeps its normalized input or its
+# hidden layer again breaks this budget.
+FORWARD_MIB = 25
+# Traced peak while the backward of that batch runs: 36.3 MiB with the
+# layer norms as nodes and the hidden layers on the tape, 25.2 MiB with
+# the prologues and the rebuilt hidden layers.
+BACKWARD_MIB = 28
 
 
 def count_tape_nodes(monkeypatch):
@@ -84,8 +96,16 @@ def test_relu_and_residuals_are_epilogues(monkeypatch):
     assert kinds["relu"] == 0
 
 
-def test_forward_tape_bytes():
-    """The tape of one packed training batch fits its byte budget."""
+def test_layer_norms_are_sublayer_prologues(monkeypatch):
+    kinds, _ = count_tape_nodes(monkeypatch)
+    assert sum(kinds.values()) == PRENORM_NODES, kinds
+    assert kinds["layer_norm"] == 3
+    assert kinds["ffn"] == 10
+
+
+def traced_training_step():
+    """Traced bytes after the forward of one packed training batch, and the
+    traced peak while its backward runs."""
     scenes = synth_generate(7, 12, agents_range=(3, 6))
     windows = [w for scene in scenes for w in window_scene(scene)][:8]
     packed = pack_windows([normalize_window(w)[0] for w in windows])
@@ -95,11 +115,26 @@ def test_forward_tape_bytes():
     tracemalloc.start()
     try:
         loss, _ = model.training_loss(packed, latent_eps=eps)
+        assert loss.requires_grad
         traced, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        ad.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert loss.requires_grad
+    return traced, peak
+
+
+def test_forward_tape_bytes():
+    """The tape of one packed training batch fits its byte budget."""
+    traced, _ = traced_training_step()
     assert traced < FORWARD_MIB * 2**20, f"{traced / 2**20:.1f} MiB"
+
+
+def test_backward_peak_bytes():
+    """The backward of that batch stays within its byte budget."""
+    _, peak = traced_training_step()
+    assert peak < BACKWARD_MIB * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_every_engine_op_is_recorded(monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -563,6 +564,21 @@ class TestCliRejectsBadInput:
         ckpt.write_bytes(blob)
         with pytest.raises(SystemExit, match=f"^{re.escape(str(ckpt))}: {reason}"):
             self._load_checkpoint(command, run, ckpt)
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_non_finite_checkpoint_is_one_line_error(self, run, command):
+        """A layer-norm gain of 1e39 is inf as float32; such a checkpoint
+        used to load and end in a NonFiniteError traceback."""
+        name = b"fusion/ln_out/g"
+        blob = bytearray(run[3].read_bytes())
+        at = blob.index(name) + len(name) + 8  # past ndim and the one dim
+        blob[at:at + 4] = struct.pack("<f", np.inf)
+        ckpt = run[0] / "inf.ckpt"
+        ckpt.write_bytes(bytes(blob))
+        reason = "non-finite values in record 'fusion/ln_out/g'"
+        with pytest.raises(SystemExit, match=f"^{re.escape(str(ckpt))}: {reason}$"):
+            self._load_checkpoint(command, run, ckpt)
+        assert not (run[0] / command).exists()
 
     def test_holdout_must_name_a_scene(self, run):
         tmp_path, data, cfg_path, _ = run

@@ -8,9 +8,11 @@ and in f32, and records the loss and every parameter gradient of one packed
 training batch: the first 8 windows of the seed-7 corpus, with fixed latent
 draws.  It also records ``sample_futures`` at K=20 (f64) on the same
 windows, drawn as ``train.evaluate`` draws them, and, by ``tracemalloc``,
-the bytes each precision's forward tape holds and the peak while its
-backward runs.  crowdcast is imported from the ``src`` beside this script,
-so running the script of each checkout snapshots that checkout.
+the bytes each precision's forward tape holds, the peak while its
+backward runs, and the op kind, output shape and temporaries of the node
+whose backward reaches that peak.  crowdcast is imported from the ``src``
+beside this script, so running the script of each checkout snapshots that
+checkout.
 
 ``compare`` prints the worst differences of B against A: the loss relative
 to A's loss, the gradients relative to A's largest gradient entry over all
@@ -19,8 +21,8 @@ Gradients are not compared parameter by parameter: a few are zero in exact
 arithmetic (the key bias of an attention, the mask biases; softmax is
 shift-invariant), so a per-parameter relative error on them is rounding
 noise.  The corpus digests either match or differ.  The memory figures
-are printed for both sides; a snapshot from before they were recorded
-reads "not recorded".
+and the peak node are printed for both sides; a snapshot from before they
+were recorded reads "not recorded".
 """
 
 import hashlib
@@ -85,6 +87,48 @@ def corpus_digests(workdir):
     return out
 
 
+def backward_peak_node(model, packed, eps):
+    """The node whose backward reaches the highest traced memory, as "<op
+    kind> <output shape>", and its temporaries: that peak less the traced
+    memory as the node's backward starts.
+
+    A second forward and backward, with each node's backward wrapped to
+    measure it, so the wrappers stay out of the figures ``dump`` records
+    from the first.
+    """
+    peaks = []  # (traced peak, temporaries, label) per node backward
+    make = ad._make
+
+    def measuring_make(data, op, *rest, **kwargs):
+        out = make(data, op, *rest, **kwargs)
+        inner = out._backward
+        if inner is not None:
+            label = f"{op} {list(data.shape)}"
+
+            def measured(g):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                inner(g)
+                peak = tracemalloc.get_traced_memory()[1]
+                peaks.append((peak, peak - start, label))
+
+            out._backward = measured
+        return out
+
+    for p in model.params.values():
+        p.zero_grad()
+    tracemalloc.start()
+    ad._make = measuring_make
+    try:
+        total, _ = model.training_loss(packed, latent_eps=eps)
+    finally:
+        ad._make = make
+    ad.backward(total)
+    tracemalloc.stop()
+    _, temporaries, label = max(peaks)
+    return label, temporaries
+
+
 def dump(path):
     windows = corpus_windows()
     packed = pack_windows(windows)
@@ -104,6 +148,8 @@ def dump(path):
         out[f"{precision}/loss"] = np.float64(total.data)
         for name, p in model.params.items():
             out[f"{precision}/grad/{name}"] = np.zeros(p.shape) if p.grad is None else p.grad.astype(np.float64)
+        out[f"mem/{precision}/peak_node"], temporaries = backward_peak_node(model, packed, eps)
+        out[f"mem/{precision}/peak_node_temporaries"] = np.int64(temporaries)
         if precision == "f64":
             for wi, window in enumerate(windows):
                 out[f"samples/{wi}"] = model.sample_futures(window, K, np.random.default_rng([0, wi]))
@@ -139,6 +185,10 @@ def compare(path_a, path_b):
             key = f"mem/{precision}/{field}"
             sides = [f"{int(s[key]) / 2**20:.2f} MiB" if key in s.files else "not recorded" for s in (a, b)]
             print(f"{precision} {field.replace('_', ' ')} (tracemalloc): {sides[0]} against {sides[1]}")
+        key = f"mem/{precision}/peak_node"
+        sides = [f"{s[key]} (+{int(s[key + '_temporaries']) / 2**20:.2f} MiB)" if key in s.files else "not recorded"
+                 for s in (a, b)]
+        print(f"{precision} backward peak node: {sides[0]} against {sides[1]}")
 
 
 def main(argv):
