@@ -3,10 +3,14 @@
 Masks are additive: -inf at absent key positions (tracked as a boolean
 array so tensors stay finite) and a learned affine distance bias
 everywhere else.  Fully masked query rows produce zero output rows.
+
+``capture`` keeps what ``crowdcast inspect`` shows of a forward pass: the
+attention weights and the hyperedges it forms.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +18,28 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .config import ConfigError
+
+_captured = None  # the dict of the innermost open ``capture``, or None
+
+
+@contextmanager
+def capture():
+    """Keep a copy of what each forward pass in the body computes for
+    inspection; yields the dict it fills.
+
+    ``masked_mha`` stores its weights [..., h, Lq, Lk] under its parameter
+    prefix (``spatial/l0/attn``, ``fusion/self/attn``), and
+    ``hypergraph.multiscale_group_features`` appends a {"scale", "edges"}
+    record per KNN hypergraph under ``hyper/edges``.  Without an open
+    capture nothing is copied.  The outer capture, if any, is restored on
+    exit.
+    """
+    global _captured
+    outer, _captured = _captured, {}
+    try:
+        yield _captured
+    finally:
+        _captured = outer
 
 
 @dataclass
@@ -32,7 +58,7 @@ class AttentionMask:
         return v
 
 
-def positional_encoding(length, d_model, dtype=np.float64):
+def positional_encoding(length, d_model):
     """Sinusoidal table [length, d_model], base-10000 geometric frequencies."""
     if d_model % 2 != 0:
         raise ConfigError(f"positional encoding needs even d_model, got {d_model}")
@@ -42,7 +68,7 @@ def positional_encoding(length, d_model, dtype=np.float64):
     table = np.zeros((length, d_model))
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle)
-    return table.astype(dtype)
+    return table
 
 
 def pairwise_distances(points):
@@ -68,8 +94,7 @@ def distance_bias_mask(distances, absent, weight, bias):
 MHA_GATES = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
 
-def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, record_key=None, return_attn=False,
-               residual=None, norm=None):
+def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, norm=None):
     """Multi-head attention with an additive mask, heads mixed by a final FC.
 
     q_in: [..., Lq, d_model]; kv_in: [..., Lk, d_model] with the same
@@ -86,9 +111,9 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, recor
     pair of prefixes.  The normalized inputs are temporaries; the tape
     keeps their row stats, and the backward rebuilds them from the inputs.
     ``residual`` (a tensor of the output's shape) is added in place to the
-    output array, and the backward hands it the output gradient.
-    ``return_attn`` also returns the weights [..., h, Lq, Lk] as a
-    constant Tensor.
+    output array, and the backward hands it the output gradient.  An open
+    ``capture`` keeps a copy of the weights [..., h, Lq, Lk] under
+    ``prefix``.
     """
     d_model = q_in.shape[-1]
     if d_model % heads != 0:
@@ -126,8 +151,8 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, recor
             absent = absent[..., None, :, :]
     attn = ad.softmax_data(logits, absent)
 
-    if record is not None and record_key is not None:
-        record[record_key] = attn.copy()
+    if _captured is not None:
+        _captured[prefix] = attn.copy()
 
     mixed = (attn @ vh).swapaxes(-3, -2).reshape(lead + (lq, d_model))
     out_data = ad.linear_data(mixed, wd["wo"], wd["bo"])
@@ -184,7 +209,4 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, record=None, recor
     extra = () if bias is None else (bias,)
     lead_res = () if residual is None else (residual,)  # walked as the separate add node it replaces
     norms = tuple(t for ln in (ln_q, ln_kv) if ln is not None for t in ln)
-    out = ad._make(out_data, "masked_mha", lead_res + inputs + tuple(w.values()) + norms + extra, bw)
-    if return_attn:
-        return out, Tensor(attn)
-    return out
+    return ad._make(out_data, "masked_mha", lead_res + inputs + tuple(w.values()) + norms + extra, bw)

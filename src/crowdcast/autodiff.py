@@ -256,36 +256,23 @@ def atan2(y, x):
 # -- linear algebra ------------------------------------------------------
 
 
-def matmul(a, b):
-    """Batched matrix product over leading axes.
+def matmul(a, x):
+    """Batched product ``a @ x`` of a constant array and a tensor over
+    leading axes.
 
-    The gradient of a 2-D right operand (a weight) is one GEMM over the
-    left operand's leading axes folded together, not a per-slice stack of
-    products summed afterwards.
+    a: [..., m, k] plain array, such as a graph operator or the decoder's
+    cumulative-sum triangle; x: [..., k, n].  Only x gets a gradient.
     """
-    if a.ndim < 2 or b.ndim < 2:
+    if a.ndim < 2 or x.ndim < 2:
         raise ShapeError("matmul requires ndim >= 2 operands (reshape vectors explicitly)")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims {a.shape} x {b.shape} disagree")
-    ad, bd = a.data, b.data
+    if a.shape[-1] != x.shape[-2]:
+        raise ShapeError(f"matmul: inner dims {a.shape} x {x.shape} disagree")
 
-    def bw(g, a=a, b=b, ad=ad, bd=bd):
-        if bd.ndim == 2:
-            k, n = bd.shape
-            g2 = g.reshape(-1, n)
-            if a.requires_grad:
-                a._accumulate((g2 @ bd.T).reshape(ad.shape), own=True)
-            if b.requires_grad:
-                b._accumulate(ad.reshape(-1, k).T @ g2, own=True)
-            return
-        if a.requires_grad:
-            ga = g @ np.swapaxes(bd, -1, -2)
-            a._accumulate(_unbroadcast(ga, a.shape), own=True)
-        if b.requires_grad:
-            gb = np.swapaxes(ad, -1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.shape), own=True)
+    def bw(g, a=a, x=x):
+        if x.requires_grad:
+            x._accumulate(_unbroadcast(np.swapaxes(a, -1, -2) @ g, x.shape), own=True)
 
-    return _make(ad @ bd, "matmul", (a, b), bw)
+    return _make(a @ x.data, "matmul", (x,), bw)
 
 
 def linear(x, w, b=None, relu=False, residual=None):
@@ -473,14 +460,14 @@ def getitem(x, key):
 # -- reductions ----------------------------------------------------------
 
 
-def tsum(x, axis=None, keepdims=False):
-    def bw(g, x=x, axis=axis, keepdims=keepdims):
+def tsum(x, axis=None):
+    def bw(g, x=x, axis=axis):
         if x.requires_grad:
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             x._accumulate(np.broadcast_to(g, x.shape))
 
-    return _make(x.data.sum(axis=axis, keepdims=keepdims), "sum", (x,), bw)
+    return _make(x.data.sum(axis=axis), "sum", (x,), bw)
 
 
 # -- neural-net primitives ----------------------------------------------
@@ -537,48 +524,12 @@ def layer_norm(x, gain, bias):
     return _make(out.reshape(x.shape), "layer_norm", (x, gain, bias), bw)
 
 
-def layer_norm_data(x2, gd, bd):
-    """Layer norm of the rows of ``x2`` [R, d] on plain arrays: (out, mu,
-    inv), with the row means and inverse deviations [R].  The row means
-    are GEMVs with a 1/d vector."""
-    d = x2.shape[-1]
-    mean_of = np.full(d, 1.0 / d, dtype=x2.dtype)
-    mu = x2 @ mean_of
-    xhat = x2 - mu[:, None]
-    out = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(out @ mean_of + LAYER_NORM_EPS)
-    xhat *= inv[:, None]
-    np.multiply(xhat, gd, out=out)
-    out += bd
-    return out, mu, inv
-
-
 def layer_norm_rows(x2, mu, inv):
     """The normalized rows of ``x2`` [R, d], rebuilt from the row stats by
     the forward's own two operations."""
     xhat = x2 - mu[:, None]
     xhat *= inv[:, None]
     return xhat
-
-
-def layer_norm_grads(g2, xhat, inv, gd, need_x=True):
-    """Gradients (x or None, gain, bias) of layer norm from its output
-    gradient ``g2`` [R, d], the normalized rows and the inverse deviations."""
-    d = g2.shape[-1]
-    gbias = g2.sum(axis=0)
-    gx = g2 * xhat
-    ggain = gx.sum(axis=0)
-    if not need_x:
-        return None, ggain, gbias
-    # dxhat = g * gain; its row means m1 and those of dxhat * xhat (m2) are
-    # GEMVs of g and g * xhat with gain / d
-    gain_of = gd / d
-    m1, m2 = g2 @ gain_of, gx @ gain_of
-    dx = g2 * gd
-    dx -= m1[:, None]
-    dx -= np.multiply(xhat, m2[:, None], out=gx)
-    dx *= inv[:, None]
-    return dx, ggain, gbias
 
 
 # A pre-norm sublayer (``ffn``, ``attention.masked_mha``) runs the layer norm
@@ -589,11 +540,20 @@ def layer_norm_grads(g2, xhat, inv, gd, need_x=True):
 
 def prenorm_data(x, norm):
     """The rows [R, d] of ``x`` through ``norm`` and their row stats (mu,
-    inv); without a norm, x's own rows and None."""
-    x2 = x.data.reshape(-1, x.shape[-1])
+    inv), the row means and inverse deviations [R]; without a norm, x's own
+    rows and None.  The row means are GEMVs with a 1/d vector."""
+    d = x.shape[-1]
+    x2 = x.data.reshape(-1, d)
     if norm is None:
         return x2, None
-    out, mu, inv = layer_norm_data(x2, norm[0].data, norm[1].data)
+    mean_of = np.full(d, 1.0 / d, dtype=x2.dtype)
+    mu = x2 @ mean_of
+    xhat = x2 - mu[:, None]
+    out = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(out @ mean_of + LAYER_NORM_EPS)
+    xhat *= inv[:, None]
+    np.multiply(xhat, norm[0].data, out=out)
+    out += norm[1].data
     return out, (mu, inv)
 
 
@@ -615,10 +575,21 @@ def prenorm_backward(x, norm, stats, g2):
     hold them while its own temporaries are alive."""
     if norm is not None:
         gain, bias = norm
-        xhat = layer_norm_rows(x.data.reshape(-1, x.shape[-1]), *stats)
-        g2, ggain, gbias = layer_norm_grads(g2, xhat, stats[1], gain.data, x.requires_grad)
-        _accumulate_grads(((bias, gbias), (gain, ggain)))
-    if g2 is not None and x.requires_grad:
+        d = x.shape[-1]
+        xhat = layer_norm_rows(x.data.reshape(-1, d), *stats)
+        gx = g2 * xhat
+        _accumulate_grads(((bias, g2.sum(axis=0)), (gain, gx.sum(axis=0))))
+        if not x.requires_grad:
+            return
+        # dxhat = g * gain; its row means m1 and those of dxhat * xhat (m2)
+        # are GEMVs of g and g * xhat with gain / d
+        gain_of = gain.data / d
+        m1, m2 = g2 @ gain_of, gx @ gain_of
+        g2 = g2 * gain.data  # from here on, the gradient of x
+        g2 -= m1[:, None]
+        g2 -= np.multiply(xhat, m2[:, None], out=gx)
+        g2 *= stats[1][:, None]
+    if x.requires_grad:
         x._accumulate(g2.reshape(x.shape), own=True)
 
 

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 
+from .attention import capture
 from .checkpoint import CheckpointError, save_archive
 from .config import TrainConfig, format_config, parse_config
 from .data import ParseError, normalize_window, parse_scene, synth_generate, window_scene, write_scene
@@ -70,8 +71,14 @@ def cmd_eval(args):
     model = _load_model(cfg, args.checkpoint)
     scenes = _load_scenes(args.data)
     per_scene = _windows_by_scene(scenes, cfg)
+    span = cfg.t_in + cfg.t_out
+    if not any(per_scene.values()):
+        raise SystemExit(f"no scene under {args.data} has a window of {span} frames to score")
     all_rows, fold_rows = [], []
     for fold in sorted(per_scene):
+        if not per_scene[fold]:
+            print(f"fold {fold}: left out, no window of {span} frames to score")
+            continue
         rows, (ade, fde) = evaluate(model, per_scene[fold], args.k, args.seed, fold=fold)
         all_rows.extend(rows)
         fold_rows.append((fold, ade, fde))
@@ -107,29 +114,26 @@ def cmd_inspect(args):
     if not 0 <= args.window < len(windows):
         raise SystemExit(f"--window {args.window} is out of range: there are {len(windows)} windows")
     window, _ = normalize_window(windows[args.window])
-    record = {} if args.dump_attention else None
-    hyper_dump = [] if args.dump_hypergraphs else None
-    model.sample_futures(window, 1, np.random.default_rng(args.seed),
-                         record=record, hyper_dump=hyper_dump)
+    with capture() as kept:
+        model.sample_futures(window, 1, np.random.default_rng(args.seed))
+    hyperedges = kept.pop("hyper/edges", [])  # none for a window of one agent; the rest are attention maps
     os.makedirs(args.out, exist_ok=True)
-    if record is not None:
+    if args.dump_attention:
         arrays = {}
-        for key, value in record.items():
+        for prefix, value in kept.items():
             # spatial maps are [T, h, N, N] (one per timestep); temporal [N, h, T, T]
-            if key.startswith("attn/spatial/") or key.startswith("attn/temporal/"):
-                for i in range(value.shape[0]):
-                    arrays[f"{key}/{i}"] = value[i]
+            if prefix.startswith(("spatial/", "temporal/")):
+                arrays.update((f"{prefix}/{i}", v) for i, v in enumerate(value))
             else:
-                arrays[key] = value
+                arrays[prefix] = value
         path = os.path.join(args.out, "attention.ckpt")
         save_archive(path, arrays)
         print(f"wrote {len(arrays)} attention tensors to {path}")
-    if hyper_dump is not None:
+    if args.dump_hypergraphs:
         path = os.path.join(args.out, "hypergraphs.jsonl")
         with open(path, "w") as fh:
-            for entry in hyper_dump:
-                fh.write(json.dumps(entry) + "\n")
-        print(f"wrote {len(hyper_dump)} hypergraph records to {path}")
+            fh.write("".join(json.dumps(entry) + "\n" for entry in hyperedges))
+        print(f"wrote {len(hyperedges)} hypergraph records to {path}")
 
 
 def build_parser():
@@ -156,7 +160,7 @@ def build_parser():
     p = sub.add_parser("synth", help="generate synthetic crowd scenes")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--scenes", type=int, default=12)
+    p.add_argument("--scenes", type=_positive_int, default=12)
     p.add_argument("--frames", type=int, default=25)
     p.add_argument("--min-agents", type=int, default=3)
     p.add_argument("--max-agents", type=int, default=6)

@@ -45,12 +45,18 @@ class TrainConfig:
 
     def __post_init__(self):
         self.scales = tuple(int(s) for s in self.scales)
+        for f in fields(self):
+            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         numeric = [self.learning_rate, self.decay_factor, self.epochs, self.batch_size,
                    self.d_model, self.d_emb, self.d_z, self.heads, self.ffn_hidden,
                    self.layers, self.cvae_hidden, self.t_in, self.t_out, self.stride,
-                   self.sigma_prior, self.decay_every]
+                   self.sigma_prior, self.decay_every, self.gcn_radius]
         if any(v <= 0 for v in numeric):
             raise ConfigError("all numeric config values must be positive")
+        for name in ("kappa1", "kappa2", "kappa3", "kappa4", "noise_std"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if any(s < 1 for s in self.scales):

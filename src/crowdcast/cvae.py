@@ -67,11 +67,10 @@ def reparameterize(posterior, eps):
     return ad.add(posterior.mu, ad.mul(sigma, Tensor(eps, dtype=sigma.dtype)))
 
 
-def sample_prior(rng, n, d_z, sigma_prior=1.0, dtype=None, k=None):
-    """Latent draw [n, d_z] from the prior N(0, sigma_prior^2 I), or [k, n, d_z]
-    for k samples at once: the same stream as k draws of [n, d_z]."""
-    shape = (n, d_z) if k is None else (k, n, d_z)
-    return Tensor(sigma_prior * rng.standard_normal(shape), dtype=dtype)
+def sample_prior(rng, k, n, d_z, sigma_prior, dtype):
+    """k latent draws [k, n, d_z] from the prior N(0, sigma_prior^2 I): the
+    same stream as k draws of [n, d_z] one after another."""
+    return Tensor(sigma_prior * rng.standard_normal((k, n, d_z)), dtype=dtype)
 
 
 def decode_trajectories(params, z, obs_emb, y_m, anchors, t_out):
@@ -88,8 +87,7 @@ def decode_trajectories(params, z, obs_emb, y_m, anchors, t_out):
         cond = [ad.broadcast_to(c, lead + c.shape) for c in cond]
     inc = ffn_forward(params, "cvae/dec", ad.concat([z] + cond, axis=-1))
     inc = ad.reshape(inc, lead + (n, t_out, 2))
-    tri = Tensor(np.tril(np.ones((t_out, t_out))), dtype=inc.dtype)
-    cum = ad.matmul(tri, inc)
+    cum = ad.matmul(np.tril(np.ones((t_out, t_out), dtype=inc.dtype)), inc)
     anchor_t = Tensor(np.asarray(anchors).reshape(n, 1, 2), dtype=inc.dtype)
     return ad.add(cum, anchor_t)
 

@@ -17,6 +17,7 @@ T_OUT_DEFAULT = 12
 
 ARENA = 20.0  # synthetic scenes live in a 20 m x 20 m box
 GROUP_RADIUS = 0.7  # max member offset from a synthetic group's center
+FRAME_INTERVAL = 0.4  # seconds between synthetic frames: the avoiders' time step
 
 
 class ParseError(ValueError):
@@ -29,9 +30,6 @@ class Scene:
 
     frames: list  # list of (frame_id, agent_id, x, y)
     groups: list = None  # synthetic-only: agent-id lists sharing a goal
-
-    def frame_ids(self):
-        return sorted({f for f, _, _, _ in self.frames})
 
 
 @dataclass
@@ -65,21 +63,6 @@ class TrajectoryWindow:
 
     def future(self):
         return self.positions[:, self.t_in :], self.presence[:, self.t_in :]
-
-    def validate(self):
-        n, t, d = self.positions.shape
-        if d != 2 or t != self.t_in + self.t_out:
-            raise ValueError(f"bad window shape {self.positions.shape}")
-        if self.presence.shape != (n, t):
-            raise ValueError("presence shape disagrees with positions")
-        if self.segment.shape != (n,):
-            raise ValueError("segment shape disagrees with positions")
-        if not np.all(np.isfinite(self.positions)):
-            raise ValueError("non-finite positions")
-        if np.any(self.presence[:, : self.t_in].sum(axis=1) < 2):
-            raise ValueError("agent with < 2 observed steps survived windowing")
-        if not np.all(self.positions[~self.presence] == 0.0):
-            raise ValueError("absent slots must hold zeros")
 
 
 def parse_scene(path):
@@ -360,12 +343,12 @@ def _group_tracks(rng, n_agents, n_frames):
     return out
 
 
-def synth_generate(seed, n_scenes, agents_range=(3, 6), n_frames=25, frame_interval=0.4, kinds=("cv", "avoid", "group")):
+def synth_generate(seed, n_scenes, agents_range=(3, 6), n_frames=25, kinds=("cv", "avoid", "group")):
     """Deterministic synthetic crowd scenes mixing walker behaviors.
 
     Each scene mixes constant-velocity walkers, mutually avoiding walkers,
-    and small goal-sharing groups inside a 20 m x 20 m arena.
-    ``frame_interval`` is the avoiders' time step in seconds.
+    and small goal-sharing groups inside a 20 m x 20 m arena, one frame
+    every ``FRAME_INTERVAL`` seconds.
     """
     lo, hi = agents_range
     if lo < 2 or hi > 16 or lo > hi:
@@ -400,7 +383,7 @@ def synth_generate(seed, n_scenes, agents_range=(3, 6), n_frames=25, frame_inter
                 remaining -= take
         drawn.append((n_agents, tracks, groups))
     if avoiders:
-        walked = _avoider_tracks([draws for _, _, draws in avoiders], n_frames, frame_interval)
+        walked = _avoider_tracks([draws for _, _, draws in avoiders], n_frames, FRAME_INTERVAL)
         for (tracks, slot, _), walkers in zip(avoiders, walked):
             tracks[slot] = walkers
     scenes = []

@@ -20,7 +20,7 @@ from .autodiff import ShapeError, Tensor
 from .transformer import encoder_block, ffn_forward, layer_norm_p
 
 
-def cross_modal_attention(params, prefix, target, sources, heads, record=None, record_key=None, absent=None):
+def cross_modal_attention(params, prefix, target, sources, heads, absent=None):
     """Target tokens attend over the concatenated source tokens.
 
     target: [N, L_t, d]; sources: list of [N, L_s, d]; absent: optional
@@ -34,12 +34,12 @@ def cross_modal_attention(params, prefix, target, sources, heads, record=None, r
             raise ShapeError(f"modality shapes disagree: {target.shape} vs {s.shape}")
     kv = sources[0] if len(sources) == 1 else ad.concat(sources, axis=1)
     mask = None if absent is None else AttentionMask(bias=None, absent=absent[:, None, :])
-    x = masked_mha(params, f"{prefix}/attn", target, kv, heads, mask=mask, record=record, record_key=record_key,
-                   residual=target, norm=(f"{prefix}/ln_q", f"{prefix}/ln_kv"))
+    x = masked_mha(params, f"{prefix}/attn", target, kv, heads, mask=mask, residual=target,
+                   norm=(f"{prefix}/ln_q", f"{prefix}/ln_kv"))
     return ffn_forward(params, f"{prefix}/ffn", x, residual=x, norm=f"{prefix}/ln2")
 
 
-def fuse(params, cfg, y_s, y_t, y_h, record=None, h_absent=None):
+def fuse(params, cfg, y_s, y_t, y_h, h_absent=None):
     """Align the three modal token sets into one vector per agent.
 
     y_s, y_t: [N, T_i, d_model]; y_h: [N, H_scales, d_model]; h_absent:
@@ -55,14 +55,12 @@ def fuse(params, cfg, y_s, y_t, y_h, record=None, h_absent=None):
         others = [k for k in modalities if k != name]
         aligned.append(
             cross_modal_attention(params, f"fusion/cross_{name}", target, [modalities[k] for k in others],
-                                  cfg.heads, record=record, record_key=f"attn/fusion/cross_{name}",
-                                  absent=np.concatenate([absent[k] for k in others], axis=1))
+                                  cfg.heads, absent=np.concatenate([absent[k] for k in others], axis=1))
         )
     tokens = ad.concat(aligned, axis=1)  # [N, 2*T_i + H, d]
     token_absent = np.concatenate(list(absent.values()), axis=1)
     self_mask = AttentionMask(bias=None, absent=token_absent[:, None, :])
-    mixed = encoder_block(params, "fusion/self", tokens, cfg.heads, self_mask,
-                          record=record, record_key="attn/fusion/self")
+    mixed = encoder_block(params, "fusion/self", tokens, cfg.heads, self_mask)
     mixed = layer_norm_p(params, "fusion/ln_out", mixed)
     present = ~token_absent
     pool = present / present.sum(axis=1, keepdims=True)  # [N, L]: 1/count at present tokens

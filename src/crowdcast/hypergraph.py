@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import attention
 from . import autodiff as ad
-from .attention import pairwise_distances
 from .autodiff import Tensor
 from .transformer import ffn_forward, graph_convolve, track_embedding
 
@@ -71,25 +71,21 @@ class Hypergraph:
         return [tuple(np.nonzero(self.incidence[:, e])[0]) for e in range(self.n_edges)]
 
 
-def mahalanobis_matrix(embeddings, covariance=None):
+def mahalanobis_matrix(embeddings):
     """Pairwise covariance-whitened distances, [N, N] symmetric, zero diagonal.
 
-    The covariance defaults to the sample covariance of the embeddings,
-    regularized with 1e-3 * trace/dim on the diagonal; pass an explicit
-    ``covariance`` (e.g. identity) to override.
+    The covariance is the sample covariance of the embeddings, regularized
+    with 1e-3 * trace/dim on the diagonal.
     """
     q = np.asarray(embeddings, dtype=np.float64)
     n, d = q.shape
     if n < 2:
         raise HypergraphError(f"need >= 2 embeddings, got {n}")
-    if covariance is None:
-        cov = np.cov(q, rowvar=False)
-        cov = np.atleast_2d(cov)
-        eps = 1e-3 * np.trace(cov) / d + 1e-12
-        covariance = cov + eps * np.eye(d)
-    chol = np.linalg.cholesky(covariance)
+    cov = np.atleast_2d(np.cov(q, rowvar=False))
+    eps = 1e-3 * np.trace(cov) / d + 1e-12
+    chol = np.linalg.cholesky(cov + eps * np.eye(d))
     white = np.linalg.solve(chol, q.T).T  # rows are whitened embeddings
-    return pairwise_distances(white)
+    return attention.pairwise_distances(white)
 
 
 def similarity_matrix(distances):
@@ -185,7 +181,7 @@ def _scale_layout(scales, counts):
     return columns, uses, absent
 
 
-def multiscale_group_features(x_obs, presence_obs, params, prefix, scales, dump=None, segment=None):
+def multiscale_group_features(x_obs, presence_obs, params, prefix, scales, segment=None):
     """Group-wise features [N, P, d_model] across KNN scales, and their
     [N, P] bool absent mask, True where an agent's segment has no token.
 
@@ -196,7 +192,9 @@ def multiscale_group_features(x_obs, presence_obs, params, prefix, scales, dump=
     one column per parameter index that some segment uses, and mix
     through a tokenwise MLP.  A token its segment lacks is zero and
     absent, and the single token of a segment with fewer than 2 agents is
-    zero but present.  A plain window has no absent token.
+    zero but present.  A plain window has no absent token.  An open
+    ``attention.capture`` keeps each hypergraph's scale and hyperedges, as
+    window agent indices, under ``hyper/edges``.
     """
     n = x_obs.shape[0]
     segment = np.zeros(n, dtype=np.intp) if segment is None else np.asarray(segment)
@@ -217,8 +215,9 @@ def multiscale_group_features(x_obs, presence_obs, params, prefix, scales, dump=
             if idx not in use:
                 continue
             g = build_hyperedges_knn(sim, use[idx])
-            if dump is not None:
-                dump.append({"scale": use[idx], "edges": [[int(m[v]) for v in e] for e in g.edges()]})
+            if attention._captured is not None:
+                attention._captured.setdefault("hyper/edges", []).append(
+                    {"scale": use[idx], "edges": [[int(m[v]) for v in e] for e in g.edges()]})
             op[np.ix_(m, m)] = random_walk_matrix(g)
         h1 = graph_convolve(op, q, params[f"{prefix}/conv{idx}/theta1"])
         per_scale.append(graph_convolve(op, h1, params[f"{prefix}/conv{idx}/theta2"]))

@@ -137,7 +137,7 @@ class CrowdForecaster:
 
     # -- forward paths -------------------------------------------------------
 
-    def features(self, window, record=None, hyper_dump=None):
+    def features(self, window):
         """Fused crowd feature, observation embedding, relative tracks, anchors.
 
         Every encoder reads each agent's track relative to its own last
@@ -152,11 +152,10 @@ class CrowdForecaster:
         x_obs, pres_obs = window.observed()
         rel, anchors = agent_relative_positions(window)
         rel_obs = rel[:, : window.t_in]
-        y_s = spatial_forward(self.params, cfg, rel_obs, pres_obs, record=record, scene_positions=x_obs, segment=seg)
-        y_t = temporal_forward(self.params, cfg, rel_obs, pres_obs, record=record)
-        y_h, h_absent = multiscale_group_features(rel_obs, pres_obs, self.params, "hyper", cfg.scales,
-                                                  dump=hyper_dump, segment=seg)
-        y_m = fuse(self.params, cfg, y_s, y_t, y_h, record=record, h_absent=h_absent)
+        y_s = spatial_forward(self.params, cfg, rel_obs, pres_obs, scene_positions=x_obs, segment=seg)
+        y_t = temporal_forward(self.params, cfg, rel_obs, pres_obs)
+        y_h, h_absent = multiscale_group_features(rel_obs, pres_obs, self.params, "hyper", cfg.scales, segment=seg)
+        y_m = fuse(self.params, cfg, y_s, y_t, y_h, h_absent=h_absent)
         obs_emb = cvae.observed_embedding(self.params, rel_obs, pres_obs)
         return y_m, obs_emb, rel, anchors
 
@@ -185,7 +184,7 @@ class CrowdForecaster:
             (cfg.kappa1, cfg.kappa2, cfg.kappa3, cfg.kappa4), cfg.sigma_prior, window.segment,
         )
 
-    def sample_futures(self, window, k, rng, record=None, hyper_dump=None):
+    def sample_futures(self, window, k, rng):
         """K prior-sampled futures [K, N, T_o, 2] for a normalized window.
 
         One prior draw [K, N, d_z] and one decode over the leading K axis;
@@ -193,7 +192,7 @@ class CrowdForecaster:
         """
         cfg = self.cfg
         with ad.no_grad():
-            y_m, obs_emb, _, anchors = self.features(window, record=record, hyper_dump=hyper_dump)
-            z = cvae.sample_prior(rng, window.n_agents, cfg.d_z, cfg.sigma_prior, cfg.dtype, k=k)
+            y_m, obs_emb, _, anchors = self.features(window)
+            z = cvae.sample_prior(rng, k, window.n_agents, cfg.d_z, cfg.sigma_prior, cfg.dtype)
             pred = cvae.decode_trajectories(self.params, z, obs_emb, y_m, anchors, cfg.t_out)
         return np.asarray(pred.data, dtype=np.float64)

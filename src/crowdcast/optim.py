@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
 
 class Adam:
-    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-4):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
@@ -28,10 +27,10 @@ class Adam:
         lr_t * m / (sqrt(v) + eps_t).
         """
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         root = (1 - b2**self.t) ** 0.5  # a Python float keeps f32 moments in f32
         lr_t = self.lr * root / (1 - b1**self.t)
-        eps_t = self.eps * root
+        eps_t = EPS * root
         for name in sorted(self.params):
             p = self.params[name]
             g = p.grad

@@ -53,7 +53,7 @@ def graph_convolve(operator, x, theta, residual=None):
     operator: [..., N, N] array A, a proximity adjacency per timestep or
     a hypergraph walk operator; x: [..., N, d_in]; theta: [d_in, d_out].
     """
-    a = Tensor(operator, dtype=theta.dtype)
+    a = np.asarray(operator, dtype=theta.dtype)
     return ad.linear(ad.matmul(a, x), theta, relu=True, residual=residual)
 
 
@@ -71,17 +71,16 @@ def gcn_adjacency(dist, pair_ok, radius):
     return inv[:, :, None] * a * inv[:, None, :]
 
 
-def encoder_block(params, prefix, x, heads, mask, adj=None, record=None, record_key=None):
+def encoder_block(params, prefix, x, heads, mask, adj=None):
     """Pre-norm self-attention (+ optional GCN residual) + feed-forward;
     each sublayer runs its layer norm as a prologue."""
-    x = masked_mha(params, f"{prefix}/attn", x, x, heads, mask=mask, record=record, record_key=record_key,
-                   residual=x, norm=f"{prefix}/ln1")
+    x = masked_mha(params, f"{prefix}/attn", x, x, heads, mask=mask, residual=x, norm=f"{prefix}/ln1")
     if adj is not None:
         x = graph_convolve(adj, x, params[f"{prefix}/gcn/w"], residual=x)
     return ffn_forward(params, f"{prefix}/ffn", x, residual=x, norm=f"{prefix}/ln2")
 
 
-def _encoder_stack(params, cfg, prefix, tokens, presence, codes, mask, adj=None, record=None):
+def _encoder_stack(params, cfg, prefix, tokens, presence, codes, mask, adj=None):
     """Embed, zero absent slots, add timestep codes, run the blocks, LN, zero.
 
     tokens: [..., 2] inputs; presence: bool over tokens' leading axes;
@@ -94,13 +93,12 @@ def _encoder_stack(params, cfg, prefix, tokens, presence, codes, mask, adj=None,
     x = ad.mul(x, keep)
     x = ad.add(x, Tensor(codes, dtype=dtype))
     for layer in range(cfg.layers):
-        x = encoder_block(params, f"{prefix}/l{layer}", x, cfg.heads, mask, adj=adj,
-                          record=record, record_key=f"attn/{prefix}/{layer}")
+        x = encoder_block(params, f"{prefix}/l{layer}", x, cfg.heads, mask, adj=adj)
     x = layer_norm_p(params, f"{prefix}/ln_out", x)
     return ad.mul(x, keep)
 
 
-def spatial_forward(params, cfg, x_obs, presence_obs, record=None, scene_positions=None, segment=None):
+def spatial_forward(params, cfg, x_obs, presence_obs, scene_positions=None, segment=None):
     """Cross-agent attention per timestep; returns [N, T_i, d_model].
 
     x_obs: [N, T_i, 2] inputs the tokens embed (the model passes each
@@ -129,16 +127,15 @@ def spatial_forward(params, cfg, x_obs, presence_obs, record=None, scene_positio
     mask = distance_bias_mask(dist, absent, params["spatial/mask/w"], params["spatial/mask/b"])
     adj = gcn_adjacency(dist, ~absent & pres_t[:, :, None], cfg.gcn_radius)
     codes = positional_encoding(len(tokens_t), cfg.d_model)[:, None, :]  # same code for every agent
-    x = _encoder_stack(params, cfg, "spatial", tokens_t, pres_t, codes, mask, adj=adj, record=record)
+    x = _encoder_stack(params, cfg, "spatial", tokens_t, pres_t, codes, mask, adj=adj)
     return ad.transpose(x, (1, 0, 2))  # [N, T, d]
 
 
-def temporal_forward(params, cfg, x_obs, presence_obs, record=None):
+def temporal_forward(params, cfg, x_obs, presence_obs):
     """Per-agent attention across observed timesteps; returns [N, T_i, d_model]."""
     pres = np.asarray(presence_obs, dtype=bool)  # [N, T]
     steps = np.arange(pres.shape[1], dtype=np.float64)
     gaps = np.abs(steps[:, None] - steps[None, :])  # one |t - t'| matrix serves every agent
     mask = distance_bias_mask(gaps, ~pres[:, None, :], params["temporal/mask/w"], params["temporal/mask/b"])
     codes = positional_encoding(pres.shape[1], cfg.d_model)
-    return _encoder_stack(params, cfg, "temporal", np.asarray(x_obs, dtype=np.float64), pres, codes, mask,
-                          record=record)
+    return _encoder_stack(params, cfg, "temporal", np.asarray(x_obs, dtype=np.float64), pres, codes, mask)

@@ -24,6 +24,29 @@ def randomize_params(model, seed, scale=0.25):
     return model
 
 
+def frame_ids(scene):
+    """A scene's distinct frame ids, ascending."""
+    return sorted({f for f, _, _, _ in scene.frames})
+
+
+def validate(window):
+    """Raise ValueError unless ``window`` keeps the ``TrajectoryWindow``
+    invariants that ``window_scene`` and ``pack_windows`` promise."""
+    n, t, d = window.positions.shape
+    if d != 2 or t != window.t_in + window.t_out:
+        raise ValueError(f"bad window shape {window.positions.shape}")
+    if window.presence.shape != (n, t):
+        raise ValueError("presence shape disagrees with positions")
+    if window.segment.shape != (n,):
+        raise ValueError("segment shape disagrees with positions")
+    if not np.all(np.isfinite(window.positions)):
+        raise ValueError("non-finite positions")
+    if np.any(window.presence[:, : window.t_in].sum(axis=1) < 2):
+        raise ValueError("agent with < 2 observed steps survived windowing")
+    if not np.all(window.positions[~window.presence] == 0.0):
+        raise ValueError("absent slots must hold zeros")
+
+
 def random_window(seed, n=3, t_in=8, t_out=12, holes=False, speed=0.5):
     """Smooth random tracks; optionally punch presence holes."""
     rng = np.random.default_rng(seed)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import crowdcast.autodiff as ad
-from crowdcast.attention import AttentionMask, masked_mha
+from crowdcast.attention import AttentionMask, capture, masked_mha, pairwise_distances
 from crowdcast.autodiff import Tensor, backward, numerical_gradient
 from crowdcast.config import TrainConfig
 from crowdcast.cvae import best_of_k
@@ -34,7 +34,7 @@ from crowdcast.transformer import spatial_forward, temporal_forward, track_embed
 from conftest import random_window, randomize_params, tiny_config
 from test_attention import mha_oracle, mha_params
 from test_cvae import ade_fde_oracle
-from test_hypergraph import knn_oracle, random_hypergraph
+from test_hypergraph import IDENTITY_SCALE, isotropic_embeddings, knn_oracle, random_hypergraph
 
 
 def report(name, detail):
@@ -80,16 +80,15 @@ def test_knn_construction_oracle():
 
 
 def test_mahalanobis_identity_reduction():
-    """Identity-covariance hook reduces to Euclidean distance (<= 1e-10)."""
+    """Embeddings with an identity sample covariance: the Mahalanobis
+    distance is the Euclidean one over the regularization (<= 1e-10)."""
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(50):
-        n = int(rng.integers(2, 9))
         d = int(rng.integers(1, 7))
-        q = rng.normal(scale=3.0, size=(n, d))
-        dis = mahalanobis_matrix(q, covariance=np.eye(d))
-        eucl = np.linalg.norm(q[:, None] - q[None, :], axis=-1)
-        worst = max(worst, float(np.max(np.abs(dis - eucl))))
+        q = isotropic_embeddings(rng, int(rng.integers(d + 2, 10)), d)
+        dis = mahalanobis_matrix(q)
+        worst = max(worst, float(np.max(np.abs(dis - pairwise_distances(q) / IDENTITY_SCALE))))
     assert worst < 1e-10
     report("mahalanobis-reduction", f"50 cases, worst abs err {worst:.2e}")
 
@@ -109,8 +108,9 @@ def test_attention_correctness():
         absent = rng.random((lq, lk)) < 0.3
         absent[:, 0] = False
         mask = AttentionMask(bias=Tensor(bias), absent=absent)
-        out, attn = masked_mha(p, "blk", Tensor(q_in), Tensor(kv_in), heads, mask=mask, return_attn=True)
-        w = attn.data
+        with capture() as kept:
+            out = masked_mha(p, "blk", Tensor(q_in), Tensor(kv_in), heads, mask=mask)
+        w = kept["blk"]
         assert np.all(w[np.broadcast_to(absent[None], w.shape)] < 1e-12)
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
         expected = mha_oracle(p, "blk", q_in, kv_in, heads, mask_values=mask.values())

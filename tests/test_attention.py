@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import crowdcast.autodiff as ad
+from crowdcast import attention
 from crowdcast.attention import (
     AttentionMask,
+    capture,
     distance_bias_mask,
     masked_mha,
     pairwise_distances,
@@ -94,8 +96,9 @@ class TestMaskedMha:
         # zero queries -> equal logits regardless of keys
         p["blk/wq"] = Tensor(np.zeros((d, d)))
         mask = AttentionMask(bias=Tensor(np.zeros((2, 2))), absent=np.zeros((2, 2), dtype=bool))
-        out, attn = masked_mha(p, "blk", Tensor(x), Tensor(x), heads=1, mask=mask, return_attn=True)
-        np.testing.assert_allclose(attn.data, 0.5, atol=1e-12)
+        with capture() as kept:
+            out = masked_mha(p, "blk", Tensor(x), Tensor(x), heads=1, mask=mask)
+        np.testing.assert_allclose(kept["blk"], 0.5, atol=1e-12)
         np.testing.assert_allclose(out.data, np.tile(x.mean(axis=0), (2, 1)), atol=1e-12)
 
     def test_matches_scalar_loop_oracle(self):
@@ -122,8 +125,9 @@ class TestMaskedMha:
         absent = np.zeros((3, 3), dtype=bool)
         absent[1, :] = True
         mask = AttentionMask(bias=Tensor(np.zeros((3, 3))), absent=absent)
-        out, attn = masked_mha(p, "blk", Tensor(x), Tensor(x), heads=2, mask=mask, return_attn=True)
-        np.testing.assert_array_equal(attn.data[:, 1, :], 0.0)
+        with capture() as kept:
+            masked_mha(p, "blk", Tensor(x), Tensor(x), heads=2, mask=mask)
+        np.testing.assert_array_equal(kept["blk"][:, 1, :], 0.0)
 
     def test_weights_sum_to_one_absent_get_none(self):
         rng = np.random.default_rng(4)
@@ -135,8 +139,9 @@ class TestMaskedMha:
             absent_cols[0] = False
             absent = np.broadcast_to(absent_cols[None, :], (n, n))
             mask = AttentionMask(bias=Tensor(rng.normal(size=(n, n))), absent=absent)
-            _, attn = masked_mha(p, "blk", Tensor(x), Tensor(x), heads=2, mask=mask, return_attn=True)
-            w = attn.data  # [h, n, n]
+            with capture() as kept:
+                masked_mha(p, "blk", Tensor(x), Tensor(x), heads=2, mask=mask)
+            w = kept["blk"]  # [h, n, n]
             np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
             assert np.all(w[:, :, absent_cols] < 1e-12)
 
@@ -397,8 +402,9 @@ class TestFusedMha:
         x = Tensor(rng.normal(size=(n, d)), requires_grad=True, dtype=np.float32)
         bias = Tensor(rng.normal(size=(n, n)), requires_grad=True, dtype=np.float32)
         mask = AttentionMask(bias=bias, absent=np.zeros((n, n), dtype=bool))
-        out, attn = masked_mha(p, "blk", x, x, heads, mask=mask, return_attn=True)
-        assert out.dtype == np.float32 and attn.dtype == np.float32
+        with capture() as kept:
+            out = masked_mha(p, "blk", x, x, heads, mask=mask)
+        assert out.dtype == np.float32 and kept["blk"].dtype == np.float32
         ad.backward(ad.tsum(out))
         assert x.grad.dtype == np.float32 and bias.grad.dtype == np.float32
         assert all(t.grad.dtype == np.float32 for t in p.values())
@@ -407,15 +413,15 @@ class TestFusedMha:
                               mask_values=bias.data.astype(np.float64))
         np.testing.assert_allclose(out.data, expected, rtol=1e-4, atol=1e-5)
 
-    def test_record_and_return_attn_shapes(self):
+    def test_capture_keeps_weights_under_prefix(self):
         rng = np.random.default_rng(26)
         p = mha_params(rng, 4)
         q_in, kv_in = Tensor(rng.normal(size=(5, 2, 4))), Tensor(rng.normal(size=(5, 3, 4)))
-        record = {}
-        out, attn = masked_mha(p, "blk", q_in, kv_in, 2, record=record, record_key="k", return_attn=True)
+        with capture() as kept:
+            out = masked_mha(p, "blk", q_in, kv_in, 2)
         assert out.shape == (5, 2, 4)
-        assert attn.shape == record["k"].shape == (5, 2, 2, 3)
-        np.testing.assert_array_equal(attn.data, record["k"])
+        assert list(kept) == ["blk"] and kept["blk"].shape == (5, 2, 2, 3)
+        np.testing.assert_allclose(kept["blk"].sum(axis=-1), 1.0, atol=1e-12)
 
     def test_leading_axes_must_agree(self):
         p = mha_params(np.random.default_rng(27), 4)
@@ -657,3 +663,35 @@ class TestTemporalForward:
         out = temporal_forward(params, cfg, x2, pres).data
         np.testing.assert_array_equal(out[0], base[0])
         np.testing.assert_array_equal(out[1], base[1])
+
+
+class TestCapture:
+    def run_mha(self, seed=27):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(3, 4)))
+        return masked_mha(mha_params(rng, 4), "blk", x, x, 2)
+
+    def test_nested_capture_restores_the_outer_dict(self):
+        with capture() as outer:
+            with capture() as inner:
+                self.run_mha()
+            assert inner.keys() == {"blk"}
+            assert attention._captured is outer and outer == {}
+            self.run_mha()
+        assert outer.keys() == {"blk"}
+        assert attention._captured is None
+
+    def test_nested_capture_restores_the_outer_dict_when_the_body_raises(self):
+        with capture() as outer:
+            with pytest.raises(RuntimeError):
+                with capture():
+                    self.run_mha()
+                    raise RuntimeError("body failed")
+            assert attention._captured is outer and outer == {}
+        assert attention._captured is None
+
+    def test_no_copy_without_an_open_capture(self):
+        with capture() as closed:
+            pass
+        self.run_mha()
+        assert closed == {} and attention._captured is None

@@ -15,51 +15,55 @@ from crowdcast.autodiff import (
 
 class TestMatmul:
     def test_identity(self):
-        out = ad.matmul(Tensor(np.eye(2)), Tensor([[1.0, 2.0], [3.0, 4.0]]))
+        out = ad.matmul(np.eye(2), Tensor([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(out.data, [[1, 2], [3, 4]])
 
     def test_projector(self):
-        out = ad.matmul(Tensor([[1.0, 0.0], [0.0, 0.0]]), Tensor([[5.0], [7.0]]))
+        out = ad.matmul(np.array([[1.0, 0.0], [0.0, 0.0]]), Tensor([[5.0], [7.0]]))
         np.testing.assert_array_equal(out.data, [[5], [0]])
 
     def test_gradient_vs_finite_difference(self):
         rng = np.random.default_rng(7)
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        a = rng.normal(size=(3, 4))
+        x = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         weights = rng.normal(size=(3, 2))
 
         def f():
-            return ad.tsum(ad.mul(ad.matmul(a, b), Tensor(weights)))
+            return ad.tsum(ad.mul(ad.matmul(a, x), Tensor(weights)))
 
-        assert gradcheck(f, [a, b]) < 1e-6
+        assert gradcheck(f, [x]) < 1e-6
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+            ad.matmul(np.zeros((2, 3)), Tensor(np.zeros((2, 3))))
 
     def test_batched_weight_broadcast(self):
+        """A 2-D x under a batched operator: its gradient sums the batch."""
         rng = np.random.default_rng(3)
-        a = Tensor(rng.normal(size=(5, 3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        a = rng.normal(size=(5, 3, 4))
+        x = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         w = rng.normal(size=(5, 3, 2))
 
         def f():
-            return ad.tsum(ad.mul(ad.matmul(a, b), Tensor(w)))
+            return ad.tsum(ad.mul(ad.matmul(a, x), Tensor(w)))
 
-        assert gradcheck(f, [a, b]) < 1e-6
+        assert gradcheck(f, [x]) < 1e-6
 
     def test_folded_weight_matches_einsum(self):
-        """The backward of a product by a 2-D right operand folds the left
-        operand's leading axes into one GEMM; results match per-slice einsum."""
+        """The gradient of a 2-D x under an operator with leading axes folds
+        those axes into one sum; results match per-slice einsum."""
         rng = np.random.default_rng(4)
-        a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
-        b = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+        a = rng.normal(size=(2, 3, 4, 5))
+        x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
         g = rng.normal(size=(2, 3, 4, 6))
-        out = ad.matmul(a, b)
-        np.testing.assert_allclose(out.data, np.einsum("pqik,kj->pqij", a.data, b.data), rtol=1e-13, atol=1e-13)
+        out = ad.matmul(a, x)
+        np.testing.assert_allclose(out.data, np.einsum("pqik,kj->pqij", a, x.data), rtol=1e-13, atol=1e-13)
         backward(ad.tsum(ad.mul(out, Tensor(g))))
-        np.testing.assert_allclose(a.grad, np.einsum("pqij,kj->pqik", g, b.data), rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(b.grad, np.einsum("pqik,pqij->kj", a.data, g), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(x.grad, np.einsum("pqik,pqij->kj", a, g), rtol=1e-13, atol=1e-13)
+
+    def test_only_x_is_a_parent(self):
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        assert ad.matmul(np.ones((4, 3)), x)._parents == (x,)
 
 
 class TestLinear:

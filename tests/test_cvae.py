@@ -120,16 +120,16 @@ class TestSampling:
         z1 = reparameterize(post, np.random.default_rng(9).standard_normal((4, 3)))
         z2 = reparameterize(post, np.random.default_rng(9).standard_normal((4, 3)))
         np.testing.assert_array_equal(z1.data, z2.data)
-        t1 = sample_prior(np.random.default_rng(9), 4, 3)
-        t2 = sample_prior(np.random.default_rng(9), 4, 3)
+        t1 = sample_prior(np.random.default_rng(9), 2, 4, 3, 1.0, np.float64)
+        t2 = sample_prior(np.random.default_rng(9), 2, 4, 3, 1.0, np.float64)
         np.testing.assert_array_equal(t1.data, t2.data)
 
     def test_test_mode_statistics(self):
         rng = np.random.default_rng(123)
         sigma_prior = 1.3
-        z = sample_prior(rng, 100_000, 2, sigma_prior=sigma_prior)
-        assert np.all(np.abs(z.data.mean(axis=0)) < 0.02)
-        np.testing.assert_allclose(z.data.var(axis=0), sigma_prior**2, rtol=0.03)
+        z = sample_prior(rng, 1, 100_000, 2, sigma_prior, np.float64).data[0]
+        assert np.all(np.abs(z.mean(axis=0)) < 0.02)
+        np.testing.assert_allclose(z.var(axis=0), sigma_prior**2, rtol=0.03)
 
     def test_reparameterize_gradient(self):
         rng = np.random.default_rng(5)

@@ -21,6 +21,8 @@ from crowdcast.data import (
     write_scene,
 )
 
+from conftest import frame_ids, validate
+
 
 def make_scene(n_frames, n_agents, seed=0, offset=np.zeros(2)):
     rng = np.random.default_rng(seed)
@@ -41,15 +43,15 @@ PROPERTY = settings(deadline=None, max_examples=150, derandomize=True, database=
 def reference_window_scene(scene, stride=1, t_in=8, t_out=12):
     """The per-agent, per-step loop that ``window_scene`` replaced, kept as its oracle."""
     span = t_in + t_out
-    frame_ids = scene.frame_ids()
-    if len(frame_ids) < span:
+    ids = frame_ids(scene)
+    if len(ids) < span:
         return []
-    frame_index = {f: i for i, f in enumerate(frame_ids)}
+    frame_index = {f: i for i, f in enumerate(ids)}
     by_agent = {}
     for frame_id, agent_id, x, y in scene.frames:
         by_agent.setdefault(agent_id, {})[frame_index[frame_id]] = (x, y)
     windows = []
-    for start in range(0, len(frame_ids) - span + 1, stride):
+    for start in range(0, len(ids) - span + 1, stride):
         agents = [a for a in sorted(by_agent) if sum(1 for t in range(start, start + t_in) if t in by_agent[a]) >= 2]
         if not agents:
             continue
@@ -63,7 +65,7 @@ def reference_window_scene(scene, stride=1, t_in=8, t_out=12):
                     presence[i, t] = True
         if presence[:, t_in:].any():
             windows.append(TrajectoryWindow(positions=positions, presence=presence, agent_ids=agents,
-                                            origin_frame=frame_ids[start], t_in=t_in, t_out=t_out))
+                                            origin_frame=ids[start], t_in=t_in, t_out=t_out))
     return windows
 
 
@@ -105,7 +107,7 @@ class TestParse:
         path = tmp_path / "s.txt"
         path.write_text("0 1 0.0 0.0\n10 1 1.0 0.0\n")
         scene = parse_scene(path)
-        assert scene.frame_ids() == [0, 10]
+        assert frame_ids(scene) == [0, 10]
         assert {a for _, a, _, _ in scene.frames} == {1}
 
     def test_duplicate_rejected(self, tmp_path):
@@ -265,7 +267,7 @@ class TestWindowing:
 
     def test_windows_validate(self):
         for w in window_scene(make_scene(30, 4, seed=2), stride=2):
-            w.validate()
+            validate(w)
 
     def test_translation_covariance(self):
         shift = np.array([13.0, -4.5])
@@ -372,7 +374,7 @@ class TestSynth:
             wins = window_scene(scene, stride=1)
             assert len(wins) == 6  # 25 frames
             for w in wins:
-                w.validate()
+                validate(w)
 
     def test_agents_range_enforced(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import crowdcast.autodiff as ad
+from crowdcast import attention
+from crowdcast.attention import pairwise_distances
 from crowdcast.autodiff import Tensor, gradcheck
 from crowdcast.hypergraph import (
     Hypergraph,
@@ -17,6 +19,17 @@ from crowdcast.hypergraph import (
     transition_matrix,
 )
 from crowdcast.transformer import graph_convolve, track_embedding
+
+
+# Mahalanobis regularization of an identity sample covariance: 1 + 1e-3 * trace/d + 1e-12
+IDENTITY_SCALE = np.sqrt(1.0 + 1e-3 + 1e-12)
+
+
+def isotropic_embeddings(rng, n, d):
+    """n > d random embeddings whitened to an identity sample covariance."""
+    r = rng.normal(size=(n, d))
+    chol = np.linalg.cholesky(np.atleast_2d(np.cov(r, rowvar=False)))
+    return np.linalg.solve(chol, (r - r.mean(axis=0)).T).T
 
 
 def random_hypergraph(rng, n_max=12):
@@ -118,9 +131,12 @@ class TestEmbedding:
 
 class TestMahalanobis:
     def test_identity_covariance_is_euclidean(self):
-        q = np.array([[0.0, 0.0], [3.0, 4.0]])
-        dis = mahalanobis_matrix(q, covariance=np.eye(2))
-        assert dis[0, 1] == pytest.approx(5.0, abs=1e-12)
+        """The corners of a square have an identity sample covariance, so
+        their distances are the Euclidean ones over the regularization."""
+        q = np.sqrt(0.75) * np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        np.testing.assert_allclose(np.cov(q, rowvar=False), np.eye(2), atol=1e-15)
+        dis = mahalanobis_matrix(q)
+        np.testing.assert_allclose(dis, pairwise_distances(q) / IDENTITY_SCALE, rtol=0, atol=1e-12)
         assert dis[0, 0] == 0.0
 
     def test_identical_embeddings_zero(self):
@@ -145,11 +161,10 @@ class TestMahalanobis:
     def test_identity_hook_reduces_exactly(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            n, d = rng.integers(2, 9), rng.integers(1, 6)
-            q = rng.normal(size=(n, d))
-            dis = mahalanobis_matrix(q, covariance=np.eye(d))
-            eucl = np.linalg.norm(q[:, None] - q[None, :], axis=-1)
-            assert np.max(np.abs(dis - eucl)) < 1e-10
+            d = int(rng.integers(1, 6))
+            q = isotropic_embeddings(rng, int(rng.integers(d + 2, 10)), d)
+            dis = mahalanobis_matrix(q)
+            assert np.max(np.abs(dis - pairwise_distances(q) / IDENTITY_SCALE)) < 1e-10
 
     def test_single_agent_rejected(self):
         with pytest.raises(HypergraphError):
@@ -169,7 +184,7 @@ class TestSimilarity:
     def test_scalar_loop_oracle(self):
         rng = np.random.default_rng(4)
         q = rng.normal(size=(4, 3))
-        dis = mahalanobis_matrix(q, covariance=np.eye(3))
+        dis = pairwise_distances(q)
         sim = similarity_matrix(dis)
         pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         rho = sum(dis[i, j] for i, j in pairs) / len(pairs)
@@ -182,8 +197,7 @@ class TestSimilarity:
 class TestKnnConstruction:
     def test_three_colinear(self):
         q = np.array([[0.0], [1.0], [3.0]])
-        dis = mahalanobis_matrix(q, covariance=np.eye(1))
-        g = build_hyperedges_knn(similarity_matrix(dis), k=1)
+        g = build_hyperedges_knn(similarity_matrix(pairwise_distances(q)), k=1)
         assert g.n_edges == 2
         assert g.edges() == [(0, 1), (1, 2)]
 
@@ -422,8 +436,9 @@ class TestMultiscale:
         p = hyper_params(rng, t_in=8, d_emb=8, d_model=8, n_scales=2)
         x = rng.normal(size=(5, 8, 2))
         pres = np.ones((5, 8), dtype=bool)
-        dump = []
-        multiscale_group_features(x, pres, p, "hyper", (2, 3), dump=dump)
+        with attention.capture() as kept:
+            multiscale_group_features(x, pres, p, "hyper", (2, 3))
+        dump = kept["hyper/edges"]
         assert [d["scale"] for d in dump] == [2, 3]
         for d in dump:
             for edge in d["edges"]:

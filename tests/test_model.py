@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crowdcast import cvae
+from crowdcast.attention import capture
 from crowdcast.autodiff import backward, no_grad
 from crowdcast.checkpoint import CheckpointError, load_archive, save_archive
 from crowdcast.config import TrainConfig
@@ -156,17 +157,14 @@ def test_failed_load_changes_no_parameter(tiny_cfg, tmp_path, fault):
 def test_attention_record_names(tiny_cfg):
     model = randomize_params(CrowdForecaster(tiny_cfg, seed=4), 5)
     window, _ = normalize_window(random_window(8, n=3))
-    record = {}
-    dump = []
-    model.sample_futures(window, 1, np.random.default_rng(0), record=record, hyper_dump=dump)
-    assert "attn/spatial/0" in record
-    assert "attn/temporal/0" in record
-    assert {"attn/fusion/cross_s", "attn/fusion/cross_t", "attn/fusion/cross_h",
-            "attn/fusion/self"} <= set(record)
+    with capture() as kept:
+        model.sample_futures(window, 1, np.random.default_rng(0))
+    assert set(kept) == {"spatial/l0/attn", "temporal/l0/attn", "fusion/cross_s/attn", "fusion/cross_t/attn",
+                         "fusion/cross_h/attn", "fusion/self/attn", "hyper/edges"}
     # spatial maps: one [heads, N, N] block per timestep
-    assert record["attn/spatial/0"].shape == (tiny_cfg.t_in, tiny_cfg.heads, 3, 3)
-    assert record["attn/temporal/0"].shape == (3, tiny_cfg.heads, tiny_cfg.t_in, tiny_cfg.t_in)
-    assert dump and dump[0]["scale"] == 2
+    assert kept["spatial/l0/attn"].shape == (tiny_cfg.t_in, tiny_cfg.heads, 3, 3)
+    assert kept["temporal/l0/attn"].shape == (3, tiny_cfg.heads, tiny_cfg.t_in, tiny_cfg.t_in)
+    assert [entry["scale"] for entry in kept["hyper/edges"]] == [2]
 
 
 def test_float32_mode_runs(tiny_cfg):
@@ -198,15 +196,15 @@ class TestBatchedSampling:
         with no_grad():
             y_m, obs_emb, _, anchors = model.features(window)
             for i in range(k):
-                z = cvae.sample_prior(rng, window.n_agents, tiny_cfg.d_z, tiny_cfg.sigma_prior)
+                z = cvae.sample_prior(rng, 1, window.n_agents, tiny_cfg.d_z, tiny_cfg.sigma_prior, tiny_cfg.dtype)
                 pred = cvae.decode_trajectories(model.params, z, obs_emb, y_m, anchors, tiny_cfg.t_out)
-                np.testing.assert_allclose(samples[i], pred.data, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(samples[i], pred.data[0], rtol=0, atol=1e-12)
 
     def test_prior_draw_is_the_sequential_stream(self):
-        batched = cvae.sample_prior(np.random.default_rng(4), 3, 5, sigma_prior=1.5, k=4).data
+        batched = cvae.sample_prior(np.random.default_rng(4), 4, 3, 5, 1.5, np.float64).data
         rng = np.random.default_rng(4)
-        sequential = [cvae.sample_prior(rng, 3, 5, sigma_prior=1.5).data for _ in range(4)]
-        np.testing.assert_array_equal(batched, np.stack(sequential))
+        sequential = [cvae.sample_prior(rng, 1, 3, 5, 1.5, np.float64).data for _ in range(4)]
+        np.testing.assert_array_equal(batched, np.concatenate(sequential))
 
     def test_sample_zero_independent_of_k(self):
         cfg = TrainConfig()

@@ -9,7 +9,7 @@ from crowdcast.data import normalize_window, pack_windows, synth_generate, windo
 from crowdcast.hypergraph import effective_scales, multiscale_group_features
 from crowdcast.model import CrowdForecaster
 from crowdcast.train import train
-from conftest import randomize_params, random_window, tiny_config
+from conftest import randomize_params, random_window, tiny_config, validate
 
 SCALES = (2, 3, 4)
 
@@ -43,12 +43,12 @@ class TestPackWindows:
     def test_plain_window_is_one_segment(self):
         window = random_window(0, n=4)
         np.testing.assert_array_equal(window.segment, 0)
-        window.validate()
+        validate(window)
 
     def test_concatenates_agents_and_numbers_segments(self):
         windows = mixed_windows()
         packed = pack_windows(windows)
-        packed.validate()
+        validate(packed)
         counts = [w.n_agents for w in windows]
         assert packed.n_agents == sum(counts)
         np.testing.assert_array_equal(packed.segment, np.repeat(np.arange(6), counts))
@@ -59,7 +59,7 @@ class TestPackWindows:
         packed = pack_windows([random_window(0, n=2), random_window(1, n=3)])
         shifted, _ = normalize_window(packed)
         np.testing.assert_array_equal(shifted.segment, [0, 0, 1, 1, 1])
-        shifted.validate()
+        validate(shifted)
 
     def test_mismatched_horizons_rejected(self):
         with pytest.raises(ValueError):

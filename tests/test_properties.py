@@ -15,7 +15,7 @@ import crowdcast.autodiff as ad
 from crowdcast.data import TrajectoryWindow, normalize_window, pack_windows
 from crowdcast.model import CrowdForecaster
 from crowdcast.train import evaluate
-from conftest import randomize_params, tiny_config
+from conftest import randomize_params, tiny_config, validate
 
 T_IN, T_OUT = 8, 12
 CFG = tiny_config(scales=(2, 3, 4))
@@ -47,7 +47,7 @@ def windows(draw, max_agents=16):
     positions = (start + velocity * np.arange(span)[None, :, None]) * presence[:, :, None]
     window = TrajectoryWindow(positions=positions, presence=presence, agent_ids=list(range(n)),
                               origin_frame=0, t_in=T_IN, t_out=T_OUT)
-    window.validate()
+    validate(window)
     return window
 
 

@@ -12,7 +12,7 @@ import pytest
 import crowdcast
 from crowdcast.cli import main as cli_main
 from crowdcast.config import ConfigError, TrainConfig, format_config, parse_config
-from crowdcast.data import normalize_window, synth_generate, window_scene
+from crowdcast.data import Scene, normalize_window, synth_generate, window_scene, write_scene
 from crowdcast.model import CrowdForecaster
 from crowdcast.optim import Adam, decayed_lr
 from crowdcast.train import (
@@ -149,6 +149,32 @@ class TestConfig:
         """A scale below 1 would leave its hypergraph token out silently."""
         with pytest.raises(ConfigError, match="scales"):
             TrainConfig(scales=scales)
+
+    @pytest.mark.parametrize("line, reason", [
+        ("learning_rate=nan", "learning_rate must be finite"),
+        ("decay_factor=nan", "decay_factor must be finite"),
+        ("sigma_prior=inf", "sigma_prior must be finite"),
+        ("kappa2=inf", "kappa2 must be finite"),
+        ("noise_std=-inf", "noise_std must be finite"),
+        ("kappa1=-1", "kappa1 must be non-negative"),
+        ("kappa4=-0.1", "kappa4 must be non-negative"),
+        ("noise_std=-0.5", "noise_std must be non-negative"),
+        ("gcn_radius=-1", "must be positive"),
+        ("gcn_radius=0", "must be positive"),
+        ("gcn_radius=nan", "gcn_radius must be finite"),
+    ])
+    def test_out_of_range_float_rejected(self, tmp_path, line, reason):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=reason):
+            parse_config(path)
+
+    def test_zero_weights_and_noise_accepted(self, tmp_path):
+        """The ablations switch a loss term off with a zero weight."""
+        path = tmp_path / "ok.cfg"
+        path.write_text("kappa1=0\nkappa2=0\nkappa3=0\nkappa4=0\nnoise_std=0\n")
+        cfg = parse_config(path)
+        assert (cfg.kappa1, cfg.kappa3, cfg.noise_std) == (0.0, 0.0, 0.0)
 
 
 class TestJitter:
@@ -432,9 +458,8 @@ class TestCli:
         from crowdcast.checkpoint import load_archive
 
         dumped = load_archive(ins / "attention.ckpt")
-        assert any(k.startswith("attn/spatial/0/") for k in dumped)
-        assert any(k.startswith("attn/temporal/0/") for k in dumped)
-        assert any(k.startswith("attn/fusion/") for k in dumped)
+        assert "spatial/l0/attn/0" in dumped and "temporal/l0/attn/0" in dumped
+        assert {"fusion/cross_s/attn", "fusion/cross_t/attn", "fusion/cross_h/attn", "fusion/self/attn"} <= set(dumped)
         entries = [json.loads(l) for l in (ins / "hypergraphs.jsonl").read_text().splitlines()]
         assert all({"scale", "edges"} <= set(e) for e in entries)
 
@@ -452,7 +477,7 @@ class TestCli:
         from crowdcast.checkpoint import load_archive
 
         dumped = load_archive(ins / "attention.ckpt")
-        assert dumped["attn/temporal/0/0"].shape[-1] == 6
+        assert dumped["temporal/l0/attn/0"].shape[-1] == 6
 
     def test_holdout_excluded(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -502,6 +527,52 @@ class TestCliRejectsBadInput:
             cli_main(["train", "--config", str(cfg_path), "--data", str(data),
                       "--out", str(tmp_path / "train"), "--log-every", "0"])
         assert "must be a positive integer" in capsys.readouterr().err
+
+    @staticmethod
+    def _one_agent_scene(path, n_frames):
+        write_scene(Scene(frames=[(f, 0, 0.1 * f, 0.0) for f in range(n_frames)]), path)
+
+    def test_eval_leaves_out_a_fold_without_a_window(self, run, capsys):
+        """A scene shorter than t_in + t_out frames used to give a fold of
+        NaN metrics in summary.csv."""
+        tmp_path, data, cfg_path, ckpt = run
+        self._one_agent_scene(data / "short.txt", 10)
+        cli_main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path), "--data", str(data),
+                  "--k", "2", "--out", str(tmp_path / "eval")])
+        out = capsys.readouterr().out
+        assert "fold short: left out, no window of 20 frames to score" in out
+        assert "nan" not in out
+        summary = (tmp_path / "eval" / "summary.csv").read_text()
+        assert [line.split(",")[0] for line in summary.splitlines()] == ["fold", "synth000", "synth001"]
+        assert "nan" not in summary
+
+    def test_eval_without_any_window_is_one_line_error(self, run):
+        tmp_path, data, cfg_path, ckpt = run
+        for path in data.glob("*.txt"):
+            path.unlink()
+        self._one_agent_scene(data / "short.txt", 10)
+        with pytest.raises(SystemExit, match="^no scene under .* has a window of 20 frames to score$"):
+            cli_main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path), "--data", str(data),
+                      "--out", str(tmp_path / "eval")])
+        assert not (tmp_path / "eval").exists()
+
+    def test_inspect_single_agent_window_writes_no_hypergraph(self, run):
+        tmp_path, data, cfg_path, ckpt = run
+        for path in data.glob("*.txt"):
+            path.unlink()
+        self._one_agent_scene(data / "alone.txt", 20)
+        ins = tmp_path / "inspect"
+        cli_main(["inspect", "--checkpoint", str(ckpt), "--config", str(cfg_path), "--data", str(data),
+                  "--out", str(ins), "--dump-attention", "--dump-hypergraphs"])
+        assert (ins / "hypergraphs.jsonl").read_text() == ""
+        assert (ins / "attention.ckpt").exists()
+
+    @pytest.mark.parametrize("scenes", ["0", "-3"])
+    def test_synth_scenes_must_be_positive(self, tmp_path, scenes, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["synth", "--seed", "0", "--out", str(tmp_path / "data"), "--scenes", scenes])
+        assert "must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("flags, reason", [(["--frames", "1"], "n_frames"),
                                                (["--min-agents", "1"], "agents_range")])
