@@ -108,12 +108,14 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, nor
     weights and biases, and the mask bias.  ``norm`` is a layer-norm
     prologue: the prefix of the ``g``/``b`` parameters that normalize
     both inputs (one norm when ``q_in is kv_in``), or a (query, key/value)
-    pair of prefixes.  The normalized inputs are temporaries; the tape
-    keeps their row stats, and the backward rebuilds them from the inputs.
-    ``residual`` (a tensor of the output's shape) is added in place to the
-    output array, and the backward hands it the output gradient.  An open
-    ``capture`` keeps a copy of the weights [..., h, Lq, Lk] under
-    ``prefix``.
+    pair of prefixes.  The tape keeps the inputs, their row stats, the
+    mask and the softmax weights.  The backward rebuilds the normalized
+    inputs, the q, k and v projections and the mixed context (weights
+    times v) with the forward's own operations, so they are bit-identical,
+    and frees each after its last read.  ``residual`` (a tensor of the
+    output's shape) is added in place to the output array, and the
+    backward hands it the output gradient.  An open ``capture`` keeps a
+    copy of the weights [..., h, Lq, Lk] under ``prefix``.
     """
     d_model = q_in.shape[-1]
     if d_model % heads != 0:
@@ -165,32 +167,39 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, nor
         if residual is not None and residual.requires_grad:
             residual._accumulate(g)
         grads = {}
+        # rebuild the forward's arrays from the inputs, each by the
+        # forward's own operations, and free each after its last read
+        xq = ad.prenorm_rebuild(q_in, ln_q, stats_q)
+        xkv = xq if shared else ad.prenorm_rebuild(kv_in, ln_kv, stats_kv)
+        vh = split(ad.linear_data(xkv, wd["wv"], wd["bv"]), lk)
+        mixed = (attn @ vh).swapaxes(-3, -2).reshape(lead + (lq, d_model))
         dmixed, grads["wo"], grads["bo"] = ad.linear_grads(g, mixed, wd["wo"])
+        del mixed
         dctx = split(dmixed, lq)
         dattn = dctx @ vh.swapaxes(-1, -2)
         dvh = attn.swapaxes(-1, -2) @ dctx
-        del dmixed, dctx
+        del dmixed, dctx, vh
         dlogits = ad.softmax_backward_data(dattn, attn, out=dattn)
         if bias is not None and bias.requires_grad:
             shape = bias.shape[:-2] + (1,) + bias.shape[-2:]
             bias._accumulate(ad._unbroadcast(dlogits, shape).reshape(bias.shape))
         dlogits *= scale
+        qh = split(ad.linear_data(xq, wd["wq"], wd["bq"]), lq)
+        kh = split(ad.linear_data(xkv, wd["wk"], wd["bk"]), lk)
         dqh = dlogits @ kh
         dkh = (qh.swapaxes(-1, -2) @ dlogits).swapaxes(-1, -2)
-        del dattn, dlogits
+        del dattn, dlogits, qh, kh
 
-        def merge(gh, length):  # [..., h, L, dh] -> [R, d]
+        def merge(gh):  # [..., h, L, dh] -> [R, d]
             return gh.swapaxes(-3, -2).reshape(-1, d_model)
 
         need_q = q_in.requires_grad or ln_q is not None
         need_kv = kv_in.requires_grad or ln_kv is not None
-        xq = ad.prenorm_rebuild(q_in, ln_q, stats_q)
-        xkv = xq if shared else ad.prenorm_rebuild(kv_in, ln_kv, stats_kv)
-        dq_in, grads["wq"], grads["bq"] = ad.linear_grads(merge(dqh, lq), xq, wd["wq"], need_q)
+        dq_in, grads["wq"], grads["bq"] = ad.linear_grads(merge(dqh), xq, wd["wq"], need_q)
         del dqh
-        dk_in, grads["wk"], grads["bk"] = ad.linear_grads(merge(dkh, lk), xkv, wd["wk"], need_kv)
+        dk_in, grads["wk"], grads["bk"] = ad.linear_grads(merge(dkh), xkv, wd["wk"], need_kv)
         del dkh
-        dv_in, grads["wv"], grads["bv"] = ad.linear_grads(merge(dvh, lk), xkv, wd["wv"], need_kv)
+        dv_in, grads["wv"], grads["bv"] = ad.linear_grads(merge(dvh), xkv, wd["wv"], need_kv)
         del dvh, xq, xkv
         ad._accumulate_grads((w[gate], grads[gate]) for gate in MHA_GATES)
         if shared:  # one input: accumulate its three paths once

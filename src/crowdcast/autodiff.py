@@ -14,12 +14,17 @@ Backward closures read their operands' arrays, not copies: ``linear``
 reads its ReLU mask off its output, ``layer_norm`` rebuilds its
 normalized rows from its input, and each pre-norm sublayer backward
 (``ffn``, and ``attention.masked_mha`` with a norm) reads the residual
-stream it was given to rebuild its normalized rows (``ffn`` its hidden
-layer too).  So no array is written after the node that reads it is
-recorded.  The exceptions are a node's own output, which its epilogues
-write before ``_make`` returns, and leaves such as the parameters, which
-``Adam.step``, ``CrowdForecaster.load`` and ``numerical_gradient`` write
-in place only while no tape that reads them awaits its backward.
+stream it was given to rebuild its normalized rows.  So no array is
+written after the node that reads it is recorded.  The exceptions are a
+node's own output, which its epilogues write before ``_make`` returns,
+and leaves such as the parameters, which ``Adam.step``,
+``CrowdForecaster.load`` and ``numerical_gradient`` write in place only
+while no tape that reads them awaits its backward.
+
+A fused node keeps its inputs, its row stats and, for attention, its
+softmax weights, and its backward rebuilds the rest with the forward's
+own operations, so bit-identically: ``ffn`` its hidden layer,
+``masked_mha`` its q, k and v projections and its mixed context.
 """
 
 from __future__ import annotations

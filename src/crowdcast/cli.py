@@ -57,6 +57,10 @@ def cmd_train(args):
     per_scene = _windows_by_scene(scenes, cfg)
     train_names = [n for n in per_scene if n != args.holdout]
     windows = [w for n in train_names for w in per_scene[n]]
+    if not windows:
+        besides = "" if args.holdout is None else f" besides --holdout {args.holdout!r}"
+        raise SystemExit(f"no scene under {args.data}{besides} has a window of {cfg.t_in + cfg.t_out} "
+                         f"frames to train on")
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "config.txt"), "w") as fh:
         fh.write(format_config(cfg))

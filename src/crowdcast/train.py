@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import autodiff as ad
-from .cvae import best_of_k
+from .cvae import MetricError, best_of_k
 from .config import config_dict
 from .data import last_present, normalize_window, pack_windows
 from .model import CrowdForecaster
@@ -126,8 +126,11 @@ def evaluate(model, windows, k, seed, fold=""):
 
     ``model`` needs a ``sample_futures(window, k, rng)`` method returning
     [K, N, T_o, 2]; samples are drawn from per-window RNG streams, so the
-    first sample agrees across different K.
+    first sample agrees across different K.  No window raises
+    ``MetricError``: a fold mean over no window is undefined.
     """
+    if not windows:
+        raise MetricError("evaluate needs at least one window; minADE/minFDE of none are undefined")
     rows = []
     for wi, window in enumerate(windows):
         norm, _ = normalize_window(window)
@@ -136,8 +139,8 @@ def evaluate(model, windows, k, seed, fold=""):
         gt, pres = norm.future()
         min_ade, min_fde = best_of_k(samples, gt, pres)
         rows.append({"fold": fold, "window": wi, f"minADE{k}": min_ade, f"minFDE{k}": min_fde})
-    mean_ade = float(np.mean([r[f"minADE{k}"] for r in rows])) if rows else float("nan")
-    mean_fde = float(np.mean([r[f"minFDE{k}"] for r in rows])) if rows else float("nan")
+    mean_ade = float(np.mean([r[f"minADE{k}"] for r in rows]))
+    mean_fde = float(np.mean([r[f"minFDE{k}"] for r in rows]))
     return rows, (mean_ade, mean_fde)
 
 

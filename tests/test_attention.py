@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -422,6 +424,27 @@ class TestFusedMha:
         assert out.shape == (5, 2, 4)
         assert list(kept) == ["blk"] and kept["blk"].shape == (5, 2, 2, 3)
         np.testing.assert_allclose(kept["blk"].sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_node_keeps_no_projection(self):
+        """A self-attention node with a norm prologue keeps its softmax
+        weights and row stats past the forward, and no [R, d_model] array:
+        its backward rebuilds q, k, v and the mixed context."""
+        rng = np.random.default_rng(28)
+        lead, length, d, heads = 8, 8, 128, 4
+        p = grad_params(rng, d)
+        p["ln/g"], p["ln/b"] = Tensor(np.ones(d), requires_grad=True), Tensor(np.zeros(d), requires_grad=True)
+        x = Tensor(rng.normal(size=(lead, length, d)), requires_grad=True)
+        assert attention._captured is None
+        tracemalloc.start()
+        try:
+            out = masked_mha(p, "blk", x, x, heads, norm="ln")
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        weights, stats, slack = lead * heads * length * length * 8, 2 * lead * length * 8, 8 * 2**10
+        row_array = lead * length * d * 8
+        assert weights + stats + slack < row_array // 2
+        assert retained - out.data.nbytes < weights + stats + slack, retained - out.data.nbytes
 
     def test_leading_axes_must_agree(self):
         p = mha_params(np.random.default_rng(27), 4)

@@ -6,7 +6,9 @@ adds of a layer run in place on its output array.  The pre-norm sublayers
 run their layer norm as a prologue, and each feed-forward sublayer is one
 ``ffn`` node.  A change that falls back to composing them from generic ops
 (matmul, add, reshape, transpose, masked_softmax, a separate ReLU or layer
-norm) breaks these counts.
+norm) breaks these counts.  Each fused node keeps only its inputs, its
+row stats and, for attention, its softmax weights; a node that keeps more
+breaks the byte budgets.
 """
 
 import ast
@@ -40,14 +42,16 @@ PRENORM_NODES = 115
 # packed (48 agents): 49.2 MiB with a ReLU and an add node per layer, 38.3
 # MiB with them as epilogues, 33.4 MiB once layer norm keeps only its row
 # means and inverse deviations, 22.6 MiB once the sublayers' norms are
-# prologues and the ffn node rebuilds its hidden layer in the backward
-# (numpy 2, f64).  A sublayer that keeps its normalized input or its
-# hidden layer again breaks this budget.
-FORWARD_MIB = 25
+# prologues and the ffn node rebuilds its hidden layer in the backward,
+# 14.9 MiB once attention rebuilds its projections and context (numpy 2,
+# f64).  A sublayer that keeps its normalized input, its hidden layer, its
+# q, k or v projections or its mixed context again breaks this budget.
+FORWARD_MIB = 17
 # Traced peak while the backward of that batch runs: 36.3 MiB with the
 # layer norms as nodes and the hidden layers on the tape, 25.2 MiB with
-# the prologues and the rebuilt hidden layers.
-BACKWARD_MIB = 28
+# the prologues and the rebuilt hidden layers, 18.0 MiB with the rebuilt
+# attention projections and contexts.
+BACKWARD_MIB = 20
 
 
 def count_tape_nodes(monkeypatch):

@@ -12,6 +12,7 @@ import pytest
 import crowdcast
 from crowdcast.cli import main as cli_main
 from crowdcast.config import ConfigError, TrainConfig, format_config, parse_config
+from crowdcast.cvae import MetricError
 from crowdcast.data import Scene, normalize_window, synth_generate, window_scene, write_scene
 from crowdcast.model import CrowdForecaster
 from crowdcast.optim import Adam, decayed_lr
@@ -363,6 +364,11 @@ class TestEvaluate:
             assert r20["minADE20"] <= r1["minADE1"] + 1e-15
             assert r20["minFDE20"] <= r1["minFDE1"] + 1e-15
 
+    def test_no_window_raises(self):
+        """A fold mean over no window used to come back as (nan, nan)."""
+        with pytest.raises(MetricError, match="at least one window"):
+            evaluate(ConstantVelocityModel(), [], k=3, seed=0)
+
 
 class TestBaseline:
     def test_unit_velocity_continues(self):
@@ -555,6 +561,23 @@ class TestCliRejectsBadInput:
             cli_main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path), "--data", str(data),
                       "--out", str(tmp_path / "eval")])
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("holdout", [None, "synth000"])
+    def test_train_without_any_window_is_one_line_error(self, run, holdout):
+        """With no window of t_in + t_out frames to train on, train used to
+        write config.txt and then fail with a traceback."""
+        tmp_path, data, cfg_path, _ = run
+        (data / "synth001.txt").unlink()
+        if holdout is None:
+            (data / "synth000.txt").unlink()
+        self._one_agent_scene(data / "short.txt", 10)
+        besides = "" if holdout is None else " besides --holdout 'synth000'"
+        holdout_args = [] if holdout is None else ["--holdout", holdout]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["train", "--config", str(cfg_path), "--data", str(data),
+                      "--out", str(tmp_path / "train")] + holdout_args)
+        assert exc.value.code == f"no scene under {data}{besides} has a window of 20 frames to train on"
+        assert not (tmp_path / "train").exists()
 
     def test_inspect_single_agent_window_writes_no_hypergraph(self, run):
         tmp_path, data, cfg_path, ckpt = run

@@ -22,7 +22,10 @@ arithmetic (the key bias of an attention, the mask biases; softmax is
 shift-invariant), so a per-parameter relative error on them is rounding
 noise.  The corpus digests either match or differ.  The memory figures
 and the peak node are printed for both sides; a snapshot from before they
-were recorded reads "not recorded".
+were recorded reads "not recorded".  ``compare`` exits with status 1 when
+the loss, any gradient entry, any K=20 sample or any corpus digest differs
+at all, so a claim that a change is bit-identical rests on its exit
+status; the memory figures never fail it.
 """
 
 import hashlib
@@ -160,26 +163,33 @@ def dump(path):
 
 
 def compare(path_a, path_b):
+    """Print the differences of B against A; True when the loss, the
+    gradients, the samples and the corpus digests are all identical."""
     a, b = np.load(path_a), np.load(path_b)
+    identical = True
     differ = sorted(k for k in set(a.files) ^ set(b.files) if not k.startswith("mem/"))
     if differ:
         sys.exit(f"the two snapshots hold different arrays: {differ}")
     for precision in ("f64", "f32"):
         la, lb = float(a[f"{precision}/loss"]), float(b[f"{precision}/loss"])
         print(f"{precision} loss: {la!r} against {lb!r}, relative difference {abs(lb - la) / abs(la):.3g}")
+        identical &= la == lb
         names = [k for k in a.files if k.startswith(f"{precision}/grad/")]
         scale = max(float(np.abs(a[k]).max()) for k in names)
         worst = max(names, key=lambda k: float(np.abs(a[k] - b[k]).max()))
         diff = float(np.abs(a[worst] - b[worst]).max())
         where = f", in {worst[len(precision) + 6:]}" if diff else ""
         print(f"{precision} gradients: worst difference {diff / scale:.3g} x max|grad| ({scale:.4g}){where}")
+        identical &= diff == 0
     samples = [k for k in a.files if k.startswith("samples/")]
     diff = max(float(np.abs(a[k] - b[k]).max()) for k in samples)
     print(f"K={K} samples: worst absolute difference {diff:.3g} over {len(samples)} windows")
+    identical &= diff == 0
     for kind in ("files", "windows"):
         keys = [k for k in a.files if k.startswith("data/") and k.endswith(f"/{kind}")]
         differ = [k.split("/")[1] for k in keys if a[k] != b[k]]
         print(f"corpus {kind}: {len(differ)} of {len(keys)} digests differ{': ' + ', '.join(differ) if differ else ''}")
+        identical &= not differ
     for precision in ("f64", "f32"):
         for field in ("forward_tape", "backward_peak"):
             key = f"mem/{precision}/{field}"
@@ -189,13 +199,15 @@ def compare(path_a, path_b):
         sides = [f"{s[key]} (+{int(s[key + '_temporaries']) / 2**20:.2f} MiB)" if key in s.files else "not recorded"
                  for s in (a, b)]
         print(f"{precision} backward peak node: {sides[0]} against {sides[1]}")
+    return identical
 
 
 def main(argv):
     if len(argv) == 2 and argv[0] == "dump":
         dump(argv[1])
     elif len(argv) == 3 and argv[0] == "compare":
-        compare(argv[1], argv[2])
+        if not compare(argv[1], argv[2]):
+            sys.exit("the snapshots differ in the loss, a gradient, a sample or a corpus digest")
     else:
         sys.exit(__doc__)
 
