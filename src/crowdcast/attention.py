@@ -10,6 +10,7 @@ attention weights and the hyperedges it forms.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -58,8 +59,14 @@ class AttentionMask:
         return v
 
 
+@functools.lru_cache(maxsize=16)
 def positional_encoding(length, d_model):
-    """Sinusoidal table [length, d_model], base-10000 geometric frequencies."""
+    """Sinusoidal table [length, d_model], base-10000 geometric frequencies.
+
+    Built once per (length, d_model) and returned read-only, since every
+    caller shares it: each forward pass asks for the table of its observed
+    window length.
+    """
     if d_model % 2 != 0:
         raise ConfigError(f"positional encoding needs even d_model, got {d_model}")
     pos = np.arange(length, dtype=np.float64)[:, None]
@@ -68,6 +75,7 @@ def positional_encoding(length, d_model):
     table = np.zeros((length, d_model))
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle)
+    table.flags.writeable = False
     return table
 
 
@@ -151,7 +159,7 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, nor
         absent = mask.absent
         if absent.ndim == logits.ndim - 1:
             absent = absent[..., None, :, :]
-    attn = ad.softmax_data(logits, absent)
+    attn = ad.softmax_data(logits, absent, out=logits)
 
     if _captured is not None:
         _captured[prefix] = attn.copy()

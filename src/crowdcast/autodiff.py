@@ -155,11 +155,10 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _broadcast_shape(a, b, op):
-    if a.data.shape == b.data.shape:
-        return a.data.shape
+def _broadcasting(fn, a, b, op):
+    """``fn(a.data, b.data)``; numpy checks that the shapes broadcast."""
     try:
-        return np.broadcast_shapes(a.shape, b.shape)
+        return fn(a.data, b.data)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not align") from None
 
@@ -168,31 +167,26 @@ def _broadcast_shape(a, b, op):
 
 
 def add(a, b):
-    _broadcast_shape(a, b, "add")
-
     def bw(g, a=a, b=b):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
-    return _make(a.data + b.data, "add", (a, b), bw)
+    return _make(_broadcasting(np.add, a, b, "add"), "add", (a, b), bw)
 
 
 def sub(a, b):
-    _broadcast_shape(a, b, "sub")
-
     def bw(g, a=a, b=b):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g, b.shape))
 
-    return _make(a.data - b.data, "sub", (a, b), bw)
+    return _make(_broadcasting(np.subtract, a, b, "sub"), "sub", (a, b), bw)
 
 
 def mul(a, b):
-    _broadcast_shape(a, b, "mul")
     ad, bd = a.data, b.data
 
     def bw(g, a=a, b=b, ad=ad, bd=bd):
@@ -201,7 +195,7 @@ def mul(a, b):
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * ad, b.shape), own=True)
 
-    return _make(ad * bd, "mul", (a, b), bw)
+    return _make(_broadcasting(np.multiply, a, b, "mul"), "mul", (a, b), bw)
 
 
 def exp(x):
@@ -245,7 +239,6 @@ def absval(x):
 
 def atan2(y, x):
     """Elementwise arctan2 with the standard bounded partial derivatives."""
-    _broadcast_shape(y, x, "atan2")
     yd, xd = y.data, x.data
 
     def bw(g, y=y, x=x, yd=yd, xd=xd):
@@ -255,7 +248,7 @@ def atan2(y, x):
         if x.requires_grad:
             x._accumulate(_unbroadcast(-g * yd / denom, x.shape), own=True)
 
-    return _make(np.arctan2(yd, xd), "atan2", (y, x), bw)
+    return _make(_broadcasting(np.arctan2, y, x, "atan2"), "atan2", (y, x), bw)
 
 
 # -- linear algebra ------------------------------------------------------
@@ -478,16 +471,47 @@ def tsum(x, axis=None):
 # -- neural-net primitives ----------------------------------------------
 
 
-def softmax_data(xd, absent):
+def _row_max(y):
+    """max(axis=-1, keepdims=True), NaN where a row holds NaN.
+
+    ``max`` over a short last axis costs about 3 ns an element, a
+    ``np.maximum`` over one key column about 1 µs plus under 1 ns a row,
+    and the column reads are strided.  So the column loop runs for rows of
+    at most 48 keys with at least 32 rows per key, on arrays of at most
+    2**18 elements: on [37, 8, 19, 19] it takes a quarter of the
+    reduction's time, on [4, 8, 2, 16] 3.5 times it, and on
+    [64, 8, 32, 32] (cache misses) more than twice it.
+    """
+    keys = y.shape[-1]
+    if not (keys <= 48 and 32 * keys * keys <= y.size <= 2**18):
+        return y.max(axis=-1, keepdims=True)
+    rowmax = y[..., :1].copy()
+    for j in range(1, keys):
+        np.maximum(rowmax, y[..., j:j + 1], out=rowmax)
+    return rowmax
+
+
+def softmax_data(xd, absent, out=None):
     """Row softmax over the last axis with max-subtraction, on plain arrays.
 
     ``absent`` (bool, broadcastable) marks keys that get weight 0.  A row
     with every key absent yields an all-zero row; callers must not attend
     from such rows.  NaN or +inf at a present key is an error, not an
-    all-zero row.  The row sum is an ``einsum`` and the rest runs in place.
+    all-zero row.  The weights go into ``out`` if given (``out=xd`` runs in
+    place; ``xd`` is left as it was otherwise), and every step after the
+    copy runs in place: absent keys are set to -inf only when there are
+    any, the row max of short rows is a loop over key columns
+    (``_row_max``), and the row sum is an ``einsum``.
     """
-    y = np.where(np.broadcast_to(absent, xd.shape), -np.inf, xd)  # an absent key's logit is never read
-    rowmax = y.max(axis=-1, keepdims=True)  # the max of a row holding NaN is NaN
+    if out is None:
+        y = xd.copy()
+    else:
+        y = out
+        if y is not xd:
+            np.copyto(y, xd)
+    if np.any(absent):
+        np.copyto(y, -np.inf, where=absent)  # an absent key's logit is never read
+    rowmax = _row_max(y)  # the max of a row holding NaN is NaN
     if not (rowmax < np.inf).all():
         raise NonFiniteError("softmax logits contain NaN or +inf at a present key")
     rowmax[rowmax == -np.inf] = 0.0  # a row whose every key is absent stays all -inf

@@ -48,6 +48,13 @@ def _positive_int(text):
     return value
 
 
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def cmd_train(args):
     cfg = parse_config(args.config) if args.config else TrainConfig()
     scenes = _load_scenes(args.data)
@@ -157,12 +164,12 @@ def build_parser():
     p.add_argument("--config", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--k", type=_positive_int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate synthetic crowd scenes")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--scenes", type=_positive_int, default=12)
     p.add_argument("--frames", type=int, default=25)
@@ -175,7 +182,7 @@ def build_parser():
     p.add_argument("--config", default=None)
     p.add_argument("--data", default=None)
     p.add_argument("--window", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default="inspect_out")
     p.add_argument("--dump-attention", action="store_true")
     p.add_argument("--dump-hypergraphs", action="store_true")

@@ -78,6 +78,14 @@ class TestPositionalEncoding:
         with pytest.raises(ConfigError):
             positional_encoding(4, 5)
 
+    def test_table_is_built_once_and_read_only(self):
+        table = positional_encoding(8, 64)
+        assert positional_encoding(8, 64) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        np.testing.assert_array_equal(table[0], np.tile([0.0, 1.0], 32))
+
 
 class TestMaskedMha:
     def test_delta_attention_returns_self_value(self):

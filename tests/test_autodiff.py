@@ -162,6 +162,58 @@ class TestSoftmaxRows:
                                        rtol=1e-12, atol=1e-15)
         assert not y[0].any() and not dx[0].any()
 
+    @staticmethod
+    def scalar_loop(x, full):
+        """Row softmax by a loop over rows and present keys."""
+        expect = np.zeros(x.shape)
+        for row in np.ndindex(x.shape[:-1]):
+            keys = [j for j in range(x.shape[-1]) if not full[row + (j,)]]
+            if keys:
+                top = max(x[row + (j,)] for j in keys)
+                total = sum(math.exp(x[row + (j,)] - top) for j in keys)
+                for j in keys:
+                    expect[row + (j,)] = math.exp(x[row + (j,)] - top) / total
+        return expect
+
+    @pytest.mark.parametrize("keys", [1, 2, 8, 19, 48, 64])
+    @pytest.mark.parametrize("rows_per_key", [1, 32])
+    def test_matches_scalar_loop_at_key_counts(self, keys, rows_per_key):
+        """Short and long rows, with few rows (the reduction takes the row
+        max) and with enough for the column loop up to 48 keys; NaN at
+        absent keys and rows whose every key is absent.  A NaN or +inf at
+        a present key still raises."""
+        rng = np.random.default_rng(keys)
+        shape = (2, max(rows_per_key * keys // 2, 2), keys)
+        x = rng.normal(scale=3.0, size=shape)
+        absent = rng.random(shape) < 0.3
+        absent[0, 0] = True  # a fully absent row
+        absent[1, 0] = False  # a row with every key present
+        x[absent] = np.nan
+        y = ad.softmax_data(x, absent)
+        np.testing.assert_allclose(y, self.scalar_loop(x, absent), rtol=1e-12, atol=1e-15)
+        assert not y[0, 0].any()
+        for bad in (np.nan, np.inf):
+            x_bad = np.where(absent, 0.0, x)
+            x_bad[1, 0, keys - 1] = bad  # a present key
+            with pytest.raises(NonFiniteError):
+                ad.softmax_data(x_bad, absent)
+
+    def test_out_aliasing_and_input_kept(self):
+        """``out=x`` runs in place with the same result; with ``out=None`` or
+        another buffer the input is left unchanged."""
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(4, 8, 19, 19))
+        absent = rng.random((4, 1, 1, 19)) < 0.3
+        x0 = x.copy()
+        y = ad.softmax_data(x, absent)
+        np.testing.assert_array_equal(x, x0)
+        buf = np.empty_like(x)
+        assert ad.softmax_data(x, absent, out=buf) is buf
+        np.testing.assert_array_equal(buf, y)
+        np.testing.assert_array_equal(x, x0)
+        assert ad.softmax_data(x, absent, out=x) is x
+        np.testing.assert_array_equal(x, y)
+
     def test_gradient(self):
         """``softmax_backward_data`` against central differences of
         sum(w * softmax_data(x)), with one absent key per row."""

@@ -144,19 +144,61 @@ class TestMahalanobis:
         dis = mahalanobis_matrix(q)
         assert dis[0, 1] == pytest.approx(0.0, abs=1e-12)
 
+    @staticmethod
+    def dense_inverse_oracle(q):
+        """Distances under the inverse of the regularized [d, d] sample
+        covariance, pair by pair."""
+        n, d = q.shape
+        cov = np.atleast_2d(np.cov(q, rowvar=False))
+        inv = np.linalg.inv(cov + (1e-3 * np.trace(cov) / d + 1e-12) * np.eye(d))
+        out = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                diff = q[i] - q[j]
+                out[i, j] = np.sqrt(max(diff @ inv @ diff, 0.0))
+        return out
+
     def test_matches_dense_inverse_oracle(self):
-        rng = np.random.default_rng(2)
-        q = rng.normal(size=(5, 3))
-        dis = mahalanobis_matrix(q)
-        cov = np.cov(q, rowvar=False)
-        cov_reg = cov + (1e-3 * np.trace(cov) / 3 + 1e-12) * np.eye(3)
-        inv = np.linalg.inv(cov_reg)
-        for i in range(5):
-            for j in range(5):
-                d = q[i] - q[j]
-                expected = np.sqrt(max(d @ inv @ d, 0.0))
-                denom = max(expected, 1e-12)
-                assert abs(dis[i, j] - expected) / denom < 1e-8
+        q = np.random.default_rng(2).normal(size=(5, 3))
+        dis, expected = mahalanobis_matrix(q), self.dense_inverse_oracle(q)
+        assert np.max(np.abs(dis - expected) / np.maximum(expected, 1e-12)) < 1e-8
+
+    @pytest.mark.parametrize("n, d", [(2, 8), (4, 8), (6, 64), (9, 8), (65, 64), (12, 8), (40, 3)])
+    def test_gram_form_matches_dense_inverse(self, n, d):
+        """Fewer agents than dim + 1 (the Gram matrix has full rank n - 1),
+        exactly dim + 1, and more: distances within 1e-10 relative, and the
+        same KNN hyperedges at every scale."""
+        q = np.random.default_rng(n * 100 + d).normal(size=(n, d))
+        dis, expected = mahalanobis_matrix(q), self.dense_inverse_oracle(q)
+        assert np.max(np.abs(dis - expected) / np.maximum(expected, 1e-12)) < 1e-10
+        assert np.array_equal(dis, dis.T) and not np.diag(dis).any()
+        sim, sim_expected = similarity_matrix(dis), similarity_matrix(expected)
+        for k in range(1, n):
+            np.testing.assert_array_equal(build_hyperedges_knn(sim, k).incidence,
+                                          build_hyperedges_knn(sim_expected, k).incidence)
+
+    def test_few_agents_sit_about_sqrt_2_n_minus_1_apart(self):
+        """With n <= dim + 1, the regularized whitening puts every pair about
+        sqrt(2 (n - 1)) apart, however the embeddings lie."""
+        rng = np.random.default_rng(9)
+        for n in (2, 3, 4, 8):
+            q = rng.normal(size=(n, 64)) * rng.uniform(0.1, 10.0, size=64)
+            dis = mahalanobis_matrix(q)
+            off = dis[~np.eye(n, dtype=bool)]
+            np.testing.assert_allclose(off, np.sqrt(2 * (n - 1)), rtol=2e-3)
+
+    @pytest.mark.parametrize("n", [4, 12, 40])
+    def test_repeated_embeddings_exactly_zero(self, n):
+        """Any two equal rows are exactly 0 apart.  A Gram matrix taken as
+        ``x @ x.T`` (a symmetric BLAS product) can round equal columns
+        apart; with OpenBLAS that fails 13 of the 66 pairs at n = 12."""
+        q = np.random.default_rng(n).normal(size=(n, 64))
+        for i in range(n):
+            for j in range(i + 1, n):
+                twin = q.copy()
+                twin[j] = twin[i]
+                dis = mahalanobis_matrix(twin)
+                assert dis[i, j] == dis[j, i] == 0.0, (i, j)
 
     def test_identity_hook_reduces_exactly(self):
         rng = np.random.default_rng(3)

@@ -590,6 +590,23 @@ class TestCliRejectsBadInput:
         assert (ins / "hypergraphs.jsonl").read_text() == ""
         assert (ins / "attention.ckpt").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "inspect", "synth"])
+    def test_negative_seed_is_one_line_error(self, run, command, capsys):
+        """A negative --seed used to end in numpy's traceback from
+        ``default_rng`` (eval, inspect) or in a bare "expected non-negative
+        integer" (synth)."""
+        tmp_path, data, cfg_path, ckpt = run
+        loaded = {"eval": ["--checkpoint", str(ckpt), "--config", str(cfg_path), "--data", str(data)],
+                  "inspect": ["--checkpoint", str(ckpt), "--config", str(cfg_path)],
+                  "synth": []}[command]
+        out = tmp_path / command
+        with pytest.raises(SystemExit):
+            cli_main([command, *loaded, "--seed", "-1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "--seed: must be a non-negative integer, got -1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("scenes", ["0", "-3"])
     def test_synth_scenes_must_be_positive(self, tmp_path, scenes, capsys):
         with pytest.raises(SystemExit):

@@ -7,10 +7,11 @@
 and in f32, and records the loss and every parameter gradient of one packed
 training batch: the first 8 windows of the seed-7 corpus, with fixed latent
 draws.  It also records ``sample_futures`` at K=20 (f64) on the same
-windows, drawn as ``train.evaluate`` draws them, and, by ``tracemalloc``,
-the bytes each precision's forward tape holds, the peak while its
-backward runs, and the op kind, output shape and temporaries of the node
-whose backward reaches that peak.  crowdcast is imported from the ``src``
+windows, drawn as ``train.evaluate`` draws them, with the hyperedges each
+of those calls forms (kept by ``attention.capture``), and, by
+``tracemalloc``, the bytes each precision's forward tape holds, the peak
+while its backward runs, and the op kind, output shape and temporaries of
+the node whose backward reaches that peak.  crowdcast is imported from the ``src``
 beside this script, so running the script of each checkout snapshots that
 checkout.
 
@@ -20,15 +21,20 @@ parameters (the global max|grad|), and the samples in absolute terms.
 Gradients are not compared parameter by parameter: a few are zero in exact
 arithmetic (the key bias of an attention, the mask biases; softmax is
 shift-invariant), so a per-parameter relative error on them is rounding
-noise.  The corpus digests either match or differ.  The memory figures
-and the peak node are printed for both sides; a snapshot from before they
-were recorded reads "not recorded".  ``compare`` exits with status 1 when
-the loss, any gradient entry, any K=20 sample or any corpus digest differs
-at all, so a claim that a change is bit-identical rests on its exit
-status; the memory figures never fail it.
+noise.  The hyperedges and the corpus digests either match or differ.
+The hyperedges are ranked from whitened distances, whose rounding can
+differ between two formulas that agree in exact arithmetic, so a flipped
+near-tie shows here as the cause of any sample difference.  The memory
+figures and the peak node are printed for both sides; a snapshot from
+before they were recorded reads "not recorded".  ``compare`` exits with
+status 1 when the loss, any gradient entry, any K=20 sample, any window's
+hyperedges or any corpus digest differs at all, so a claim that a change
+is bit-identical rests on its exit status; the memory figures never fail
+it.
 """
 
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -44,6 +50,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from crowdcast import autodiff as ad  # noqa: E402
+from crowdcast.attention import capture  # noqa: E402
 from crowdcast.config import TrainConfig  # noqa: E402
 from crowdcast.data import (  # noqa: E402
     normalize_window, pack_windows, parse_scene, synth_generate, window_scene, write_scene,
@@ -155,7 +162,9 @@ def dump(path):
         out[f"mem/{precision}/peak_node_temporaries"] = np.int64(temporaries)
         if precision == "f64":
             for wi, window in enumerate(windows):
-                out[f"samples/{wi}"] = model.sample_futures(window, K, np.random.default_rng([0, wi]))
+                with capture() as kept:
+                    out[f"samples/{wi}"] = model.sample_futures(window, K, np.random.default_rng([0, wi]))
+                out[f"hyperedges/{wi}"] = np.array(json.dumps(kept.get("hyper/edges", [])))
     with tempfile.TemporaryDirectory() as workdir:
         out.update(corpus_digests(workdir))
     np.savez(path, **out)
@@ -164,7 +173,8 @@ def dump(path):
 
 def compare(path_a, path_b):
     """Print the differences of B against A; True when the loss, the
-    gradients, the samples and the corpus digests are all identical."""
+    gradients, the samples, the hyperedges and the corpus digests are all
+    identical."""
     a, b = np.load(path_a), np.load(path_b)
     identical = True
     differ = sorted(k for k in set(a.files) ^ set(b.files) if not k.startswith("mem/"))
@@ -185,6 +195,10 @@ def compare(path_a, path_b):
     diff = max(float(np.abs(a[k] - b[k]).max()) for k in samples)
     print(f"K={K} samples: worst absolute difference {diff:.3g} over {len(samples)} windows")
     identical &= diff == 0
+    hyper = [k for k in a.files if k.startswith("hyperedges/")]
+    differ = [k.split("/")[1] for k in hyper if a[k] != b[k]]
+    print(f"hyperedges: {len(differ)} of {len(hyper)} windows differ{': ' + ', '.join(differ) if differ else ''}")
+    identical &= not differ
     for kind in ("files", "windows"):
         keys = [k for k in a.files if k.startswith("data/") and k.endswith(f"/{kind}")]
         differ = [k.split("/")[1] for k in keys if a[k] != b[k]]
@@ -207,7 +221,7 @@ def main(argv):
         dump(argv[1])
     elif len(argv) == 3 and argv[0] == "compare":
         if not compare(argv[1], argv[2]):
-            sys.exit("the snapshots differ in the loss, a gradient, a sample or a corpus digest")
+            sys.exit("the snapshots differ in the loss, a gradient, a sample, the hyperedges or a corpus digest")
     else:
         sys.exit(__doc__)
 
