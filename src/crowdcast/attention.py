@@ -43,12 +43,83 @@ def capture():
         _captured = outer
 
 
+class SegmentBlocks:
+    """The agents of a window grouped into one block per segment, padded to
+    the largest segment, so that attention within segments runs on
+    [..., S, n, ...] blocks instead of all [..., N, N] agent pairs.
+
+    segment: [N] segment number 0..S-1 of each agent, as
+    ``TrajectoryWindow.segment`` numbers them.  ``gather`` takes rows to
+    blocks, where a pad slot repeats a row of its segment, ``scatter``
+    takes blocks back to rows and drops the pad slots, and ``pad`` [S, n]
+    marks the pad slots.  With one segment both are reshapes.
+    """
+
+    def __init__(self, segment):
+        seg = np.asarray(segment)
+        counts = np.bincount(seg)
+        self.rows_total, self.count, self.size = len(seg), len(counts), int(counts.max())
+        self.pad = np.arange(self.size) >= counts[:, None]  # [S, n]
+        self.rows = self.seg = self.slot = None
+        if self.count > 1:
+            order = np.argsort(seg, kind="stable")  # the rows of each segment, in order
+            starts = np.cumsum(counts) - counts
+            self.rows = order[starts[:, None] + np.minimum(np.arange(self.size), counts[:, None] - 1)]
+            self.seg = seg
+            self.slot = np.empty_like(seg)
+            self.slot[order] = np.arange(len(seg)) - np.repeat(starts, counts)
+
+    def gather(self, x, axis=-2):
+        """x with its agent ``axis`` (N rows) split into blocks (S, n)."""
+        axis %= x.ndim
+        if self.rows is None:
+            return x.reshape(x.shape[:axis] + (1,) + x.shape[axis:])
+        return np.take(x, self.rows, axis=axis)
+
+    def gather_pairs(self, a):
+        """The diagonal blocks [..., S, n, n] of agent pairs [..., N, N]."""
+        if self.rows is None:
+            return a[..., None, :, :]
+        return a[..., self.rows[:, :, None], self.rows[:, None, :]]
+
+    def scatter(self, x, axis):
+        """x with its block axes (S, n) at ``axis`` joined back into N rows."""
+        axis %= x.ndim
+        if self.rows is None:
+            return x.reshape(x.shape[:axis] + (self.rows_total,) + x.shape[axis + 2:])
+        return x[(slice(None),) * axis + (self.seg, self.slot)]
+
+    def absent(self, present):
+        """The absent flags [..., S, n, n] of attention within segments from
+        the agents' presence [..., N]: a key is absent where its agent is,
+        and every pad slot is absent as a key and as a query."""
+        keys = ~self.gather(present, -1) | self.pad
+        return keys[..., None, :] | self.pad[:, :, None]
+
+    def dense(self, w):
+        """Block attention weights [..., S, h, n, n] as [..., h, N, N], zero
+        between agents of different segments."""
+        if self.rows is None:
+            return w[..., 0, :, :, :].copy()
+        out = np.zeros(w.shape[:-4] + w.shape[-3:-2] + (self.rows_total,) * 2, dtype=w.dtype)
+        for s, (rows, pad) in enumerate(zip(self.rows, self.pad)):
+            k = int((~pad).sum())
+            out[..., rows[:k, None], rows[None, :k]] = w[..., s, :, :k, :k]
+        return out
+
+
 @dataclass
 class AttentionMask:
-    """Additive mask: finite learned bias plus an absent-key flag array."""
+    """Additive mask: finite learned bias plus an absent-key flag array.
+
+    With ``blocks``, attention runs within segments only: bias and absent
+    are per block, [..., S, n, n], with every pad slot absent as a key
+    and as a query.
+    """
 
     bias: Tensor  # [..., rows, cols] finite entries, or None for no bias
     absent: np.ndarray  # bool, broadcastable to bias; True = key missing
+    blocks: SegmentBlocks = None
 
     def values(self):
         """Dense mask in R U {-inf} (the entries the softmax sees)."""
@@ -87,16 +158,18 @@ def pairwise_distances(points):
     return np.sqrt(np.maximum(d2, 0.0))
 
 
-def distance_bias_mask(distances, absent, weight, bias):
+def distance_bias_mask(distances, absent, weight, bias, blocks=None):
     """Mask with the learned bias ``weight * distance + bias`` and absent keys.
 
     distances: [..., Lq, Lk] (agent distances per timestep, or time gaps
     |t - t'|); absent: bool array broadcastable to the mask, True for a
-    key no query may attend to; weight, bias: [1] parameters.
+    key no query may attend to; weight, bias: [1] parameters; blocks: the
+    ``SegmentBlocks`` that distances and absent are laid out in, if any.
     """
     dist = Tensor(distances, dtype=weight.dtype)
     shape = np.broadcast_shapes(absent.shape, dist.shape)
-    return AttentionMask(bias=ad.add(ad.mul(weight, dist), bias), absent=np.broadcast_to(absent, shape))
+    return AttentionMask(bias=ad.add(ad.mul(weight, dist), bias), absent=np.broadcast_to(absent, shape),
+                         blocks=blocks)
 
 
 MHA_GATES = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
@@ -106,43 +179,69 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, nor
     """Multi-head attention with an additive mask, heads mixed by a final FC.
 
     q_in: [..., Lq, d_model]; kv_in: [..., Lk, d_model] with the same
-    leading axes; mask bias must be broadcastable to [..., Lq, Lk].  Fully
-    masked query rows come out as exact zeros before the output bias
-    (softmax row is all-zero there).
+    leading axes, or a list of such sources, whose rows the node joins
+    along Lk as a temporary; mask bias must be broadcastable to [..., Lq,
+    Lk].  Fully masked query rows come out as exact zeros before the
+    output bias (softmax row is all-zero there).
 
     One tape node: the forward runs projections, head split, scaled
     logits, mask, softmax, context and output projection on plain arrays,
-    and its backward gives the gradients of both inputs, the eight
-    weights and biases, and the mask bias.  ``norm`` is a layer-norm
-    prologue: the prefix of the ``g``/``b`` parameters that normalize
-    both inputs (one norm when ``q_in is kv_in``), or a (query, key/value)
-    pair of prefixes.  The tape keeps the inputs, their row stats, the
-    mask and the softmax weights.  The backward rebuilds the normalized
-    inputs, the q, k and v projections and the mixed context (weights
-    times v) with the forward's own operations, so they are bit-identical,
-    and frees each after its last read.  ``residual`` (a tensor of the
-    output's shape) is added in place to the output array, and the
-    backward hands it the output gradient.  An open ``capture`` keeps a
-    copy of the weights [..., h, Lq, Lk] under ``prefix``.
+    and its backward gives the gradients of the inputs, the eight weights
+    and biases, and the mask bias.  ``norm`` is a layer-norm prologue: the
+    prefix of the ``g``/``b`` parameters that normalize both inputs (one
+    norm when ``q_in is kv_in``), or a (query, key/value) pair of
+    prefixes.  A mask with ``blocks`` (self-attention over a packed
+    window's agents) runs the core per segment: the projections run on all
+    N rows, their rows are gathered into [..., S, n] blocks, logits, bias,
+    softmax and context run there, and the context is scattered back to N
+    rows before the output projection; the backward does the same.
+
+    The tape keeps the inputs, their row stats, the mask and the softmax
+    weights (per block with ``blocks``), no copy of them: the backward
+    joins a list of sources again and rebuilds the normalized inputs, the
+    q, k and v projections and the mixed context (weights times v) with
+    the forward's own operations, so they are bit-identical, and frees
+    each after its last read.  ``residual`` (a tensor of the output's
+    shape) is added in place to the output array, and the backward hands
+    it the output gradient.  An open ``capture`` keeps a copy of the
+    weights [..., h, Lq, Lk] under ``prefix``, dense also with ``blocks``.
     """
     d_model = q_in.shape[-1]
     if d_model % heads != 0:
         raise ConfigError(f"heads={heads} must divide d_model={d_model}")
-    lead, lq, lk = q_in.shape[:-2], q_in.shape[-2], kv_in.shape[-2]
-    if kv_in.shape[:-2] != lead or kv_in.shape[-1] != d_model:
-        raise ShapeError(f"masked_mha: query {q_in.shape} and key/value {kv_in.shape} disagree")
+    sources = list(kv_in) if isinstance(kv_in, (list, tuple)) else [kv_in]
+    lead, lq, lk = q_in.shape[:-2], q_in.shape[-2], sum(s.shape[-2] for s in sources)
+    for s in sources:
+        if s.shape[:-2] != lead or s.shape[-1] != d_model:
+            raise ShapeError(f"masked_mha: query {q_in.shape} and key/value {s.shape} disagree")
+    blocks = None if mask is None else mask.blocks
+    if blocks is not None and (q_in is not kv_in or lq != blocks.rows_total):
+        raise ShapeError(f"masked_mha: a block mask of {blocks.rows_total} agents needs self-attention over them")
     dh = d_model // heads
     w = {gate: params[f"{prefix}/{gate}"] for gate in MHA_GATES}
     wd = {gate: t.data for gate, t in w.items()}
     nq, nkv = (norm, norm) if norm is None or isinstance(norm, str) else norm
     shared = q_in is kv_in and nq == nkv  # one input array for queries, keys and values
     ln_q, ln_kv = (None if n is None else (params[f"{n}/g"], params[f"{n}/b"]) for n in (nq, nkv))
-    xq, stats_q = ad.prenorm_data(q_in, ln_q)
-    xkv, stats_kv = (xq, stats_q) if shared else ad.prenorm_data(kv_in, ln_kv)
-    scale = np.asarray(1.0 / np.sqrt(dh), dtype=xq.dtype)
 
-    def split(x, length):  # [..., L, d] -> [..., h, L, dh], a view
-        return x.reshape(lead + (length, heads, dh)).swapaxes(-3, -2)
+    def kv_data():  # the key/value rows; several sources are joined as a temporary
+        return sources[0].data if len(sources) == 1 else np.concatenate([s.data for s in sources], axis=-2)
+
+    xq, stats_q = ad.prenorm_data(q_in.data, ln_q)
+    xkv, stats_kv = (xq, stats_q) if shared else ad.prenorm_data(kv_data(), ln_kv)
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=xq.dtype)
+    core = lead if blocks is None else lead + (blocks.count,)  # the leading axes of the attention core
+
+    def split(x, length):  # rows [R, d] -> [*core, h, L, dh], L the block size with blocks
+        if blocks is not None:
+            x, length = blocks.gather(x.reshape(lead + (length, d_model))), blocks.size
+        return x.reshape(core + (length, heads, dh)).swapaxes(-3, -2)
+
+    def merge(xh, length):  # [*core, h, L, dh] -> [*lead, L, d]
+        x = xh.swapaxes(-3, -2)
+        if blocks is not None:
+            x = blocks.scatter(x, len(lead))
+        return x.reshape(lead + (length, d_model))
 
     qh = split(ad.linear_data(xq, wd["wq"], wd["bq"]), lq)
     kh = split(ad.linear_data(xkv, wd["wk"], wd["bk"]), lk)
@@ -162,9 +261,9 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, nor
     attn = ad.softmax_data(logits, absent, out=logits)
 
     if _captured is not None:
-        _captured[prefix] = attn.copy()
+        _captured[prefix] = attn.copy() if blocks is None else blocks.dense(attn)
 
-    mixed = (attn @ vh).swapaxes(-3, -2).reshape(lead + (lq, d_model))
+    mixed = merge(attn @ vh, lq)
     out_data = ad.linear_data(mixed, wd["wo"], wd["bo"])
     if residual is not None:
         if residual.shape != out_data.shape:
@@ -177,10 +276,11 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, nor
         grads = {}
         # rebuild the forward's arrays from the inputs, each by the
         # forward's own operations, and free each after its last read
-        xq = ad.prenorm_rebuild(q_in, ln_q, stats_q)
-        xkv = xq if shared else ad.prenorm_rebuild(kv_in, ln_kv, stats_kv)
+        xq = ad.prenorm_rebuild(q_in.data, ln_q, stats_q)
+        kv = None if shared else kv_data()  # kept for the key/value norm's backward
+        xkv = xq if shared else ad.prenorm_rebuild(kv, ln_kv, stats_kv)
         vh = split(ad.linear_data(xkv, wd["wv"], wd["bv"]), lk)
-        mixed = (attn @ vh).swapaxes(-3, -2).reshape(lead + (lq, d_model))
+        mixed = merge(attn @ vh, lq)
         dmixed, grads["wo"], grads["bo"] = ad.linear_grads(g, mixed, wd["wo"])
         del mixed
         dctx = split(dmixed, lq)
@@ -198,16 +298,14 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, nor
         dkh = (qh.swapaxes(-1, -2) @ dlogits).swapaxes(-1, -2)
         del dattn, dlogits, qh, kh
 
-        def merge(gh):  # [..., h, L, dh] -> [R, d]
-            return gh.swapaxes(-3, -2).reshape(-1, d_model)
-
+        kv_grad = any(s.requires_grad for s in sources)
         need_q = q_in.requires_grad or ln_q is not None
-        need_kv = kv_in.requires_grad or ln_kv is not None
-        dq_in, grads["wq"], grads["bq"] = ad.linear_grads(merge(dqh), xq, wd["wq"], need_q)
+        need_kv = kv_grad or ln_kv is not None
+        dq_in, grads["wq"], grads["bq"] = ad.linear_grads(merge(dqh, lq), xq, wd["wq"], need_q)
         del dqh
-        dk_in, grads["wk"], grads["bk"] = ad.linear_grads(merge(dkh), xkv, wd["wk"], need_kv)
+        dk_in, grads["wk"], grads["bk"] = ad.linear_grads(merge(dkh, lk), xkv, wd["wk"], need_kv)
         del dkh
-        dv_in, grads["wv"], grads["bv"] = ad.linear_grads(merge(dvh), xkv, wd["wv"], need_kv)
+        dv_in, grads["wv"], grads["bv"] = ad.linear_grads(merge(dvh, lk), xkv, wd["wv"], need_kv)
         del dvh, xq, xkv
         ad._accumulate_grads((w[gate], grads[gate]) for gate in MHA_GATES)
         if shared:  # one input: accumulate its three paths once
@@ -220,9 +318,19 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, nor
             ad.prenorm_backward(q_in, ln_q, stats_q, dq_in)
         if need_kv:
             dk_in += dv_in
-            ad.prenorm_backward(kv_in, ln_kv, stats_kv, dk_in)
+            dkv = ad.prenorm_grad(kv, ln_kv, stats_kv, dk_in, kv_grad)
+            if dkv is None:
+                return
+            dkv = dkv.reshape(lead + (lk, d_model))
+            if len(sources) == 1:
+                sources[0]._accumulate(dkv, own=True)
+                return
+            bounds = np.cumsum([s.shape[-2] for s in sources[:-1]])
+            for s, part in zip(sources, np.split(dkv, bounds, axis=-2)):
+                if s.requires_grad:
+                    s._accumulate(part)
 
-    inputs = (q_in,) if q_in is kv_in else (q_in, kv_in)
+    inputs = (q_in,) if q_in is kv_in else (q_in, *sources)
     extra = () if bias is None else (bias,)
     lead_res = () if residual is None else (residual,)  # walked as the separate add node it replaces
     norms = tuple(t for ln in (ln_q, ln_kv) if ln is not None for t in ln)

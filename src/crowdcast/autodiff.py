@@ -21,10 +21,16 @@ and leaves such as the parameters, which ``Adam.step``,
 ``CrowdForecaster.load`` and ``numerical_gradient`` write in place only
 while no tape that reads them awaits its backward.
 
-A fused node keeps its inputs, its row stats and, for attention, its
-softmax weights, and its backward rebuilds the rest with the forward's
-own operations, so bit-identically: ``ffn`` its hidden layer,
-``masked_mha`` its q, k and v projections and its mixed context.
+A node keeps only what some backward reads, and no copy of an array
+that is kept elsewhere.  A fused node keeps its inputs, its row stats
+and, for attention, its softmax weights, and its backward rebuilds the
+rest with the forward's own operations, so bit-identically: ``ffn`` its
+hidden layer, ``masked_mha`` its q, k and v projections, its mixed
+context and the join of a list of key/value sources.  Constant masks
+and shifts run as epilogues on a node's own output (``linear``'s
+``keep`` and ``shift``, ``layer_norm``'s ``keep``) rather than as nodes
+that would keep that output a second time, and packed spatial attention
+keeps its weights per segment block, not over all agent pairs.
 """
 
 from __future__ import annotations
@@ -273,14 +279,18 @@ def matmul(a, x):
     return _make(a @ x.data, "matmul", (x,), bw)
 
 
-def linear(x, w, b=None, relu=False, residual=None):
+def linear(x, w, b=None, relu=False, keep=None, shift=None, residual=None):
     """Affine map ``x @ w + b`` over the last axis, as one node.
 
     w: [k, n]; b: [n] or None.  The weight gradient is one GEMM over x's
-    leading axes folded together.  Two epilogues run in place on the one
-    output array: ``relu`` clamps it at zero, then ``residual`` (a tensor
-    of the output's shape) is added.  The backward reads the ReLU mask off
-    the output, or off a bool mask kept when a residual follows the ReLU.
+    leading axes folded together.  Epilogues run in place on the one
+    output array, in this order: ``relu`` clamps it at zero, ``keep`` (a
+    plain 0/1 array broadcastable to the output) zeroes the slots where it
+    is 0, ``shift`` (a plain array broadcastable to the output) is added
+    as a constant, and ``residual`` (a tensor of the output's shape) is
+    added.  The backward reads the ReLU mask off the output, or off a bool
+    mask kept when another epilogue follows the ReLU, and scales the
+    gradient by ``keep``.
     """
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or (b is not None and b.shape != (w.shape[1],)):
         raise ShapeError(f"linear: x {x.shape}, w {w.shape}, b {None if b is None else b.shape} disagree")
@@ -288,12 +298,17 @@ def linear(x, w, b=None, relu=False, residual=None):
     out = linear_data(xd, wd, None if b is None else b.data)
     if relu:
         np.maximum(out, 0.0, out=out)
-    active = None
+    active = out > 0 if relu and (keep is not None or shift is not None or residual is not None) else None
+    try:
+        if keep is not None:
+            out *= keep
+        if shift is not None:
+            out += shift
+    except ValueError:
+        raise ShapeError(f"linear: epilogue arrays do not broadcast to the output {out.shape}") from None
     if residual is not None:
         if residual.shape != out.shape:
             raise ShapeError(f"linear: residual {residual.shape} does not match output {out.shape}")
-        if relu:
-            active = out > 0
         out += residual.data
 
     def bw(g):
@@ -301,6 +316,8 @@ def linear(x, w, b=None, relu=False, residual=None):
             residual._accumulate(g)
         if relu:
             g = g * (out > 0 if active is None else active)
+        if keep is not None:
+            g = g * keep
         gx, gw, gb = linear_grads(g, xd, wd, x.requires_grad, b is not None and b.requires_grad)
         _accumulate_grads(((x, gx), (w, gw), (b, gb)))
 
@@ -342,7 +359,7 @@ def ffn(x, w1, b1, w2, b2, norm=None, residual=None):
             or b1.shape != (w1.shape[1],) or b2.shape != (n,)):
         raise ShapeError(f"ffn: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape} disagree")
     w1d, b1d, w2d, b2d = w1.data, b1.data, w2.data, b2.data
-    xn, stats = prenorm_data(x, norm)
+    xn, stats = prenorm_data(x.data, norm)
     h = linear_data(xn, w1d, b1d)
     np.maximum(h, 0.0, out=h)
     out = linear_data(h, w2d, b2d).reshape(x.shape[:-1] + (n,))
@@ -355,7 +372,7 @@ def ffn(x, w1, b1, w2, b2, norm=None, residual=None):
         if residual is not None and residual.requires_grad:
             residual._accumulate(g)
         g2 = g.reshape(-1, n)
-        xn = prenorm_rebuild(x, norm, stats)
+        xn = prenorm_rebuild(x.data, norm, stats)
         h = linear_data(xn, w1d, b1d)
         np.maximum(h, 0.0, out=h)
         gw2, gb2 = h.T @ g2, g2.sum(axis=0)
@@ -534,23 +551,30 @@ def softmax_backward_data(g, y, out=None):
 LAYER_NORM_EPS = 1e-5
 
 
-def layer_norm(x, gain, bias):
+def layer_norm(x, gain, bias, keep=None):
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     Rows are folded to [R, d].  The tape keeps the row means and inverse
     deviations, [R] each; the backward rebuilds the normalized rows from
-    ``x.data`` (``layer_norm_rows``), so they are bit-identical.
+    ``x.data`` (``layer_norm_rows``), so they are bit-identical.  ``keep``
+    (a plain 0/1 array broadcastable to the output) is an epilogue that
+    zeroes the slots where it is 0, as in ``linear``.
     """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},)")
     norm = (gain, bias)
-    out, stats = prenorm_data(x, norm)
+    out, stats = prenorm_data(x.data, norm)
+    out = out.reshape(x.shape)
+    if keep is not None:
+        out *= keep
 
     def bw(g):
+        if keep is not None:
+            g = g * keep
         prenorm_backward(x, norm, stats, g.reshape(-1, d))
 
-    return _make(out.reshape(x.shape), "layer_norm", (x, gain, bias), bw)
+    return _make(out, "layer_norm", (x, gain, bias), bw)
 
 
 def layer_norm_rows(x2, mu, inv):
@@ -567,12 +591,13 @@ def layer_norm_rows(x2, mu, inv):
 # from the input.  ``norm`` is a (gain, bias) pair, or None for no norm.
 
 
-def prenorm_data(x, norm):
-    """The rows [R, d] of ``x`` through ``norm`` and their row stats (mu,
-    inv), the row means and inverse deviations [R]; without a norm, x's own
-    rows and None.  The row means are GEMVs with a 1/d vector."""
-    d = x.shape[-1]
-    x2 = x.data.reshape(-1, d)
+def prenorm_data(xd, norm):
+    """The rows [R, d] of the array ``xd`` through ``norm`` and their row
+    stats (mu, inv), the row means and inverse deviations [R]; without a
+    norm, xd's own rows and None.  The row means are GEMVs with a 1/d
+    vector."""
+    d = xd.shape[-1]
+    x2 = xd.reshape(-1, d)
     if norm is None:
         return x2, None
     mean_of = np.full(d, 1.0 / d, dtype=x2.dtype)
@@ -586,9 +611,9 @@ def prenorm_data(x, norm):
     return out, (mu, inv)
 
 
-def prenorm_rebuild(x, norm, stats):
+def prenorm_rebuild(xd, norm, stats):
     """The backward's copy of ``prenorm_data``'s rows, bit-identical."""
-    x2 = x.data.reshape(-1, x.shape[-1])
+    x2 = xd.reshape(-1, xd.shape[-1])
     if norm is None:
         return x2
     out = layer_norm_rows(x2, *stats)
@@ -597,29 +622,38 @@ def prenorm_rebuild(x, norm, stats):
     return out
 
 
+def prenorm_grad(xd, norm, stats, g2, need_x=True):
+    """The gradient [R, d] of the rows of ``xd`` from the gradient ``g2``
+    [R, d] of the prologue's rows, or None without ``need_x``; the norm's
+    gain and bias take theirs.  ``g2`` must be the caller's own.  The
+    normalized rows are rebuilt once more here, so a caller need not hold
+    them while its own temporaries are alive."""
+    if norm is None:
+        return g2 if need_x else None
+    gain, bias = norm
+    d = xd.shape[-1]
+    xhat = layer_norm_rows(xd.reshape(-1, d), *stats)
+    gx = g2 * xhat
+    _accumulate_grads(((bias, g2.sum(axis=0)), (gain, gx.sum(axis=0))))
+    if not need_x:
+        return None
+    # dxhat = g * gain; its row means m1 and those of dxhat * xhat (m2)
+    # are GEMVs of g and g * xhat with gain / d
+    gain_of = gain.data / d
+    m1, m2 = g2 @ gain_of, gx @ gain_of
+    g2 = g2 * gain.data  # from here on, the gradient of x
+    g2 -= m1[:, None]
+    g2 -= np.multiply(xhat, m2[:, None], out=gx)
+    g2 *= stats[1][:, None]
+    return g2
+
+
 def prenorm_backward(x, norm, stats, g2):
     """Hand the gradient ``g2`` [R, d] of the prologue's rows through the
-    norm to x, the gain and the bias; ``g2`` must be the caller's own.
-    The normalized rows are rebuilt once more here, so a caller need not
-    hold them while its own temporaries are alive."""
-    if norm is not None:
-        gain, bias = norm
-        d = x.shape[-1]
-        xhat = layer_norm_rows(x.data.reshape(-1, d), *stats)
-        gx = g2 * xhat
-        _accumulate_grads(((bias, g2.sum(axis=0)), (gain, gx.sum(axis=0))))
-        if not x.requires_grad:
-            return
-        # dxhat = g * gain; its row means m1 and those of dxhat * xhat (m2)
-        # are GEMVs of g and g * xhat with gain / d
-        gain_of = gain.data / d
-        m1, m2 = g2 @ gain_of, gx @ gain_of
-        g2 = g2 * gain.data  # from here on, the gradient of x
-        g2 -= m1[:, None]
-        g2 -= np.multiply(xhat, m2[:, None], out=gx)
-        g2 *= stats[1][:, None]
-    if x.requires_grad:
-        x._accumulate(g2.reshape(x.shape), own=True)
+    norm to the tensor x, the gain and the bias (``prenorm_grad``)."""
+    gx = prenorm_grad(x.data, norm, stats, g2, x.requires_grad)
+    if gx is not None:
+        x._accumulate(gx.reshape(x.shape), own=True)
 
 
 def _accumulate_grads(pairs):

@@ -11,10 +11,25 @@ import numpy as np
 
 from .attention import capture
 from .checkpoint import CheckpointError, save_archive
-from .config import TrainConfig, format_config, parse_config
+from .config import ConfigError, TrainConfig, format_config, parse_config
 from .data import ParseError, normalize_window, parse_scene, synth_generate, window_scene, write_scene
 from .model import CrowdForecaster
 from .train import evaluate, train, write_metrics_jsonl, write_summary_csv
+
+
+def _load_config(path):
+    """The config read from ``path``, or the defaults without one; a file
+    it cannot read or a bad entry exits with one line naming the file."""
+    if path is None:
+        return TrainConfig()
+    try:
+        return parse_config(path)
+    except OSError as exc:
+        raise SystemExit(f"{path}: cannot read config: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise SystemExit(f"{path}: not UTF-8 text") from None
+    except ConfigError as exc:  # names the path
+        raise SystemExit(str(exc)) from None
 
 
 def _load_scenes(data_dir):
@@ -56,7 +71,7 @@ def _non_negative_int(text):
 
 
 def cmd_train(args):
-    cfg = parse_config(args.config) if args.config else TrainConfig()
+    cfg = _load_config(args.config)
     scenes = _load_scenes(args.data)
     if args.holdout is not None and args.holdout not in scenes:
         raise SystemExit(f"--holdout {args.holdout!r} is not a scene under {args.data}; "
@@ -78,7 +93,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cfg = parse_config(args.config) if args.config else TrainConfig()
+    cfg = _load_config(args.config)
     model = _load_model(cfg, args.checkpoint)
     scenes = _load_scenes(args.data)
     per_scene = _windows_by_scene(scenes, cfg)
@@ -114,7 +129,7 @@ def cmd_synth(args):
 
 
 def cmd_inspect(args):
-    cfg = parse_config(args.config) if args.config else TrainConfig()
+    cfg = _load_config(args.config)
     model = _load_model(cfg, args.checkpoint)
     if args.data:
         per_scene = _windows_by_scene(_load_scenes(args.data), cfg)

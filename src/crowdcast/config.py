@@ -90,7 +90,10 @@ def _coerce(name, raw, typ):
 
 
 def parse_config(path):
-    """Read a flat key=value file into a TrainConfig; unknown keys are errors."""
+    """Read a flat key=value file into a TrainConfig; unknown keys are errors.
+
+    Every ``ConfigError`` names the file, and the line where there is one.
+    """
     by_name = {f.name: f.type for f in fields(TrainConfig)}
     overrides = {}
     with open(path, "r") as fh:
@@ -104,8 +107,14 @@ def parse_config(path):
             key = key.strip()
             if key not in by_name:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            overrides[key] = _coerce(key, raw, by_name[key])
-    return TrainConfig(**overrides)
+            try:
+                overrides[key] = _coerce(key, raw, by_name[key])
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    try:
+        return TrainConfig(**overrides)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def format_config(cfg):

@@ -343,18 +343,25 @@ def _group_tracks(rng, n_agents, n_frames):
     return out
 
 
+SYNTH_KINDS = ("cv", "avoid", "group")  # constant-velocity, mutually avoiding and group walkers
+
+
 def synth_generate(seed, n_scenes, agents_range=(3, 6), n_frames=25, kinds=("cv", "avoid", "group")):
     """Deterministic synthetic crowd scenes mixing walker behaviors.
 
     Each scene mixes constant-velocity walkers, mutually avoiding walkers,
     and small goal-sharing groups inside a 20 m x 20 m arena, one frame
-    every ``FRAME_INTERVAL`` seconds.
+    every ``FRAME_INTERVAL`` seconds.  ``kinds`` draws among those walker
+    kinds (``SYNTH_KINDS``); an empty or unknown kind is a ``ValueError``.
     """
     lo, hi = agents_range
     if lo < 2 or hi > 16 or lo > hi:
         raise ValueError(f"agents_range must lie within [2, 16], got {agents_range}")
     if n_frames < 2:
         raise ValueError(f"n_frames must be at least 2, got {n_frames}")
+    unknown = [kind for kind in kinds if kind not in SYNTH_KINDS]
+    if not kinds or unknown:
+        raise ValueError(f"kinds must be one or more of {', '.join(SYNTH_KINDS)}, got {tuple(kinds)}")
     rng = np.random.default_rng(seed)
     drawn = []  # (agent count, track blocks, groups) per scene
     avoiders = []  # (track blocks, slot, draws): simulated together once every draw is made

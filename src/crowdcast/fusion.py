@@ -21,20 +21,21 @@ from .transformer import encoder_block, ffn_forward, layer_norm_p
 
 
 def cross_modal_attention(params, prefix, target, sources, heads, absent=None):
-    """Target tokens attend over the concatenated source tokens.
+    """Target tokens attend over the source tokens, joined along the token
+    axis.
 
     target: [N, L_t, d]; sources: list of [N, L_s, d]; absent: optional
     [N, sum L_s] bool, True for source tokens no target may attend to.
-    Residual + LN + FFN as in the encoder blocks; token count of the
-    target is preserved.
+    ``masked_mha`` takes the sources as a list and joins them only as a
+    temporary, so the tape keeps no concatenation.  Residual + LN + FFN as
+    in the encoder blocks; token count of the target is preserved.
     """
     d = target.shape[-1]
     for s in sources:
         if s.shape[0] != target.shape[0] or s.shape[-1] != d:
             raise ShapeError(f"modality shapes disagree: {target.shape} vs {s.shape}")
-    kv = sources[0] if len(sources) == 1 else ad.concat(sources, axis=1)
     mask = None if absent is None else AttentionMask(bias=None, absent=absent[:, None, :])
-    x = masked_mha(params, f"{prefix}/attn", target, kv, heads, mask=mask, residual=target,
+    x = masked_mha(params, f"{prefix}/attn", target, sources, heads, mask=mask, residual=target,
                    norm=(f"{prefix}/ln_q", f"{prefix}/ln_kv"))
     return ffn_forward(params, f"{prefix}/ffn", x, residual=x, norm=f"{prefix}/ln2")
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .attention import distance_bias_mask, masked_mha, pairwise_distances, positional_encoding
+from .attention import SegmentBlocks, distance_bias_mask, masked_mha, pairwise_distances, positional_encoding
 from .autodiff import Tensor
 
 
@@ -30,8 +30,8 @@ def ffn_forward(params, prefix, x, residual=None, norm=None):
     return ad.ffn(x, *(params[f"{prefix}/{name}"] for name in ("w1", "b1", "w2", "b2")), norm=ln, residual=residual)
 
 
-def layer_norm_p(params, prefix, x):
-    return ad.layer_norm(x, params[f"{prefix}/g"], params[f"{prefix}/b"])
+def layer_norm_p(params, prefix, x, keep=None):
+    return ad.layer_norm(x, params[f"{prefix}/g"], params[f"{prefix}/b"], keep=keep)
 
 
 def track_embedding(params, prefix, x, presence):
@@ -85,17 +85,17 @@ def _encoder_stack(params, cfg, prefix, tokens, presence, codes, mask, adj=None)
 
     tokens: [..., 2] inputs; presence: bool over tokens' leading axes;
     codes: timestep codes broadcastable to the embedded tokens; adj:
-    optional GCN adjacency for every block.
+    optional GCN adjacency for every block.  The embedding node zeroes
+    absent slots and adds the codes as epilogues, and the ``ln_out`` node
+    zeroes them as one, so the tape keeps no array between them.
     """
     dtype = params[f"{prefix}/embed/w"].dtype
-    keep = Tensor(presence[..., None].astype(dtype))
-    x = ad.linear(Tensor(tokens, dtype=dtype), params[f"{prefix}/embed/w"], params[f"{prefix}/embed/b"])
-    x = ad.mul(x, keep)
-    x = ad.add(x, Tensor(codes, dtype=dtype))
+    keep = presence[..., None].astype(dtype)
+    x = ad.linear(Tensor(tokens, dtype=dtype), params[f"{prefix}/embed/w"], params[f"{prefix}/embed/b"],
+                  keep=keep, shift=np.asarray(codes, dtype=dtype))
     for layer in range(cfg.layers):
         x = encoder_block(params, f"{prefix}/l{layer}", x, cfg.heads, mask, adj=adj)
-    x = layer_norm_p(params, f"{prefix}/ln_out", x)
-    return ad.mul(x, keep)
+    return layer_norm_p(params, f"{prefix}/ln_out", x, keep=keep)
 
 
 def spatial_forward(params, cfg, x_obs, presence_obs, scene_positions=None, segment=None):
@@ -107,7 +107,9 @@ def spatial_forward(params, cfg, x_obs, presence_obs, scene_positions=None, segm
     positions in one shared frame, from which the distance-bias mask and
     the GCN adjacency take the distances between agents; defaults to x_obs.
     segment: optional [N] scene number per agent; agents of different
-    segments neither attend to nor convolve with each other.
+    segments neither attend to nor convolve with each other.  Attention
+    runs on one block of agents per segment (``attention.SegmentBlocks``),
+    so its bias, mask and weights cover only the pairs within segments.
 
     Every token also gets the sinusoidal code of its timestep.  A relative
     track is exactly zero at the agent's last observed step, so without
@@ -120,12 +122,13 @@ def spatial_forward(params, cfg, x_obs, presence_obs, scene_positions=None, segm
     tokens_t = np.asarray(x_obs, dtype=np.float64).transpose(1, 0, 2)  # [T, N, 2]
     pos_t = np.asarray(scene_positions, dtype=np.float64).transpose(1, 0, 2)
     pres_t = np.asarray(presence_obs, dtype=bool).T  # [T, N]
+    segment = np.zeros(pres_t.shape[1], dtype=np.intp) if segment is None else np.asarray(segment)
     dist = pairwise_distances(pos_t)  # [T, N, N]
-    absent = ~pres_t[:, None, :]  # key agent absent at that timestep
-    if segment is not None:
-        absent = absent | (segment[:, None] != segment[None, :])
-    mask = distance_bias_mask(dist, absent, params["spatial/mask/w"], params["spatial/mask/b"])
-    adj = gcn_adjacency(dist, ~absent & pres_t[:, :, None], cfg.gcn_radius)
+    pair_ok = (segment[:, None] == segment[None, :]) & pres_t[:, :, None] & pres_t[:, None, :]
+    adj = gcn_adjacency(dist, pair_ok, cfg.gcn_radius)
+    blocks = SegmentBlocks(segment)  # attention runs within each segment's block of agents
+    mask = distance_bias_mask(blocks.gather_pairs(dist), blocks.absent(pres_t), params["spatial/mask/w"],
+                              params["spatial/mask/b"], blocks=blocks)
     codes = positional_encoding(len(tokens_t), cfg.d_model)[:, None, :]  # same code for every agent
     x = _encoder_stack(params, cfg, "spatial", tokens_t, pres_t, codes, mask, adj=adj)
     return ad.transpose(x, (1, 0, 2))  # [N, T, d]

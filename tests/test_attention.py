@@ -7,6 +7,7 @@ import crowdcast.autodiff as ad
 from crowdcast import attention
 from crowdcast.attention import (
     AttentionMask,
+    SegmentBlocks,
     capture,
     distance_bias_mask,
     masked_mha,
@@ -458,6 +459,145 @@ class TestFusedMha:
         p = mha_params(np.random.default_rng(27), 4)
         with pytest.raises(ShapeError):
             masked_mha(p, "blk", Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 3, 4))), 2)
+
+    def test_list_of_sources_equals_their_concatenation(self):
+        """Key/value sources given as a list give, bit for bit, what their
+        concatenation gives as one input, and each source takes its slice
+        of the key/value gradient."""
+        rng = np.random.default_rng(33)
+        d, heads = 4, 2
+        p = grad_params(rng, d)
+        for name in ("lq/g", "lq/b", "lkv/g", "lkv/b"):
+            p[name] = Tensor(rng.normal(size=d), requires_grad=True)
+        q_in = Tensor(rng.normal(size=(3, 2, d)), requires_grad=True)
+        sources = [Tensor(rng.normal(size=(3, length, d)), requires_grad=True) for length in (2, 3, 1)]
+        absent = rng.random((3, 1, 6)) < 0.3
+        absent[:, :, 0] = False
+        mask = AttentionMask(bias=None, absent=absent)
+        probe = rng.normal(size=q_in.shape)
+        leaves = [q_in, *sources, *p.values()]
+        results = []
+        for listed in (False, True):
+            for t in leaves:
+                t.zero_grad()
+            kv = sources if listed else ad.concat(sources, axis=1)
+            out = masked_mha(p, "blk", q_in, kv, heads, mask=mask, residual=q_in, norm=("lq", "lkv"))
+            ad.backward(probe_loss(out, probe))
+            results.append([out.data] + [t.grad for t in leaves])
+        for joined, listed in zip(*results):
+            np.testing.assert_array_equal(listed, joined)
+        f = lambda: probe_loss(masked_mha(p, "blk", q_in, sources, heads, mask=mask), probe)  # noqa: E731
+        assert_grads_match(f, sources)
+
+    def test_list_of_sources_keeps_no_concatenation(self):
+        """A node fed a list of sources keeps their rows only as the
+        sources themselves: past the forward it holds its weights and row
+        stats, no joined [R, d] array."""
+        rng = np.random.default_rng(34)
+        lead, lq, d, heads = 8, 4, 128, 4
+        p = grad_params(rng, d)
+        for name in ("ln/g", "ln/b"):
+            p[name] = Tensor(rng.normal(size=d), requires_grad=True)
+        q_in = Tensor(rng.normal(size=(lead, lq, d)), requires_grad=True)
+        sources = [Tensor(rng.normal(size=(lead, 8, d)), requires_grad=True) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            out = masked_mha(p, "blk", q_in, sources, heads, norm=("ln", "ln"))
+            retained = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        weights, stats, slack = lead * heads * lq * 16 * 8, 2 * lead * (lq + 16) * 8, 8 * 2**10
+        assert weights + stats + slack < lead * 16 * d * 8 // 2
+        assert retained < weights + stats + slack, retained
+
+
+class TestSegmentBlocks:
+    """Attention within the segments of a packed window, run per block of
+    agents, against attention over all agent pairs with the keys of other
+    segments absent."""
+
+    SEGMENTS = {"uneven": [0] + [1] * 3 + [2] * 6, "interleaved": [2, 0, 2, 1, 0, 2], "one": [0] * 4}
+
+    @pytest.mark.parametrize("name", SEGMENTS)
+    def test_gather_and_scatter(self, name):
+        segment = np.array(self.SEGMENTS[name])
+        blocks = SegmentBlocks(segment)
+        counts = np.unique(segment, return_counts=True)[1]
+        assert (blocks.count, blocks.size) == (len(counts), counts.max())
+        np.testing.assert_array_equal((~blocks.pad).sum(axis=1), counts)
+        rows = blocks.gather(np.arange(len(segment)), -1)  # [S, n] agent of each slot
+        for block, pad in zip(rows, blocks.pad):
+            assert len(set(segment[block])) == 1  # pad slots repeat a row of their segment
+            np.testing.assert_array_equal(block[~pad], np.flatnonzero(segment == segment[block[0]]))
+        x = np.random.default_rng(0).normal(size=(3, len(segment), 5))
+        gathered = blocks.gather(x)
+        assert gathered.shape == (3, blocks.count, blocks.size, 5)
+        np.testing.assert_array_equal(blocks.scatter(gathered, 1), x)
+        pairs = blocks.gather_pairs(x[..., :1] - x[..., :1].swapaxes(-1, -2))
+        assert pairs.shape == (3, blocks.count, blocks.size, blocks.size)
+        np.testing.assert_array_equal(pairs[:, :, :, 0], gathered[:, :, :, 0] - gathered[:, :, :1, 0])
+
+    @pytest.mark.parametrize("name", SEGMENTS)
+    def test_equals_attention_over_all_pairs(self, name):
+        """Output, captured weights and every gradient, with a norm
+        prologue, a residual, a learned distance bias and absent agents."""
+        segment = np.array(self.SEGMENTS[name])
+        rng = np.random.default_rng(31)
+        t, n, d, heads = 3, len(segment), 4, 2
+        p = grad_params(rng, d)
+        for name in ("ln/g", "ln/b"):
+            p[name] = Tensor(rng.normal(size=d), requires_grad=True)
+        w, b = (Tensor(rng.normal(size=1), requires_grad=True) for _ in range(2))
+        x = Tensor(rng.normal(size=(t, n, d)), requires_grad=True)
+        dist = pairwise_distances(rng.normal(size=(t, n, 2)))
+        present = rng.random((t, n)) < 0.75
+        assert not present.all()
+        blocks = SegmentBlocks(segment)
+        masks = {
+            "pairs": lambda: distance_bias_mask(dist, ~present[:, None, :] | (segment[:, None] != segment[None, :]),
+                                                w, b),
+            "blocks": lambda: distance_bias_mask(blocks.gather_pairs(dist), blocks.absent(present), w, b,
+                                                 blocks=blocks),
+        }
+        probe = rng.normal(size=x.shape)
+        leaves = [x, w, b, *p.values()]
+        results = {}
+        for kind, make_mask in masks.items():
+            for leaf in leaves:
+                leaf.zero_grad()
+            with capture() as kept:
+                out = masked_mha(p, "blk", x, x, heads, mask=make_mask(), residual=x, norm="ln")
+            ad.backward(probe_loss(out, probe))
+            results[kind] = [out.data, kept["blk"]] + [leaf.grad for leaf in leaves]
+        assert results["blocks"][1].shape == (t, heads, n, n)
+        # the mask bias gradient is 0 in exact arithmetic: measure against the largest
+        scale = max(float(np.abs(a).max()) for a in results["pairs"])
+        for dense, block in zip(results["pairs"], results["blocks"]):
+            np.testing.assert_allclose(block, dense, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_node_keeps_weights_per_block(self):
+        """A packed spatial attention node keeps its weights over the pairs
+        within segments, so its bytes grow with the sum of the squared
+        segment sizes, not with the square of the agent count: twice the
+        segments, about twice the bytes."""
+        rng = np.random.default_rng(32)
+        t, n, d, heads = 8, 6, 64, 8
+        p = grad_params(rng, d)
+        kept = {}
+        for count in (4, 8):
+            blocks = SegmentBlocks(np.repeat(np.arange(count), n))
+            x = Tensor(rng.normal(size=(t, count * n, d)), requires_grad=True)
+            bias = Tensor(rng.normal(size=(t, count, n, n)), requires_grad=True)
+            mask = AttentionMask(bias=bias, absent=blocks.absent(np.ones((t, count * n), dtype=bool)), blocks=blocks)
+            tracemalloc.start()
+            try:
+                out = masked_mha(p, "blk", x, x, heads, mask=mask)
+                kept[count] = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+            finally:
+                tracemalloc.stop()
+            weights, all_pairs = t * heads * count * n * n * 8, t * heads * (count * n) ** 2 * 8
+            assert weights <= kept[count] < weights + 8 * 2**10 < all_pairs // 2, kept[count]
+        assert kept[8] < 2.1 * kept[4], kept
 
 
 class TestNormPrologue:

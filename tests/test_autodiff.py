@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -508,6 +509,60 @@ class TestPerOpGradients:
         x, w = Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 2)))
         with pytest.raises(ShapeError):
             ad.linear(x, w, residual=Tensor(np.zeros((3, 4))))
+        with pytest.raises(ShapeError):
+            ad.linear(x, w, shift=np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_keep_and_shift_equal_the_nodes_they_replace(self, relu):
+        """``linear``'s ``keep`` and ``shift`` epilogues and ``layer_norm``'s
+        ``keep`` give, bit for bit, what a mul by the 0/1 array and an add
+        of the constant gave as nodes of their own, forward and backward."""
+        rng = np.random.default_rng(24)
+        x, w, b, gain, beta = (Tensor(rng.normal(size=s), requires_grad=True)
+                               for s in ((2, 5, 3), (3, 4), (4,), (4,), (4,)))
+        keep = (rng.random((2, 5, 1)) < 0.6).astype(np.float64)
+        shift = rng.normal(size=(5, 4))
+        g = rng.normal(size=(2, 5, 4))
+
+        def run(fused):
+            if fused:
+                y = ad.linear(x, w, b, relu=relu, keep=keep, shift=shift)
+                return y, ad.layer_norm(y, gain, beta, keep=keep)
+            y = ad.add(ad.mul(ad.linear(x, w, b, relu=relu), Tensor(keep)), Tensor(shift))
+            return y, ad.mul(ad.layer_norm(y, gain, beta), Tensor(keep))
+
+        results = []
+        for fused in (False, True):
+            for t in (x, w, b, gain, beta):
+                t.zero_grad()
+            y, out = run(fused)
+            backward(ad.tsum(ad.mul(out, Tensor(g))))
+            results.append([y.data, out.data] + [t.grad for t in (x, w, b, gain, beta)])
+        for composed, folded in zip(*results):
+            np.testing.assert_array_equal(folded, composed)
+        assert not results[1][1][keep[..., 0] == 0].any()
+
+    def test_keep_and_shift_keep_no_row_array(self):
+        """An encoder stack's embedding with ``keep`` and ``shift`` and its
+        ``ln_out`` with ``keep`` hold, besides their outputs, only the
+        norm's row stats: no [R, d] array, where the mul and add nodes
+        they replace each kept one."""
+        rng = np.random.default_rng(25)
+        rows, d = 512, 64
+        x = Tensor(rng.normal(size=(rows, 2)))
+        w, b, gain, beta = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, d), (d,), (d,), (d,)))
+        keep = (rng.random((rows, 1)) < 0.8).astype(np.float64)
+        shift = rng.normal(size=(rows, d))
+        tracemalloc.start()
+        try:
+            y = ad.linear(x, w, b, keep=keep, shift=shift)
+            out = ad.layer_norm(y, gain, beta, keep=keep)
+            retained = tracemalloc.get_traced_memory()[0] - y.data.nbytes - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        stats, slack = 2 * rows * 8, 8 * 2**10
+        assert stats + slack < rows * d * 8 // 2
+        assert retained < stats + slack, retained
 
     def test_reshape_transpose(self):
         self._check(lambda a: ad.transpose(ad.reshape(a, (4, 3)), (1, 0)), [(3, 4)], 8)

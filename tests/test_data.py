@@ -388,6 +388,13 @@ class TestSynth:
         (scene,) = synth_generate(seed=0, n_scenes=1, n_frames=2)
         assert np.isfinite([r[2:] for r in scene.frames]).all()
 
+    @pytest.mark.parametrize("kinds", [(), ("avoid", "intent"), ("groups",)])
+    def test_empty_or_unknown_kind_rejected(self, kinds):
+        """An unknown kind used to make group walkers, and no kind failed
+        in numpy's draw."""
+        with pytest.raises(ValueError, match="one or more of cv, avoid, group"):
+            synth_generate(seed=0, n_scenes=1, kinds=kinds)
+
 
 class TestLastPresent:
     def test_matches_per_row_loop(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import crowdcast.autodiff as ad
+from crowdcast.attention import capture
 from crowdcast.config import TrainConfig
 from crowdcast.data import normalize_window, pack_windows, synth_generate, window_scene
 from crowdcast.hypergraph import effective_scales, multiscale_group_features
@@ -90,7 +91,7 @@ class TestPackedEqualsPerWindow:
     """Loss and every parameter gradient of a packed batch equal the mean
     over its windows of the per-window values, in 64-bit."""
 
-    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [4, 0, 5, 3], [1, 2]])
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [4, 0, 5, 3], [1, 2], [0, 2, 4]])
     def test_loss_and_gradients(self, order):
         cfg = tiny_config(scales=SCALES)
         model = randomize_params(CrowdForecaster(cfg, seed=2), seed=3)
@@ -112,6 +113,31 @@ class TestPackedEqualsPerWindow:
         for name in sorted(grads):
             scale = max(float(np.max(np.abs(refs[name]))), floor)
             assert np.max(np.abs(grads[name] - refs[name])) <= 1e-10 * scale, name
+
+
+def test_packed_capture_gives_dense_spatial_maps():
+    """Packed spatial attention runs per segment block (1, 3 and 6 agents,
+    the last with absent steps), and ``capture`` still keeps dense [T, h,
+    N, N] maps: each window's block is what that window captures alone,
+    and the pairs between windows are zero."""
+    cfg = tiny_config(scales=SCALES)
+    model = randomize_params(CrowdForecaster(cfg, seed=2), seed=3)
+    windows = [mixed_windows()[i] for i in (0, 2, 4)]
+
+    def spatial_maps(window):
+        with capture() as kept:
+            model.sample_futures(window, 1, np.random.default_rng(0))
+        return [kept[f"spatial/l{layer}/attn"] for layer in range(cfg.layers)]
+
+    packed = spatial_maps(pack_windows(windows))
+    singles = [spatial_maps(w) for w in windows]
+    starts = np.cumsum([0] + [w.n_agents for w in windows])
+    for layer, dense in enumerate(packed):
+        assert dense.shape == (windows[0].t_in, cfg.heads, starts[-1], starts[-1])
+        expected = np.zeros_like(dense)
+        for lo, hi, single in zip(starts[:-1], starts[1:], singles):
+            expected[:, :, lo:hi, lo:hi] = single[layer]
+        np.testing.assert_allclose(dense, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("precision", ["f64", "f32"])

@@ -691,6 +691,31 @@ class TestCliRejectsBadInput:
             self._load_checkpoint(command, run, ckpt)
         assert not (run[0] / command).exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "inspect"])
+    @pytest.mark.parametrize("text, reason", [(None, "cannot read config: No such file or directory"),
+                                              (b"bogus=1\n", "1: unknown config key 'bogus'"),
+                                              (b"epochs=2\nd_model=63\n", "d_model must be even"),
+                                              (b"# a comment\nepochs=lots\n",
+                                               "2: config key 'epochs': cannot parse 'lots'"),
+                                              (b"epochs=\xff\n", "not UTF-8 text")],
+                             ids=["missing", "unknown-key", "invalid-value", "unparsable-value", "not-utf8"])
+    def test_bad_config_is_one_line_error(self, run, command, text, reason):
+        """A missing config file used to end in a FileNotFoundError
+        traceback, and an unknown key or invalid value in a ConfigError
+        one."""
+        tmp_path, data, _, ckpt = run
+        cfg_path = tmp_path / "bad.cfg"
+        if text is not None:
+            cfg_path.write_bytes(text)
+        args = {"train": ["--out", str(tmp_path / "train")],
+                "eval": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")],
+                "inspect": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "inspect")]}[command]
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--config", str(cfg_path), "--data", str(data)] + args)
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert exc.value.code.startswith(f"{cfg_path}:") and reason in exc.value.code, exc.value.code
+        assert not (tmp_path / command).exists()
+
     def test_holdout_must_name_a_scene(self, run):
         tmp_path, data, cfg_path, _ = run
         with pytest.raises(SystemExit, match="'nosuch' is not a scene"):

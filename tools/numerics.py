@@ -11,7 +11,8 @@ windows, drawn as ``train.evaluate`` draws them, with the hyperedges each
 of those calls forms (kept by ``attention.capture``), and, by
 ``tracemalloc``, the bytes each precision's forward tape holds, the peak
 while its backward runs, and the op kind, output shape and temporaries of
-the node whose backward reaches that peak.  crowdcast is imported from the ``src``
+the node whose backward reaches that peak, and how many tape nodes of each
+op kind the packed ``training_loss`` records.  crowdcast is imported from the ``src``
 beside this script, so running the script of each checkout snapshots that
 checkout.
 
@@ -25,12 +26,12 @@ noise.  The hyperedges and the corpus digests either match or differ.
 The hyperedges are ranked from whitened distances, whose rounding can
 differ between two formulas that agree in exact arithmetic, so a flipped
 near-tie shows here as the cause of any sample difference.  The memory
-figures and the peak node are printed for both sides; a snapshot from
-before they were recorded reads "not recorded".  ``compare`` exits with
+figures, the peak node and the node counts are printed for both sides; a
+snapshot from before they were recorded reads "not recorded".  ``compare`` exits with
 status 1 when the loss, any gradient entry, any K=20 sample, any window's
 hyperedges or any corpus digest differs at all, so a claim that a change
-is bit-identical rests on its exit status; the memory figures never fail
-it.
+is bit-identical rests on its exit status; the memory figures and the
+node counts never fail it.
 """
 
 import hashlib
@@ -39,6 +40,7 @@ import os
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 
 # One BLAS thread, as the benchmark runs: results then do not depend on
 # how the BLAS splits its sums.  Must be set before numpy loads.
@@ -99,20 +101,23 @@ def corpus_digests(workdir):
 
 def backward_peak_node(model, packed, eps):
     """The node whose backward reaches the highest traced memory, as "<op
-    kind> <output shape>", and its temporaries: that peak less the traced
-    memory as the node's backward starts.
+    kind> <output shape>", its temporaries (that peak less the traced
+    memory as the node's backward starts), and the count of tape nodes by
+    op kind.
 
     A second forward and backward, with each node's backward wrapped to
     measure it, so the wrappers stay out of the figures ``dump`` records
     from the first.
     """
     peaks = []  # (traced peak, temporaries, label) per node backward
+    kinds = Counter()
     make = ad._make
 
     def measuring_make(data, op, *rest, **kwargs):
         out = make(data, op, *rest, **kwargs)
         inner = out._backward
         if inner is not None:
+            kinds[op] += 1
             label = f"{op} {list(data.shape)}"
 
             def measured(g):
@@ -136,7 +141,7 @@ def backward_peak_node(model, packed, eps):
     ad.backward(total)
     tracemalloc.stop()
     _, temporaries, label = max(peaks)
-    return label, temporaries
+    return label, temporaries, kinds
 
 
 def dump(path):
@@ -158,8 +163,9 @@ def dump(path):
         out[f"{precision}/loss"] = np.float64(total.data)
         for name, p in model.params.items():
             out[f"{precision}/grad/{name}"] = np.zeros(p.shape) if p.grad is None else p.grad.astype(np.float64)
-        out[f"mem/{precision}/peak_node"], temporaries = backward_peak_node(model, packed, eps)
+        out[f"mem/{precision}/peak_node"], temporaries, kinds = backward_peak_node(model, packed, eps)
         out[f"mem/{precision}/peak_node_temporaries"] = np.int64(temporaries)
+        out[f"mem/{precision}/tape_nodes"] = np.array(json.dumps(dict(sorted(kinds.items()))))
         if precision == "f64":
             for wi, window in enumerate(windows):
                 with capture() as kept:
@@ -213,6 +219,15 @@ def compare(path_a, path_b):
         sides = [f"{s[key]} (+{int(s[key + '_temporaries']) / 2**20:.2f} MiB)" if key in s.files else "not recorded"
                  for s in (a, b)]
         print(f"{precision} backward peak node: {sides[0]} against {sides[1]}")
+        key = f"mem/{precision}/tape_nodes"
+        counts = [json.loads(str(s[key])) if key in s.files else None for s in (a, b)]
+        sides = [f"{sum(c.values())} nodes" if c is not None else "not recorded" for c in counts]
+        moved = ""
+        if None not in counts:
+            moved = ", ".join(f"{op} {counts[0].get(op, 0)} -> {counts[1].get(op, 0)}"
+                              for op in sorted(set(counts[0]) | set(counts[1]))
+                              if counts[0].get(op, 0) != counts[1].get(op, 0))
+        print(f"{precision} packed training_loss: {sides[0]} against {sides[1]}{'; ' + moved if moved else ''}")
     return identical
 
 
