@@ -52,7 +52,7 @@ class SegmentBlocks:
     ``TrajectoryWindow.segment`` numbers them.  ``gather`` takes rows to
     blocks, where a pad slot repeats a row of its segment, ``scatter``
     takes blocks back to rows and drops the pad slots, and ``pad`` [S, n]
-    marks the pad slots.  With one segment both are reshapes.
+    marks the pad slots.
     """
 
     def __init__(self, segment):
@@ -60,33 +60,24 @@ class SegmentBlocks:
         counts = np.bincount(seg)
         self.rows_total, self.count, self.size = len(seg), len(counts), int(counts.max())
         self.pad = np.arange(self.size) >= counts[:, None]  # [S, n]
-        self.rows = self.seg = self.slot = None
-        if self.count > 1:
-            order = np.argsort(seg, kind="stable")  # the rows of each segment, in order
-            starts = np.cumsum(counts) - counts
-            self.rows = order[starts[:, None] + np.minimum(np.arange(self.size), counts[:, None] - 1)]
-            self.seg = seg
-            self.slot = np.empty_like(seg)
-            self.slot[order] = np.arange(len(seg)) - np.repeat(starts, counts)
+        order = np.argsort(seg, kind="stable")  # the rows of each segment, in order
+        starts = np.cumsum(counts) - counts
+        self.rows = order[starts[:, None] + np.minimum(np.arange(self.size), counts[:, None] - 1)]
+        self.seg = seg
+        self.slot = np.empty_like(seg)
+        self.slot[order] = np.arange(len(seg)) - np.repeat(starts, counts)
 
     def gather(self, x, axis=-2):
         """x with its agent ``axis`` (N rows) split into blocks (S, n)."""
-        axis %= x.ndim
-        if self.rows is None:
-            return x.reshape(x.shape[:axis] + (1,) + x.shape[axis:])
         return np.take(x, self.rows, axis=axis)
 
     def gather_pairs(self, a):
         """The diagonal blocks [..., S, n, n] of agent pairs [..., N, N]."""
-        if self.rows is None:
-            return a[..., None, :, :]
         return a[..., self.rows[:, :, None], self.rows[:, None, :]]
 
     def scatter(self, x, axis):
         """x with its block axes (S, n) at ``axis`` joined back into N rows."""
         axis %= x.ndim
-        if self.rows is None:
-            return x.reshape(x.shape[:axis] + (self.rows_total,) + x.shape[axis + 2:])
         return x[(slice(None),) * axis + (self.seg, self.slot)]
 
     def absent(self, present):
@@ -99,8 +90,6 @@ class SegmentBlocks:
     def dense(self, w):
         """Block attention weights [..., S, h, n, n] as [..., h, N, N], zero
         between agents of different segments."""
-        if self.rows is None:
-            return w[..., 0, :, :, :].copy()
         out = np.zeros(w.shape[:-4] + w.shape[-3:-2] + (self.rows_total,) * 2, dtype=w.dtype)
         for s, (rows, pad) in enumerate(zip(self.rows, self.pad)):
             k = int((~pad).sum())

@@ -622,7 +622,7 @@ def prenorm_rebuild(xd, norm, stats):
     return out
 
 
-def prenorm_grad(xd, norm, stats, g2, need_x=True):
+def prenorm_grad(xd, norm, stats, g2, need_x):
     """The gradient [R, d] of the rows of ``xd`` from the gradient ``g2``
     [R, d] of the prologue's rows, or None without ``need_x``; the norm's
     gain and bias take theirs.  ``g2`` must be the caller's own.  The

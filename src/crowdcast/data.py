@@ -346,7 +346,7 @@ def _group_tracks(rng, n_agents, n_frames):
 SYNTH_KINDS = ("cv", "avoid", "group")  # constant-velocity, mutually avoiding and group walkers
 
 
-def synth_generate(seed, n_scenes, agents_range=(3, 6), n_frames=25, kinds=("cv", "avoid", "group")):
+def synth_generate(seed, n_scenes, agents_range=(3, 6), n_frames=25, kinds=SYNTH_KINDS):
     """Deterministic synthetic crowd scenes mixing walker behaviors.
 
     Each scene mixes constant-velocity walkers, mutually avoiding walkers,
