@@ -45,20 +45,24 @@ def capture():
 
 class SegmentBlocks:
     """The agents of a window grouped into one block per segment, padded to
-    the largest segment, so that attention within segments runs on
+    the largest segment: the one layout of its agents that spatial
+    attention, its GCN and the hypergraph share, so that they run on
     [..., S, n, ...] blocks instead of all [..., N, N] agent pairs.
 
-    segment: [N] segment number 0..S-1 of each agent, as
-    ``TrajectoryWindow.segment`` numbers them.  ``gather`` takes rows to
-    blocks, where a pad slot repeats a row of its segment, ``scatter``
-    takes blocks back to rows and drops the pad slots, and ``pad`` [S, n]
-    marks the pad slots.
+    segment: [N] segment number 0..S-1 of each agent, every number used,
+    as ``TrajectoryWindow.segment`` numbers them.  ``counts`` [S] holds
+    each segment's agent count and ``pad`` [S, n] marks the pad slots.
+    ``gather`` takes rows to blocks, where a pad slot repeats a row of its
+    segment, ``scatter`` takes blocks back to rows and drops the pad
+    slots, and ``dense`` lays block pairs out as agent pairs.
     """
 
     def __init__(self, segment):
         seg = np.asarray(segment)
         counts = np.bincount(seg)
-        self.rows_total, self.count, self.size = len(seg), len(counts), int(counts.max())
+        if not counts.all():
+            raise ValueError(f"segment labels must number 0..S-1; unused: {np.flatnonzero(counts == 0).tolist()}")
+        self.counts, self.rows_total, self.count, self.size = counts, len(seg), len(counts), int(counts.max())
         self.pad = np.arange(self.size) >= counts[:, None]  # [S, n]
         order = np.argsort(seg, kind="stable")  # the rows of each segment, in order
         starts = np.cumsum(counts) - counts
@@ -70,10 +74,6 @@ class SegmentBlocks:
     def gather(self, x, axis=-2):
         """x with its agent ``axis`` (N rows) split into blocks (S, n)."""
         return np.take(x, self.rows, axis=axis)
-
-    def gather_pairs(self, a):
-        """The diagonal blocks [..., S, n, n] of agent pairs [..., N, N]."""
-        return a[..., self.rows[:, :, None], self.rows[:, None, :]]
 
     def scatter(self, x, axis):
         """x with its block axes (S, n) at ``axis`` joined back into N rows."""
@@ -88,13 +88,10 @@ class SegmentBlocks:
         return keys[..., None, :] | self.pad[:, :, None]
 
     def dense(self, w):
-        """Block attention weights [..., S, h, n, n] as [..., h, N, N], zero
+        """Block pairs [..., S, n, n] as agent pairs [..., N, N], zero
         between agents of different segments."""
-        out = np.zeros(w.shape[:-4] + w.shape[-3:-2] + (self.rows_total,) * 2, dtype=w.dtype)
-        for s, (rows, pad) in enumerate(zip(self.rows, self.pad)):
-            k = int((~pad).sum())
-            out[..., rows[:k, None], rows[None, :k]] = w[..., s, :, :k, :k]
-        return out
+        pairs = w[..., self.seg[:, None], self.slot[:, None], self.slot]
+        return np.where(self.seg[:, None] == self.seg, pairs, 0)
 
 
 @dataclass
@@ -250,7 +247,7 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, nor
     attn = ad.softmax_data(logits, absent, out=logits)
 
     if _captured is not None:
-        _captured[prefix] = attn.copy() if blocks is None else blocks.dense(attn)
+        _captured[prefix] = attn.copy() if blocks is None else blocks.dense(attn.swapaxes(-4, -3))
 
     mixed = merge(attn @ vh, lq)
     out_data = ad.linear_data(mixed, wd["wo"], wd["bo"])

@@ -225,15 +225,17 @@ def normalize_window(window):
 def pack_windows(windows):
     """Disjoint union of windows along the agent axis, as one window.
 
-    Agents keep their order; ``segment`` numbers the source window of
-    each.  The windows must already be normalized and augmented: packing
-    moves no position.  ``origin_frame`` is the first window's.
+    Agents keep their order; each window's segments are numbered on from
+    the previous window's, so a packed window keeps its own.  The windows
+    must already be normalized and augmented: packing moves no position.
+    ``origin_frame`` is the first window's.
     """
     if not windows:
         raise ValueError("pack_windows needs at least one window")
     first = windows[0]
     if any((w.t_in, w.t_out) != (first.t_in, first.t_out) for w in windows):
         raise ValueError("packed windows must share t_in and t_out")
+    starts = np.cumsum([0] + [int(w.segment.max()) + 1 for w in windows[:-1]])  # each window's first segment
     return TrajectoryWindow(
         positions=np.concatenate([w.positions for w in windows], axis=0),
         presence=np.concatenate([w.presence for w in windows], axis=0),
@@ -241,7 +243,7 @@ def pack_windows(windows):
         origin_frame=first.origin_frame,
         t_in=first.t_in,
         t_out=first.t_out,
-        segment=np.repeat(np.arange(len(windows)), [w.n_agents for w in windows]),
+        segment=np.concatenate([w.segment + start for w, start in zip(windows, starts)]),
     )
 
 

@@ -1,10 +1,10 @@
 """Multiscale crowd hypergraphs and random-walk spectral convolution.
 
-Group structure is discovered per window (per segment of a packed
-window; see ``data.pack_windows``): agent tracks are embedded,
-covariance-whitened distances turn into a heat-kernel similarity matrix,
-and a KNN sweep links each agent with its K most similar peers into a
-hyperedge (duplicates merged).  Features then mix through the
+Group structure is discovered per segment (``attention.SegmentBlocks``)
+of a window: agent tracks are embedded, covariance-whitened distances
+turn into a heat-kernel similarity matrix, and a KNN sweep links each
+agent with its K most similar peers into a hyperedge (duplicates
+merged).  Features then mix through the
 symmetric-normalized random-walk operator of each hypergraph.  The
 embedding is ``transformer.track_embedding`` (shared with the CVAE head)
 and the convolution ``transformer.graph_convolve`` (shared with the
@@ -207,47 +207,47 @@ def _scale_layout(scales, counts):
     return columns, uses, absent
 
 
-def multiscale_group_features(x_obs, presence_obs, params, prefix, scales, segment=None):
+def multiscale_group_features(x_obs, presence_obs, params, prefix, scales, blocks):
     """Group-wise features [N, P, d_model] across KNN scales, and their
     [N, P] bool absent mask, True where an agent's segment has no token.
 
-    Per segment (``TrajectoryWindow.segment``; default one segment) and
-    scale: embed, whiten-distance, similarity, KNN hypergraph.  Per scale
-    parameter index the segments' walk operators form one block-diagonal
-    operator for two stacked convolutions.  Scale outputs stack on axis 1,
-    one column per parameter index that some segment uses, and mix
-    through a tokenwise MLP.  A token its segment lacks is zero and
-    absent, and the single token of a segment with fewer than 2 agents is
-    zero but present.  A plain window has no absent token.  An open
-    ``attention.capture`` keeps each hypergraph's scale and hyperedges, as
-    window agent indices, under ``hyper/edges``.
+    Per segment (each block of ``blocks``, the window's
+    ``attention.SegmentBlocks``) and scale: embed, whiten-distance,
+    similarity, KNN hypergraph.  Per scale parameter index the segments'
+    walk operators form one block-diagonal operator
+    (``SegmentBlocks.dense``) for two stacked convolutions.  Scale outputs
+    stack on axis 1, one column per parameter index that some segment
+    uses, and mix through a tokenwise MLP.  A token its segment lacks is
+    zero and absent, and the single token of a segment with fewer than 2
+    agents is zero but present.  A plain window has no absent token.  An
+    open ``attention.capture`` keeps each hypergraph's scale and
+    hyperedges, as window agent indices, under ``hyper/edges``.
     """
-    n = x_obs.shape[0]
-    segment = np.zeros(n, dtype=np.intp) if segment is None else np.asarray(segment)
-    counts = np.bincount(segment, minlength=1)
-    columns, uses, absent = _scale_layout(scales, counts)
+    n, seg = blocks.rows_total, blocks.seg
+    columns, uses, absent = _scale_layout(scales, blocks.counts)
     w_out = params[f"{prefix}/mlp/w2"]
     if not columns:
-        return Tensor(np.zeros((n, 1, w_out.shape[1])), dtype=w_out.dtype), absent[segment]
+        return Tensor(np.zeros((n, 1, w_out.shape[1])), dtype=w_out.dtype), absent[seg]
 
     q = track_embedding(params, f"{prefix}/embed", x_obs, presence_obs)
-    members = [np.flatnonzero(segment == s) for s in range(len(counts))]
+    members = [rows[~pad] for rows, pad in zip(blocks.rows, blocks.pad)]
     sims = [similarity_matrix(mahalanobis_matrix(q.data[m])) if len(m) >= 2 else None for m in members]
 
     per_scale = []
     for idx in columns:
-        op = np.zeros((n, n))
-        for m, sim, use in zip(members, sims, uses):
+        op = np.zeros((blocks.count, blocks.size, blocks.size))
+        for s, (m, sim, use) in enumerate(zip(members, sims, uses)):
             if idx not in use:
                 continue
             g = build_hyperedges_knn(sim, use[idx])
             if attention._captured is not None:
                 attention._captured.setdefault("hyper/edges", []).append(
                     {"scale": use[idx], "edges": [[int(m[v]) for v in e] for e in g.edges()]})
-            op[np.ix_(m, m)] = random_walk_matrix(g)
+            op[s, : len(m), : len(m)] = random_walk_matrix(g)
+        op = blocks.dense(op)
         h1 = graph_convolve(op, q, params[f"{prefix}/conv{idx}/theta1"])
         per_scale.append(graph_convolve(op, h1, params[f"{prefix}/conv{idx}/theta2"]))
 
     tokens = ffn_forward(params, f"{prefix}/mlp", ad.stack(per_scale, axis=1))  # [N, P, d_model]
-    keep = ~absent & (counts >= 2)[:, None]
-    return ad.mul(tokens, Tensor(keep[segment][:, :, None], dtype=w_out.dtype)), absent[segment]
+    keep = ~absent & (blocks.counts >= 2)[:, None]
+    return ad.mul(tokens, Tensor(keep[seg][:, :, None], dtype=w_out.dtype)), absent[seg]

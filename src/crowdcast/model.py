@@ -10,6 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import cvae
+from .attention import SegmentBlocks
 from .autodiff import Tensor
 from .checkpoint import CheckpointError, load_archive, save_archive, verify_names_shapes
 from .data import agent_relative_positions
@@ -143,18 +144,19 @@ class CrowdForecaster:
         Every encoder reads each agent's track relative to its own last
         observed position (``agent_relative_positions``), so features do
         not depend on where the window sits in the scene.  Only the spatial
-        attention mask and the GCN adjacency read the scene positions,
-        for the real distances between agents.  Agents of different
-        segments (a packed window) never meet.  Returns (y_m, obs_emb,
-        relative tracks [N, T_i + T_o, 2], anchors [N, 2]).
+        attention mask and the GCN adjacency read the scene positions, for
+        the real distances between agents.  One ``SegmentBlocks`` owns the
+        layout of the agents for the spatial and hypergraph branches, so
+        agents of different segments (a packed window) never meet.
+        Returns (y_m, obs_emb, relative tracks [N, T_i + T_o, 2], anchors).
         """
-        cfg, seg = self.cfg, window.segment
+        cfg, blocks = self.cfg, SegmentBlocks(window.segment)
         x_obs, pres_obs = window.observed()
         rel, anchors = agent_relative_positions(window)
         rel_obs = rel[:, : window.t_in]
-        y_s = spatial_forward(self.params, cfg, rel_obs, pres_obs, scene_positions=x_obs, segment=seg)
+        y_s = spatial_forward(self.params, cfg, rel_obs, pres_obs, blocks, scene_positions=x_obs)
         y_t = temporal_forward(self.params, cfg, rel_obs, pres_obs)
-        y_h, h_absent = multiscale_group_features(rel_obs, pres_obs, self.params, "hyper", cfg.scales, segment=seg)
+        y_h, h_absent = multiscale_group_features(rel_obs, pres_obs, self.params, "hyper", cfg.scales, blocks)
         y_m = fuse(self.params, cfg, y_s, y_t, y_h, h_absent=h_absent)
         obs_emb = cvae.observed_embedding(self.params, rel_obs, pres_obs)
         return y_m, obs_emb, rel, anchors

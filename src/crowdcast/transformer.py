@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .attention import SegmentBlocks, distance_bias_mask, masked_mha, pairwise_distances, positional_encoding
+from .attention import distance_bias_mask, masked_mha, pairwise_distances, positional_encoding
 from .autodiff import Tensor
 
 
@@ -60,15 +60,15 @@ def graph_convolve(operator, x, theta, residual=None):
 def gcn_adjacency(dist, pair_ok, radius):
     """Symmetric-normalized proximity adjacency per timestep.
 
-    dist: [T, N, N] distances between agents; pair_ok: [T, N, N] bool, True
-    where both agents are present and of one segment.  Edges link such
-    pairs closer than ``radius`` (self-loops included); absent agents get
-    zero rows and columns.
+    dist: [..., n, n] distances between agents (per timestep and block);
+    pair_ok: bool of that shape, True where both agents are present.
+    Edges link such pairs closer than ``radius`` (self-loops included);
+    absent agents get zero rows and columns.
     """
     a = ((dist < radius) & pair_ok).astype(np.float64)
     deg = a.sum(axis=-1)
     inv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    return inv[:, :, None] * a * inv[:, None, :]
+    return inv[..., :, None] * a * inv[..., None, :]
 
 
 def encoder_block(params, prefix, x, heads, mask, adj=None):
@@ -98,18 +98,19 @@ def _encoder_stack(params, cfg, prefix, tokens, presence, codes, mask, adj=None)
     return layer_norm_p(params, f"{prefix}/ln_out", x, keep=keep)
 
 
-def spatial_forward(params, cfg, x_obs, presence_obs, scene_positions=None, segment=None):
+def spatial_forward(params, cfg, x_obs, presence_obs, blocks, scene_positions=None):
     """Cross-agent attention per timestep; returns [N, T_i, d_model].
 
     x_obs: [N, T_i, 2] inputs the tokens embed (the model passes each
     agent's track relative to its own last observed position), absent
-    slots zero; presence_obs: [N, T_i] bool.  scene_positions: [N, T_i, 2]
-    positions in one shared frame, from which the distance-bias mask and
-    the GCN adjacency take the distances between agents; defaults to x_obs.
-    segment: optional [N] scene number per agent; agents of different
-    segments neither attend to nor convolve with each other.  Attention
-    runs on one block of agents per segment (``attention.SegmentBlocks``),
-    so its bias, mask and weights cover only the pairs within segments.
+    slots zero; presence_obs: [N, T_i] bool.  blocks: the window's
+    ``attention.SegmentBlocks``, which owns the layout of its agents;
+    agents of different segments neither attend to nor convolve with each
+    other.  Distances are taken within blocks only, [T, S, n, n], from
+    scene_positions: [N, T_i, 2] in one shared frame, default x_obs.  They
+    feed the distance-bias mask of attention, which runs on the blocks,
+    and the GCN adjacency, built per block and laid out as the [T, N, N]
+    operator the convolution takes (``SegmentBlocks.dense``).
 
     Every token also gets the sinusoidal code of its timestep.  A relative
     track is exactly zero at the agent's last observed step, so without
@@ -122,13 +123,10 @@ def spatial_forward(params, cfg, x_obs, presence_obs, scene_positions=None, segm
     tokens_t = np.asarray(x_obs, dtype=np.float64).transpose(1, 0, 2)  # [T, N, 2]
     pos_t = np.asarray(scene_positions, dtype=np.float64).transpose(1, 0, 2)
     pres_t = np.asarray(presence_obs, dtype=bool).T  # [T, N]
-    segment = np.zeros(pres_t.shape[1], dtype=np.intp) if segment is None else np.asarray(segment)
-    dist = pairwise_distances(pos_t)  # [T, N, N]
-    pair_ok = (segment[:, None] == segment[None, :]) & pres_t[:, :, None] & pres_t[:, None, :]
-    adj = gcn_adjacency(dist, pair_ok, cfg.gcn_radius)
-    blocks = SegmentBlocks(segment)  # attention runs within each segment's block of agents
-    mask = distance_bias_mask(blocks.gather_pairs(dist), blocks.absent(pres_t), params["spatial/mask/w"],
-                              params["spatial/mask/b"], blocks=blocks)
+    dist = pairwise_distances(blocks.gather(pos_t))  # [T, S, n, n]
+    absent = blocks.absent(pres_t)  # with its transpose: each pair with an absent agent or a pad slot
+    adj = blocks.dense(gcn_adjacency(dist, ~(absent | absent.swapaxes(-1, -2)), cfg.gcn_radius))
+    mask = distance_bias_mask(dist, absent, params["spatial/mask/w"], params["spatial/mask/b"], blocks=blocks)
     codes = positional_encoding(len(tokens_t), cfg.d_model)[:, None, :]  # same code for every agent
     x = _encoder_stack(params, cfg, "spatial", tokens_t, pres_t, codes, mask, adj=adj)
     return ad.transpose(x, (1, 0, 2))  # [N, T, d]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crowdcast.attention import SegmentBlocks
 from crowdcast.config import TrainConfig
 from crowdcast.data import TrajectoryWindow
 from crowdcast.model import CrowdForecaster
@@ -22,6 +23,11 @@ def randomize_params(model, seed, scale=0.25):
         t = model.params[name]
         t.data = rng.uniform(-scale, scale, size=t.shape)
     return model
+
+
+def one_segment(n):
+    """The ``SegmentBlocks`` of a plain window of n agents: one segment."""
+    return SegmentBlocks(np.zeros(n, dtype=np.intp))
 
 
 def frame_ids(scene):

@@ -31,7 +31,7 @@ from crowdcast.model import CrowdForecaster
 from crowdcast.train import ConstantVelocityModel, evaluate, train, write_metrics_jsonl, write_summary_csv
 from crowdcast.transformer import spatial_forward, temporal_forward, track_embedding
 
-from conftest import random_window, randomize_params, tiny_config
+from conftest import one_segment, random_window, randomize_params, tiny_config
 from test_attention import mha_oracle, mha_params
 from test_cvae import ade_fde_oracle
 from test_hypergraph import IDENTITY_SCALE, isotropic_embeddings, knn_oracle, random_hypergraph
@@ -176,9 +176,10 @@ def test_equivariance_suite():
         window = random_window(100 + trial, n=n, holes=trial % 3 == 0)
         x_obs, pres = window.observed()
         perm = rng.permutation(n)
+        blocks = one_segment(n)
 
-        s = spatial_forward(params, cfg, x_obs, pres).data
-        s_p = spatial_forward(params, cfg, x_obs[perm], pres[perm]).data
+        s = spatial_forward(params, cfg, x_obs, pres, blocks).data
+        s_p = spatial_forward(params, cfg, x_obs[perm], pres[perm], blocks).data
         worst = max(worst, float(np.max(np.abs(s_p - s[perm]))))
 
         q = track_embedding(params, "hyper/embed", x_obs, pres).data
@@ -188,17 +189,17 @@ def test_equivariance_suite():
         )
         if rows_distinct:  # index tie-breaks would break equivariance
             hyper_trials += 1
-            h = multiscale_group_features(x_obs, pres, params, "hyper", cfg.scales)[0].data
-            h_p = multiscale_group_features(x_obs[perm], pres[perm], params, "hyper", cfg.scales)[0].data
+            h = multiscale_group_features(x_obs, pres, params, "hyper", cfg.scales, blocks)[0].data
+            h_p = multiscale_group_features(x_obs[perm], pres[perm], params, "hyper", cfg.scales, blocks)[0].data
             worst = max(worst, float(np.max(np.abs(h_p - h[perm]))))
 
         t = temporal_forward(params, cfg, x_obs, pres)
-        hh, _ = multiscale_group_features(x_obs, pres, params, "hyper", cfg.scales)
-        spat = spatial_forward(params, cfg, x_obs, pres)
+        hh, _ = multiscale_group_features(x_obs, pres, params, "hyper", cfg.scales, blocks)
+        spat = spatial_forward(params, cfg, x_obs, pres, blocks)
         fused = fuse(params, cfg, spat, t, hh).data
         t_p = temporal_forward(params, cfg, x_obs[perm], pres[perm])
-        hh_p, _ = multiscale_group_features(x_obs[perm], pres[perm], params, "hyper", cfg.scales)
-        spat_p = spatial_forward(params, cfg, x_obs[perm], pres[perm])
+        hh_p, _ = multiscale_group_features(x_obs[perm], pres[perm], params, "hyper", cfg.scales, blocks)
+        spat_p = spatial_forward(params, cfg, x_obs[perm], pres[perm], blocks)
         fused_p = fuse(params, cfg, spat_p, t_p, hh_p).data
         worst = max(worst, float(np.max(np.abs(fused_p - fused[perm]))))
     assert worst < 1e-8

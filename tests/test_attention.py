@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from crowdcast.autodiff import ShapeError, Tensor, gradcheck
 from crowdcast.config import ConfigError
 from crowdcast import transformer
 from crowdcast.transformer import spatial_forward, temporal_forward
-from conftest import random_window, randomize_params, tiny_config
+from conftest import one_segment, random_window, randomize_params, tiny_config
 
 from crowdcast.model import CrowdForecaster
 
@@ -533,9 +534,30 @@ class TestSegmentBlocks:
         gathered = blocks.gather(x)
         assert gathered.shape == (3, blocks.count, blocks.size, 5)
         np.testing.assert_array_equal(blocks.scatter(gathered, 1), x)
-        pairs = blocks.gather_pairs(x[..., :1] - x[..., :1].swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("name", SEGMENTS)
+    def test_dense_round_trip(self, name):
+        """Distances taken within blocks, as ``spatial_forward`` takes them,
+        laid out by ``dense`` are the distances of all agent pairs within
+        segments and zero across them, and each block's non-pad pairs come
+        back from that layout unchanged."""
+        segment = np.array(self.SEGMENTS[name])
+        blocks = SegmentBlocks(segment)
+        points = np.random.default_rng(0).normal(size=(3, len(segment), 2))
+        pairs = pairwise_distances(blocks.gather(points))
         assert pairs.shape == (3, blocks.count, blocks.size, blocks.size)
-        np.testing.assert_array_equal(pairs[:, :, :, 0], gathered[:, :, :, 0] - gathered[:, :, :1, 0])
+        dense = blocks.dense(pairs)
+        same = segment[:, None] == segment[None, :]
+        np.testing.assert_array_equal(dense, np.where(same, pairwise_distances(points), 0.0))
+        s, i, j = np.nonzero(~blocks.pad[:, :, None] & ~blocks.pad[:, None, :])
+        np.testing.assert_array_equal(dense[:, blocks.rows[s, i], blocks.rows[s, j]], pairs[:, s, i, j])
+        assert blocks.dense(pairs.astype(np.float32)).dtype == np.float32
+
+    @pytest.mark.parametrize("segment, unused", [([0, 2, 2], [1]), ([1, 1], [0]), ([0, 3, 0, 3], [1, 2])])
+    def test_unused_label_rejected(self, segment, unused):
+        """Labels that skip a number would make an empty, all-pad block."""
+        with pytest.raises(ValueError, match=re.escape(f"unused: {unused}")):
+            SegmentBlocks(np.array(segment))
 
     @pytest.mark.parametrize("name", SEGMENTS)
     def test_equals_attention_over_all_pairs(self, name):
@@ -549,15 +571,15 @@ class TestSegmentBlocks:
             p[name] = Tensor(rng.normal(size=d), requires_grad=True)
         w, b = (Tensor(rng.normal(size=1), requires_grad=True) for _ in range(2))
         x = Tensor(rng.normal(size=(t, n, d)), requires_grad=True)
-        dist = pairwise_distances(rng.normal(size=(t, n, 2)))
+        points = rng.normal(size=(t, n, 2))
         present = rng.random((t, n)) < 0.75
         assert not present.all()
         blocks = SegmentBlocks(segment)
         masks = {
-            "pairs": lambda: distance_bias_mask(dist, ~present[:, None, :] | (segment[:, None] != segment[None, :]),
-                                                w, b),
-            "blocks": lambda: distance_bias_mask(blocks.gather_pairs(dist), blocks.absent(present), w, b,
-                                                 blocks=blocks),
+            "pairs": lambda: distance_bias_mask(pairwise_distances(points),
+                                                ~present[:, None, :] | (segment[:, None] != segment[None, :]), w, b),
+            "blocks": lambda: distance_bias_mask(pairwise_distances(blocks.gather(points)), blocks.absent(present),
+                                                 w, b, blocks=blocks),
         }
         probe = rng.normal(size=x.shape)
         leaves = [x, w, b, *p.values()]
@@ -739,18 +761,18 @@ def encoder_setup(seed, n=4, holes=False):
 class TestSpatialForward:
     def test_output_shape(self):
         cfg, params, x, pres = encoder_setup(7)
-        out = spatial_forward(params, cfg, x, pres)
+        out = spatial_forward(params, cfg, x, pres, one_segment(len(x)))
         assert out.shape == (4, 8, cfg.d_model)
 
     def test_single_agent_runs(self):
         cfg, params, x, pres = encoder_setup(8, n=1)
-        out = spatial_forward(params, cfg, x, pres)
+        out = spatial_forward(params, cfg, x, pres, one_segment(len(x)))
         assert out.shape == (1, 8, cfg.d_model)
         assert np.all(np.isfinite(out.data))
 
     def test_absent_slots_zeroed(self):
         cfg, params, x, pres = encoder_setup(9, holes=True)
-        out = spatial_forward(params, cfg, x, pres).data
+        out = spatial_forward(params, cfg, x, pres, one_segment(len(x))).data
         assert np.all(out[~pres] == 0.0)
         assert np.any(out[pres] != 0.0)
 
@@ -758,9 +780,9 @@ class TestSpatialForward:
         rng = np.random.default_rng(10)
         for trial in range(5):
             cfg, params, x, pres = encoder_setup(11 + trial, n=5, holes=trial % 2 == 0)
-            base = spatial_forward(params, cfg, x, pres).data
+            base = spatial_forward(params, cfg, x, pres, one_segment(len(x))).data
             perm = rng.permutation(5)
-            permuted = spatial_forward(params, cfg, x[perm], pres[perm]).data
+            permuted = spatial_forward(params, cfg, x[perm], pres[perm], one_segment(len(x))).data
             assert np.max(np.abs(permuted - base[perm])) < 1e-8
 
     def test_gradient(self):
@@ -769,39 +791,42 @@ class TestSpatialForward:
         leaves = [params[k] for k in sorted(params) if k.startswith("spatial/")]
 
         def f():
-            return ad.tsum(ad.mul(spatial_forward(params, cfg, x, pres), Tensor(probe)))
+            return ad.tsum(ad.mul(spatial_forward(params, cfg, x, pres, one_segment(len(x))), Tensor(probe)))
 
         assert gradcheck(f, leaves, max_entries=6, rng=np.random.default_rng(1)) < 1e-3
 
 
 class TestGcnAdjacency:
     """The proximity operator that the spatial GCN residual convolves with,
-    captured from ``spatial_forward`` on a two-segment window with holes."""
+    captured from ``spatial_forward`` on windows with holes, over the
+    segment layouts of ``TestSegmentBlocks``."""
 
     def test_symmetric_normalized_within_segments_and_present_agents(self, monkeypatch):
-        cfg, params, x, pres = encoder_setup(14, n=6, holes=True)
-        segment = np.array([0, 0, 0, 1, 1, 1])
         seen = []
         real = transformer.graph_convolve
         monkeypatch.setattr(transformer, "graph_convolve",
                             lambda op, h, theta, residual=None: seen.append(op) or real(op, h, theta, residual))
-        spatial_forward(params, cfg, x, pres, segment=segment)
-        assert len(seen) == cfg.layers
-        adj = seen[0]  # [T, N, N]
-        pres_t = pres.T  # [T, N]
-        assert (~pres_t).any()  # the window has absent agents to leave out
+        for name, layout in TestSegmentBlocks.SEGMENTS.items():
+            segment, n = np.array(layout), len(layout)
+            cfg, params, x, pres = encoder_setup(14, n=n, holes=True)
+            seen.clear()
+            spatial_forward(params, cfg, x, pres, SegmentBlocks(segment))
+            assert len(seen) == cfg.layers, name
+            adj = seen[0]  # [T, N, N]
+            pres_t = pres.T  # [T, N]
+            assert (~pres_t).any(), name  # the window has absent agents to leave out
 
-        np.testing.assert_array_equal(adj, adj.swapaxes(-1, -2))
-        assert not adj[:, segment[:, None] != segment[None, :]].any()
-        assert not adj[~pres_t].any()  # rows of absent agents
-        assert not adj.swapaxes(-1, -2)[~pres_t].any()  # and their columns
-        dist = pairwise_distances(x.transpose(1, 0, 2))
-        linked = (dist < cfg.gcn_radius) & (segment[:, None] == segment[None, :])
-        linked &= pres_t[:, :, None] & pres_t[:, None, :]
-        deg = linked.sum(axis=-1)
-        expected = np.where(linked, 1.0 / np.sqrt(deg[:, :, None] * deg[:, None, :] + ~linked), 0.0)
-        np.testing.assert_allclose(adj, expected, rtol=1e-14, atol=0)
-        assert adj[np.broadcast_to(np.eye(6, dtype=bool), adj.shape) & pres_t[:, :, None]].min() > 0
+            np.testing.assert_array_equal(adj, adj.swapaxes(-1, -2))
+            assert not adj[:, segment[:, None] != segment[None, :]].any(), name
+            assert not adj[~pres_t].any(), name  # rows of absent agents
+            assert not adj.swapaxes(-1, -2)[~pres_t].any(), name  # and their columns
+            dist = pairwise_distances(x.transpose(1, 0, 2))
+            linked = (dist < cfg.gcn_radius) & (segment[:, None] == segment[None, :])
+            linked &= pres_t[:, :, None] & pres_t[:, None, :]
+            deg = linked.sum(axis=-1)
+            expected = np.where(linked, 1.0 / np.sqrt(deg[:, :, None] * deg[:, None, :] + ~linked), 0.0)
+            np.testing.assert_allclose(adj, expected, rtol=1e-14, atol=0, err_msg=name)
+            assert adj[np.broadcast_to(np.eye(n, dtype=bool), adj.shape) & pres_t[:, :, None]].min() > 0, name
 
 
 class TestTemporalForward:

@@ -19,6 +19,7 @@ from crowdcast.hypergraph import (
     transition_matrix,
 )
 from crowdcast.transformer import graph_convolve, track_embedding
+from conftest import one_segment
 
 
 # Mahalanobis regularization of an identity sample covariance: 1 + 1e-3 * trace/d + 1e-12
@@ -440,7 +441,7 @@ class TestMultiscale:
         p = hyper_params(rng, t_in=8, d_emb=8, d_model=8, n_scales=3)
         x = rng.normal(size=(9, 8, 2))
         pres = np.ones((9, 8), dtype=bool)
-        out, absent = multiscale_group_features(x, pres, p, "hyper", (2, 3, 4))
+        out, absent = multiscale_group_features(x, pres, p, "hyper", (2, 3, 4), one_segment(len(x)))
         assert out.shape == (9, 3, 8)
         assert absent.shape == (9, 3) and not absent.any()
 
@@ -449,7 +450,7 @@ class TestMultiscale:
         p = hyper_params(rng, t_in=8, d_emb=8, d_model=8, n_scales=3)
         x = rng.normal(size=(2, 8, 2))
         pres = np.ones((2, 8), dtype=bool)
-        out, _ = multiscale_group_features(x, pres, p, "hyper", (2, 3, 4))
+        out, _ = multiscale_group_features(x, pres, p, "hyper", (2, 3, 4), one_segment(len(x)))
         assert out.shape == (2, 1, 8)
         assert effective_scales((2, 3, 4), 2) == [(1, 0)]
 
@@ -458,7 +459,7 @@ class TestMultiscale:
         p = hyper_params(rng, t_in=8, d_emb=8, d_model=8, n_scales=3)
         x = rng.normal(size=(1, 8, 2))
         pres = np.ones((1, 8), dtype=bool)
-        out, absent = multiscale_group_features(x, pres, p, "hyper", (2, 3, 4))
+        out, absent = multiscale_group_features(x, pres, p, "hyper", (2, 3, 4), one_segment(len(x)))
         assert out.shape == (1, 1, 8)
         assert not absent.any()  # the single agent's one zero token is present
         np.testing.assert_array_equal(out.data, 0.0)
@@ -468,9 +469,9 @@ class TestMultiscale:
         p = hyper_params(rng, t_in=8, d_emb=8, d_model=8, n_scales=2, requires_grad=False)
         x = rng.normal(size=(6, 8, 2))
         pres = np.ones((6, 8), dtype=bool)
-        base = multiscale_group_features(x, pres, p, "hyper", (2, 3))[0].data
+        base = multiscale_group_features(x, pres, p, "hyper", (2, 3), one_segment(len(x)))[0].data
         perm = rng.permutation(6)
-        permuted = multiscale_group_features(x[perm], pres[perm], p, "hyper", (2, 3))[0].data
+        permuted = multiscale_group_features(x[perm], pres[perm], p, "hyper", (2, 3), one_segment(len(x)))[0].data
         np.testing.assert_allclose(permuted, base[perm], atol=1e-8)
 
     def test_dump_records_edges(self):
@@ -479,7 +480,7 @@ class TestMultiscale:
         x = rng.normal(size=(5, 8, 2))
         pres = np.ones((5, 8), dtype=bool)
         with attention.capture() as kept:
-            multiscale_group_features(x, pres, p, "hyper", (2, 3))
+            multiscale_group_features(x, pres, p, "hyper", (2, 3), one_segment(len(x)))
         dump = kept["hyper/edges"]
         assert [d["scale"] for d in dump] == [2, 3]
         for d in dump:

@@ -1,10 +1,12 @@
 """A packed batch (``pack_windows``) computes what its windows compute alone."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import crowdcast.autodiff as ad
-from crowdcast.attention import capture
+from crowdcast.attention import SegmentBlocks, capture
 from crowdcast.config import TrainConfig
 from crowdcast.data import normalize_window, pack_windows, synth_generate, window_scene
 from crowdcast.hypergraph import effective_scales, multiscale_group_features
@@ -62,6 +64,16 @@ class TestPackWindows:
         np.testing.assert_array_equal(shifted.segment, [0, 0, 1, 1, 1])
         validate(shifted)
 
+    def test_packing_a_packed_window_keeps_its_segments(self):
+        a, b, c = mixed_windows()[2:5]
+        nested = pack_windows([pack_windows([a, b]), c])
+        flat = pack_windows([a, b, c])
+        validate(nested)
+        np.testing.assert_array_equal(nested.segment, np.repeat(np.arange(3), [3, 4, 6]))
+        for field in ("positions", "presence", "segment"):
+            np.testing.assert_array_equal(getattr(nested, field), getattr(flat, field))
+        assert nested.agent_ids == flat.agent_ids
+
     def test_mismatched_horizons_rejected(self):
         with pytest.raises(ValueError):
             pack_windows([random_window(0, n=2), random_window(1, n=2, t_in=6)])
@@ -74,7 +86,7 @@ class TestPackWindows:
 
         def group_features(window):
             x_obs, pres = window.observed()
-            return multiscale_group_features(x_obs, pres, params, "hyper", SCALES, segment=window.segment)
+            return multiscale_group_features(x_obs, pres, params, "hyper", SCALES, SegmentBlocks(window.segment))
 
         tokens, absent = group_features(pack_windows(windows))
         rows = np.cumsum([0] + counts[:-1])  # first agent of each segment
@@ -100,7 +112,8 @@ class TestPackedEqualsPerWindow:
         eps = [rng.standard_normal((w.n_agents, cfg.d_z)) for w in windows]
 
         singles = [loss_and_grads(model, w, e) for w, e in zip(windows, eps)]
-        loss, parts, grads = loss_and_grads(model, pack_windows(windows), np.concatenate(eps))
+        packed = pack_windows(windows)
+        loss, parts, grads = loss_and_grads(model, packed, np.concatenate(eps))
 
         expected = np.mean([s[0] for s in singles])
         assert abs(loss - expected) <= 1e-10 * abs(expected)
@@ -113,6 +126,20 @@ class TestPackedEqualsPerWindow:
         for name in sorted(grads):
             scale = max(float(np.max(np.abs(refs[name]))), floor)
             assert np.max(np.abs(grads[name] - refs[name])) <= 1e-10 * scale, name
+
+        # the same batch with its agents taken round robin from the segments
+        rank = np.arange(packed.n_agents) - np.searchsorted(packed.segment, packed.segment)
+        perm = np.lexsort((packed.segment, rank))
+        interleaved = replace(packed, positions=packed.positions[perm], presence=packed.presence[perm],
+                              agent_ids=[packed.agent_ids[i] for i in perm], segment=packed.segment[perm])
+        assert (np.diff(interleaved.segment) < 0).any()
+        loss_i, parts_i, grads_i = loss_and_grads(model, interleaved, np.concatenate(eps)[perm])
+        assert abs(loss_i - loss) <= 1e-10 * abs(loss)
+        for key in parts:
+            assert parts_i[key] == pytest.approx(parts[key], rel=1e-10, abs=1e-14)
+        for name in sorted(grads):
+            scale = max(float(np.max(np.abs(refs[name]))), floor)
+            assert np.max(np.abs(grads_i[name] - grads[name])) <= 1e-10 * scale, name
 
 
 def test_packed_capture_gives_dense_spatial_maps():
