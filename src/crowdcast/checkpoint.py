@@ -2,12 +2,15 @@
 
 Layout: magic ``HSTTN1``, u32 record count, then per record a u32
 name length, UTF-8 name, u32 ndim, u32 dims, and the values as
-little-endian float32.  Records load as stored, in float32.  Every value
-is finite: a save refuses any other, and a load rejects it.
+little-endian float32.  Records are read back one at a time, as stored,
+in float32.  Every value is finite: a save refuses any other, and a read
+rejects it.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -50,60 +53,57 @@ def _finite(arr):
     return bool(np.isfinite(arr.sum(dtype=np.float64)))
 
 
-def load_archive(path):
-    """Read an archive back as an ordered name -> float32 array dict.
+def read_records(path):
+    """Yield an archive's (name, float32 array) records one at a time, in
+    file order.
 
-    The arrays are read-only views of the file's bytes, as stored; no
-    record is copied or widened.  A record holding a non-finite value is
-    an error.
+    Each array is a read-only view of its own record's bytes, as stored;
+    no record is widened, and none is held after the next is read.  Every
+    declared length is checked against the bytes left in the file before
+    it is read.  A record holding a non-finite value is an error, and so
+    are bytes after the last record.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint archive")
-    off = len(MAGIC)
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise CheckpointError(f"{path}: bad magic, not a checkpoint archive")
+        left = os.fstat(fh.fileno()).st_size - len(MAGIC)
 
-    def u32():
-        nonlocal off
-        if off + 4 > len(blob):
-            raise CheckpointError(f"{path}: truncated archive")
-        (v,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        return v
+        def take(n, fault="truncated archive"):
+            nonlocal left
+            if n > left:
+                raise CheckpointError(f"{path}: {fault}")
+            left -= n
+            return fh.read(n)
 
-    count = u32()
-    out = {}
-    for _ in range(count):
-        nlen = u32()
-        try:
-            name = blob[off : off + nlen].decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: record name is not UTF-8") from None
-        off += nlen
-        ndim = u32()
-        shape = tuple(u32() for _ in range(ndim))
-        size = 1  # a Python int: a product of u32 dims must not wrap
-        for dim in shape:
-            size *= dim
-        if off + 4 * size > len(blob):
-            raise CheckpointError(f"{path}: truncated data for record {name!r}")
-        out[name] = np.frombuffer(blob, dtype="<f4", count=size, offset=off).reshape(shape)
-        if not _finite(out[name]):
-            raise CheckpointError(f"{path}: non-finite values in record {name!r}")
-        off += 4 * size
-    if off != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes after last record")
-    return out
+        def u32s(n):
+            return struct.unpack(f"<{n}I", take(4 * n))
+
+        (count,) = u32s(1)
+        for _ in range(count):
+            (nlen,) = u32s(1)
+            try:
+                name = take(nlen).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: record name is not UTF-8") from None
+            (ndim,) = u32s(1)
+            shape = u32s(ndim)
+            size = math.prod(shape)  # a Python int: a product of u32 dims must not wrap
+            arr = np.frombuffer(take(4 * size, f"truncated data for record {name!r}"), dtype="<f4")
+            if not _finite(arr):
+                raise CheckpointError(f"{path}: non-finite values in record {name!r}")
+            yield name, arr.reshape(shape)
+        if left:
+            raise CheckpointError(f"{path}: {left} trailing bytes after last record")
 
 
-def verify_names_shapes(loaded, expected):
-    """Check that a loaded archive matches expected name -> shape pairs."""
-    missing = sorted(set(expected) - set(loaded))
-    extra = sorted(set(loaded) - set(expected))
+def verify_names_shapes(shapes, expected):
+    """Check an archive's name -> shape pairs against the expected ones."""
+    missing = sorted(set(expected) - set(shapes))
+    extra = sorted(set(shapes) - set(expected))
     if missing or extra:
         raise CheckpointError(f"parameter names disagree (missing={missing}, extra={extra})")
     for name, shape in expected.items():
-        if loaded[name].shape != tuple(shape):
+        if shapes[name] != tuple(shape):
             raise CheckpointError(
-                f"shape mismatch for {name!r}: checkpoint {loaded[name].shape}, model {tuple(shape)}"
+                f"shape mismatch for {name!r}: checkpoint {shapes[name]}, model {tuple(shape)}"
             )

@@ -52,8 +52,15 @@ def _load_model(cfg, path):
 
 
 def _windows_by_scene(scenes, cfg):
-    return {name: window_scene(s, stride=cfg.stride, t_in=cfg.t_in, t_out=cfg.t_out)
-            for name, s in scenes.items()}
+    """Each scene's windows; a scene that holds a window the model cannot
+    take (a coordinate beyond ``data.MAX_COORD``) exits with one line."""
+    out = {}
+    for name, s in scenes.items():
+        try:
+            out[name] = window_scene(s, stride=cfg.stride, t_in=cfg.t_in, t_out=cfg.t_out)
+        except ValueError as exc:
+            raise SystemExit(f"scene {name}: {exc}") from None
+    return out
 
 
 def _positive_int(text):

@@ -218,8 +218,11 @@ def best_of_k(samples, gt, presence):
 
     ADE is the mean error over present future slots; FDE the mean over
     agents of the error at each one's last present future step, leaving
-    out agents with no present future step.  The two minima over the K
-    samples are taken independently.  K=1 gives one future's ADE and FDE.
+    out agents with no present future step.  Each minimum takes the best
+    sample for the whole window, not each agent's best sample: a joint
+    best-of-K (minJADE/minJFDE in Weng et al. 2023, arXiv:2305.06292).
+    The two minima over the K samples are taken independently.  K=1
+    gives one future's ADE and FDE.
     """
     ades, fdes = _sample_errors(samples, gt, presence)
     return float(ades.min()), float(fdes.min())

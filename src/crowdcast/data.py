@@ -18,6 +18,10 @@ T_OUT_DEFAULT = 12
 ARENA = 20.0  # synthetic scenes live in a 20 m x 20 m box
 GROUP_RADIUS = 0.7  # max member offset from a synthetic group's center
 FRAME_INTERVAL = 0.4  # seconds between synthetic frames: the avoiders' time step
+# metres: the largest |x| or |y| a window may hold.  Windows at 1e200 m made
+# training abort and eval overflow; spreads up to 1e9 m trained and evaluated
+# finite in f64 and f32, so this bound leaves a margin.
+MAX_COORD = 1e6
 
 
 class ParseError(ValueError):
@@ -140,7 +144,9 @@ def window_scene(scene, stride=1, t_in=T_IN_DEFAULT, t_out=T_OUT_DEFAULT):
     window, and a window in which no kept agent has a future step is
     skipped, since nothing in it can be scored.  Returns an empty list
     when the scene is too short.  Where a hand-built scene repeats a
-    (frame, agent) row, the last one wins.
+    (frame, agent) row, the last one wins.  A window that would hold a
+    coordinate beyond ``MAX_COORD`` (or one that is not finite) is a
+    ValueError naming its origin frame and the value.
 
     The rows are sorted once; each window then costs time and memory in
     its own rows and its [N, t_in + t_out] arrays, never in the scene's
@@ -183,10 +189,14 @@ def window_scene(scene, stride=1, t_in=T_IN_DEFAULT, t_out=T_OUT_DEFAULT):
         t = step[lo:hi][kept] - start
         if not np.any(t >= t_in):
             continue
-        cell = slot[kept] * span + t
+        cell, values = slot[kept] * span + t, xy[lo:hi][kept]
+        beyond = ~(np.abs(values) <= MAX_COORD)
+        if beyond.any():
+            raise ValueError(f"window at frame {frame_ids[start]}: coordinate {values[beyond][0]:g} "
+                             f"is beyond the {MAX_COORD:g} m bound")
         positions = np.zeros((agents.size, span, 2))
         presence = np.zeros((agents.size, span), dtype=bool)
-        positions.reshape(-1, 2)[cell] = xy[lo:hi][kept]
+        positions.reshape(-1, 2)[cell] = values
         presence.reshape(-1)[cell] = True
         windows.append(
             TrajectoryWindow(

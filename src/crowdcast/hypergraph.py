@@ -2,21 +2,20 @@
 
 Group structure is discovered per segment (``attention.SegmentBlocks``)
 of a window: agent tracks are embedded, covariance-whitened distances
-turn into a heat-kernel similarity matrix, and a KNN sweep links each
-agent with its K most similar peers into a hyperedge (duplicates
-merged).  Features then mix through the
-symmetric-normalized random-walk operator of each hypergraph.  The
-embedding is ``transformer.track_embedding`` (shared with the CVAE head)
-and the convolution ``transformer.graph_convolve`` (shared with the
-spatial GCN residual).
+turn into a heat-kernel similarity matrix, and one ranking of its rows
+links each agent with its K most similar peers into a hyperedge
+(duplicates merged) at every KNN scale.  The same array pass gives each
+scale's incidence and its symmetric-normalized random-walk operator
+(Zhou, Huang and Schoelkopf, NIPS 2006), through which features then
+mix.  The embedding is ``transformer.track_embedding`` (shared with the
+CVAE head) and the convolution ``transformer.graph_convolve`` (shared
+with the spatial GCN residual).
 
 Structure discovery (distances, similarity, KNN) is plain numpy and does
 not participate in differentiation; the convolution path does.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,48 +26,7 @@ from .transformer import ffn_forward, graph_convolve, track_embedding
 
 
 class HypergraphError(ValueError):
-    """Construction contract violated (degenerate scale, isolated vertex)."""
-
-
-@dataclass
-class Hypergraph:
-    """Incidence structure for one KNN scale with diagonal weights/degrees.
-
-    Construction checks that every vertex degree is positive.
-    """
-
-    incidence: np.ndarray  # H in {0,1}^[N, M]
-    edge_weights: np.ndarray  # w(e) > 0, [M]
-
-    def __post_init__(self):
-        H = np.asarray(self.incidence, dtype=np.float64)
-        w = np.asarray(self.edge_weights, dtype=np.float64)
-        if H.ndim != 2 or w.shape != (H.shape[1],):
-            raise HypergraphError(f"incidence {H.shape} / weights {w.shape} disagree")
-        if not np.all((H == 0.0) | (H == 1.0)):
-            raise HypergraphError("incidence entries must be 0 or 1")
-        if np.any(H.sum(axis=0) < 2):
-            raise HypergraphError("every hyperedge must link >= 2 vertices")
-        if np.any(H.sum(axis=1) < 1):
-            raise HypergraphError("every vertex must belong to >= 1 hyperedge")
-        if np.any(w <= 0):
-            raise HypergraphError("edge weights must be positive")
-        self.incidence = H
-        self.edge_weights = w
-        self.vertex_degrees = H @ w  # d(v) = sum_e w(e) H(v,e)
-        self.edge_degrees = H.sum(axis=0)  # d(e) = sum_v H(v,e)
-
-    @property
-    def n_vertices(self):
-        return self.incidence.shape[0]
-
-    @property
-    def n_edges(self):
-        return self.incidence.shape[1]
-
-    def edges(self):
-        """Hyperedges as sorted vertex-index tuples."""
-        return [tuple(np.nonzero(self.incidence[:, e])[0]) for e in range(self.n_edges)]
+    """Construction contract violated (a scale out of range, fewer than 2 agents)."""
 
 
 def mahalanobis_matrix(embeddings):
@@ -128,53 +86,35 @@ def similarity_matrix(distances):
     return s
 
 
-def build_hyperedges_knn(similarity, k):
-    """One hyperedge per vertex: itself plus its K most similar peers.
+def build_hyperedges_knn(similarity, ks):
+    """The KNN hypergraph of one segment at each scale K of ``ks``.
 
-    Ties break toward the lower agent index; duplicate vertex sets merge,
-    so M <= N.  Edge weights are identity.
+    The rows of ``similarity`` are ranked once: most similar first, equal
+    similarities in index order, the vertex itself left out.  At scale K
+    the hyperedge of vertex v holds v and its first K peers; a repeated
+    hyperedge merges into its first, so the M <= N hyperedges come in
+    vertex order.  Returns, per K, the incidence H [N, M] and the walk
+    operator D_v^-1/2 H D_e^-1 H^T D_v^-1/2, with unit edge weights,
+    D_e = (K+1) I and D_v = diag(H 1).
     """
     s = np.asarray(similarity)
     n = s.shape[0]
-    if not 1 <= k <= n - 1:
-        raise HypergraphError(f"KNN scale must satisfy 1 <= K <= N-1, got K={k}, N={n}")
-    # row by row: most similar first, equal similarities in index order
+    for k in ks:
+        if not 1 <= k <= n - 1:
+            raise HypergraphError(f"KNN scale must satisfy 1 <= K <= N-1, got K={k}, N={n}")
     order = np.argsort(-s, axis=-1, kind="stable")
-    peers = order[order != np.arange(n)[:, None]].reshape(n, n - 1)[:, :k]
-    members = np.sort(np.column_stack([np.arange(n), peers]), axis=1)
-    edges = list(dict.fromkeys(map(tuple, members.tolist())))  # duplicates merged, first kept
-    H = np.zeros((n, len(edges)))
-    H[np.array(edges), np.arange(len(edges))[:, None]] = 1.0
-    return Hypergraph(incidence=H, edge_weights=np.ones(len(edges)))
-
-
-def transition_matrix(g):
-    """Row-stochastic random walk P = M_v^-1 H W M_e^-1 H^T."""
-    H, w = g.incidence, g.edge_weights
-    return (H * (w / g.edge_degrees)) @ H.T / g.vertex_degrees[:, None]
-
-
-def random_walk_matrix(g):
-    """Symmetric walk O = M_v^-1/2 H W M_e^-1 H^T M_v^-1/2 (PSD)."""
-    H, w = g.incidence, g.edge_weights
-    inv_sqrt = 1.0 / np.sqrt(g.vertex_degrees)
-    core = (H * (w / g.edge_degrees)) @ H.T
-    return inv_sqrt[:, None] * core * inv_sqrt[None, :]
-
-
-def hypergraph_laplacian(g):
-    """Delta = I - O; symmetric PSD with M_v^1/2 1 in its null space."""
-    o = random_walk_matrix(g)
-    return np.eye(g.n_vertices) - o
-
-
-def partition_cost(g, f):
-    """trace(F^T Delta F): smoothness of indicator-like columns (diagnostic)."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim == 1:
-        f = f[:, None]
-    delta = hypergraph_laplacian(g)
-    return float(np.trace(f.T @ delta @ f))
+    peers = order[order != np.arange(n)[:, None]].reshape(n, n - 1)
+    out = []
+    for k in ks:
+        members = np.sort(np.column_stack([np.arange(n), peers[:, :k]]), axis=1)
+        same = (members[:, None] == members[None]).all(axis=-1)
+        members = members[~np.tril(same, -1).any(axis=1)]  # duplicates merged, first kept
+        H = np.zeros((n, len(members)))
+        H[members, np.arange(len(members))[:, None]] = 1.0
+        inv_sqrt = 1.0 / np.sqrt(H.sum(axis=1))
+        walk = (H / (k + 1)) @ H.T
+        out.append((H, inv_sqrt[:, None] * walk * inv_sqrt[None, :]))
+    return out
 
 
 def effective_scales(configured, n):
@@ -212,16 +152,17 @@ def multiscale_group_features(x_obs, presence_obs, params, prefix, scales, block
     [N, P] bool absent mask, True where an agent's segment has no token.
 
     Per segment (each block of ``blocks``, the window's
-    ``attention.SegmentBlocks``) and scale: embed, whiten-distance,
-    similarity, KNN hypergraph.  Per scale parameter index the segments'
-    walk operators form one block-diagonal operator
-    (``SegmentBlocks.dense``) for two stacked convolutions.  Scale outputs
-    stack on axis 1, one column per parameter index that some segment
-    uses, and mix through a tokenwise MLP.  A token its segment lacks is
-    zero and absent, and the single token of a segment with fewer than 2
-    agents is zero but present.  A plain window has no absent token.  An
-    open ``attention.capture`` keeps each hypergraph's scale and
-    hyperedges, as window agent indices, under ``hyper/edges``.
+    ``attention.SegmentBlocks``): embed, whiten-distance, similarity, and
+    one ``build_hyperedges_knn`` call for every scale the segment uses.
+    Per scale parameter index the segments' walk operators form one
+    block-diagonal operator (``SegmentBlocks.dense``) for two stacked
+    convolutions.  Scale outputs stack on axis 1, one column per
+    parameter index that some segment uses, and mix through a tokenwise
+    MLP.  A token its segment lacks is zero and absent, and the single
+    token of a segment with fewer than 2 agents is zero but present.  A
+    plain window has no absent token.  An open ``attention.capture`` keeps
+    each hypergraph's scale and hyperedges, as window agent indices, under
+    ``hyper/edges``: scale by scale, and segment by segment within one.
     """
     n, seg = blocks.rows_total, blocks.seg
     columns, uses, absent = _scale_layout(scales, blocks.counts)
@@ -231,19 +172,23 @@ def multiscale_group_features(x_obs, presence_obs, params, prefix, scales, block
 
     q = track_embedding(params, f"{prefix}/embed", x_obs, presence_obs)
     members = [rows[~pad] for rows, pad in zip(blocks.rows, blocks.pad)]
-    sims = [similarity_matrix(mahalanobis_matrix(q.data[m])) if len(m) >= 2 else None for m in members]
+    graphs = [{} for _ in uses]  # per segment: parameter index -> (incidence, walk operator)
+    for graph, m, use in zip(graphs, members, uses):
+        if use:
+            sim = similarity_matrix(mahalanobis_matrix(q.data[m]))
+            graph.update(zip(use, build_hyperedges_knn(sim, use.values())))
 
     per_scale = []
     for idx in columns:
         op = np.zeros((blocks.count, blocks.size, blocks.size))
-        for s, (m, sim, use) in enumerate(zip(members, sims, uses)):
-            if idx not in use:
+        for s, (m, graph, use) in enumerate(zip(members, graphs, uses)):
+            if idx not in graph:
                 continue
-            g = build_hyperedges_knn(sim, use[idx])
+            incidence, walk = graph[idx]
+            op[s, : len(m), : len(m)] = walk
             if attention._captured is not None:
                 attention._captured.setdefault("hyper/edges", []).append(
-                    {"scale": use[idx], "edges": [[int(m[v]) for v in e] for e in g.edges()]})
-            op[s, : len(m), : len(m)] = random_walk_matrix(g)
+                    {"scale": use[idx], "edges": [m[e].tolist() for e in incidence.T.astype(bool)]})
         op = blocks.dense(op)
         h1 = graph_convolve(op, q, params[f"{prefix}/conv{idx}/theta1"])
         per_scale.append(graph_convolve(op, h1, params[f"{prefix}/conv{idx}/theta2"]))

@@ -12,7 +12,7 @@ from . import autodiff as ad
 from . import cvae
 from .attention import SegmentBlocks
 from .autodiff import Tensor
-from .checkpoint import CheckpointError, load_archive, save_archive, verify_names_shapes
+from .checkpoint import CheckpointError, read_records, save_archive, verify_names_shapes
 from .data import agent_relative_positions
 from .fusion import fuse
 from .hypergraph import multiscale_group_features
@@ -124,16 +124,18 @@ class CrowdForecaster:
     def load(self, path):
         """Copy an archive's float32 records into the parameters' own arrays.
 
-        Names and shapes are checked first, so a load that fails changes no
-        parameter.  Widening float32 to float64 is exact.
+        The archive is read twice, one record at a time: first every
+        record's name, shape and values are checked, then each is copied,
+        so a load that fails changes no parameter and the whole file is
+        never held.  Widening float32 to float64 is exact.
         """
-        loaded = load_archive(path)
+        shapes = {name: arr.shape for name, arr in read_records(path)}
         try:
-            verify_names_shapes(loaded, {name: t.shape for name, t in self.params.items()})
+            verify_names_shapes(shapes, {name: t.shape for name, t in self.params.items()})
         except CheckpointError as exc:
             raise CheckpointError(f"{path}: {exc}") from None
-        for name, t in self.params.items():
-            np.copyto(t.data, loaded[name])
+        for name, arr in read_records(path):
+            np.copyto(self.params[name].data, arr)
         return self
 
     # -- forward paths -------------------------------------------------------

@@ -17,16 +17,7 @@ from crowdcast.config import TrainConfig
 from crowdcast.cvae import best_of_k
 from crowdcast.data import normalize_window, synth_generate, window_scene
 from crowdcast.fusion import fuse
-from crowdcast.hypergraph import (
-    build_hyperedges_knn,
-    hypergraph_laplacian,
-    mahalanobis_matrix,
-    multiscale_group_features,
-    partition_cost,
-    random_walk_matrix,
-    similarity_matrix,
-    transition_matrix,
-)
+from crowdcast.hypergraph import build_hyperedges_knn, mahalanobis_matrix, multiscale_group_features, similarity_matrix
 from crowdcast.model import CrowdForecaster
 from crowdcast.train import ConstantVelocityModel, evaluate, train, write_metrics_jsonl, write_summary_csv
 from crowdcast.transformer import spatial_forward, temporal_forward, track_embedding
@@ -34,7 +25,16 @@ from crowdcast.transformer import spatial_forward, temporal_forward, track_embed
 from conftest import one_segment, random_window, randomize_params, tiny_config
 from test_attention import mha_oracle, mha_params
 from test_cvae import ade_fde_oracle
-from test_hypergraph import IDENTITY_SCALE, isotropic_embeddings, knn_oracle, random_hypergraph
+from test_hypergraph import (
+    IDENTITY_SCALE,
+    hypergraph_laplacian,
+    isotropic_embeddings,
+    knn_oracle,
+    partition_cost,
+    random_hypergraph,
+    random_walk_matrix,
+    transition_matrix,
+)
 
 
 def report(name, detail):
@@ -72,8 +72,8 @@ def test_knn_construction_oracle():
             k = n - 1
         q = rng.normal(size=(n, 5))
         sim = similarity_matrix(mahalanobis_matrix(q))
-        g = build_hyperedges_knn(sim, k)
-        np.testing.assert_array_equal(g.incidence, knn_oracle(sim, k))
+        [(incidence, _)] = build_hyperedges_knn(sim, [k])
+        np.testing.assert_array_equal(incidence, knn_oracle(sim, k))
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0
     report("knn-construction", f"100 cases in {elapsed:.2f}s")

@@ -7,7 +7,7 @@ import pytest
 from crowdcast.checkpoint import (
     MAGIC,
     CheckpointError,
-    load_archive,
+    read_records,
     save_archive,
     verify_names_shapes,
 )
@@ -22,7 +22,7 @@ def test_round_trip(tmp_path):
     }
     path = tmp_path / "test.ckpt"
     save_archive(path, arrays)
-    loaded = load_archive(path)
+    loaded = dict(read_records(path))
     assert set(loaded) == set(arrays)
     for name in arrays:
         assert loaded[name].shape == arrays[name].shape
@@ -32,7 +32,7 @@ def test_round_trip(tmp_path):
         assert loaded[name].dtype == np.float32
         np.testing.assert_array_equal(loaded[name], arrays[name].astype(np.float32))
     save_archive(tmp_path / "again.ckpt", loaded)
-    reloaded = load_archive(tmp_path / "again.ckpt")
+    reloaded = dict(read_records(tmp_path / "again.ckpt"))
     for name in arrays:
         np.testing.assert_array_equal(reloaded[name], loaded[name])
 
@@ -45,7 +45,7 @@ def test_magic_header(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"NOPE" + blob[4:])
     with pytest.raises(CheckpointError):
-        load_archive(bad)
+        dict(read_records(bad))
 
 
 def test_truncation_detected(tmp_path):
@@ -55,11 +55,11 @@ def test_truncation_detected(tmp_path):
     cut = tmp_path / "cut.ckpt"
     cut.write_bytes(blob[:-8])
     with pytest.raises(CheckpointError):
-        load_archive(cut)
+        dict(read_records(cut))
 
 
 def test_verify_names_and_shapes():
-    loaded = {"w": np.zeros((2, 3)), "b": np.zeros(3)}
+    loaded = {"w": (2, 3), "b": (3,)}
     verify_names_shapes(loaded, {"w": (2, 3), "b": (3,)})
     with pytest.raises(CheckpointError):
         verify_names_shapes(loaded, {"w": (2, 3)})  # extra name
@@ -83,7 +83,39 @@ def test_record_size_does_not_wrap(tmp_path):
     path = tmp_path / "wrap.ckpt"
     path.write_bytes(blob)
     with pytest.raises(CheckpointError, match="truncated data for record 'w'"):
-        load_archive(path)
+        dict(read_records(path))
+
+
+def test_records_are_read_one_at_a_time(tmp_path):
+    """The first record comes out before a fault in the second is read."""
+    path = tmp_path / "x.ckpt"
+    save_archive(path, {"a": np.arange(3.0), "b": np.ones(4)})
+    path.write_bytes(path.read_bytes()[:-4])
+    records = read_records(path)
+    name, arr = next(records)
+    assert name == "a" and not arr.flags.writeable
+    np.testing.assert_array_equal(arr, [0.0, 1.0, 2.0])
+    with pytest.raises(CheckpointError, match="truncated data for record 'b'$"):
+        next(records)
+
+
+HUGE = struct.pack("<I", 2**32 - 1)
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda blob: blob + b"\x00", "1 trailing bytes after last record"),
+    (lambda blob: blob[:6] + HUGE + blob[10:], "truncated archive"),  # the record count
+    (lambda blob: blob[:10] + HUGE + blob[14:], "truncated archive"),  # the first name length
+])
+def test_trailing_bytes_and_huge_lengths_rejected(tmp_path, edit, reason):
+    """Bytes after the last record are an error, and a record count or
+    name length of 2**32 - 1 is checked against the bytes left before any
+    of them is read."""
+    path = tmp_path / "x.ckpt"
+    save_archive(path, {"a": np.zeros(2)})
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: {reason}$"):
+        dict(read_records(path))
 
 
 @pytest.mark.parametrize("value", [1e39, -1e39, np.inf, np.nan])
@@ -104,4 +136,4 @@ def test_load_rejects_non_finite_values(tmp_path, value):
     blob[-4:] = struct.pack("<f", value)  # the last value of the last record
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: non-finite values in record 'b'$"):
-        load_archive(path)
+        dict(read_records(path))

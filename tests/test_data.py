@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from crowdcast.data import (
     GROUP_RADIUS,
+    MAX_COORD,
     ParseError,
     Scene,
     TrajectoryWindow,
@@ -268,6 +269,19 @@ class TestWindowing:
     def test_windows_validate(self):
         for w in window_scene(make_scene(30, 4, seed=2), stride=2):
             validate(w)
+
+    @pytest.mark.parametrize("value", [1e200, -MAX_COORD * (1 + 1e-12), np.inf, np.nan])
+    def test_coordinate_beyond_bound_rejected(self, value):
+        """A window whose coordinates the model cannot hold used to be cut,
+        and then training aborted and eval ended in a NonFiniteError."""
+        scene = make_scene(22, 3)
+        f, a, x, _ = scene.frames[3 * 10 + 1]  # frame 10, in the windows that start at frames 0-2
+        scene.frames[3 * 10 + 1] = (f, a, x, value)
+        message = f"window at frame 0: coordinate {value:g} is beyond the {MAX_COORD:g} m bound"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            window_scene(scene, stride=1)
+        scene.frames[3 * 10 + 1] = (f, a, x, MAX_COORD)
+        assert len(window_scene(scene, stride=1)) == 3
 
     def test_translation_covariance(self):
         shift = np.array([13.0, -4.5])

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -6,20 +8,106 @@ from crowdcast import attention
 from crowdcast.attention import pairwise_distances
 from crowdcast.autodiff import Tensor, gradcheck
 from crowdcast.hypergraph import (
-    Hypergraph,
     HypergraphError,
     build_hyperedges_knn,
     effective_scales,
-    hypergraph_laplacian,
     mahalanobis_matrix,
     multiscale_group_features,
-    partition_cost,
-    random_walk_matrix,
     similarity_matrix,
-    transition_matrix,
 )
 from crowdcast.transformer import graph_convolve, track_embedding
 from conftest import one_segment
+
+
+# -- oracles: the hypergraph algebra of Zhou, Huang and Schoelkopf (NIPS 2006),
+# for any incidence and positive edge weights, and the single-scale KNN
+# construction that ``build_hyperedges_knn`` generalizes
+
+@dataclass
+class Hypergraph:
+    """Incidence structure for one KNN scale with diagonal weights/degrees.
+
+    Construction checks that every vertex degree is positive.
+    """
+
+    incidence: np.ndarray  # H in {0,1}^[N, M]
+    edge_weights: np.ndarray  # w(e) > 0, [M]
+
+    def __post_init__(self):
+        H = np.asarray(self.incidence, dtype=np.float64)
+        w = np.asarray(self.edge_weights, dtype=np.float64)
+        if H.ndim != 2 or w.shape != (H.shape[1],):
+            raise HypergraphError(f"incidence {H.shape} / weights {w.shape} disagree")
+        if not np.all((H == 0.0) | (H == 1.0)):
+            raise HypergraphError("incidence entries must be 0 or 1")
+        if np.any(H.sum(axis=0) < 2):
+            raise HypergraphError("every hyperedge must link >= 2 vertices")
+        if np.any(H.sum(axis=1) < 1):
+            raise HypergraphError("every vertex must belong to >= 1 hyperedge")
+        if np.any(w <= 0):
+            raise HypergraphError("edge weights must be positive")
+        self.incidence = H
+        self.edge_weights = w
+        self.vertex_degrees = H @ w  # d(v) = sum_e w(e) H(v,e)
+        self.edge_degrees = H.sum(axis=0)  # d(e) = sum_v H(v,e)
+
+    @property
+    def n_vertices(self):
+        return self.incidence.shape[0]
+
+
+def knn_hypergraph(similarity, k):
+    """One hyperedge per vertex: itself plus its K most similar peers.
+
+    Ties break toward the lower agent index; duplicate vertex sets merge,
+    so M <= N.  Edge weights are identity.
+    """
+    s = np.asarray(similarity)
+    n = s.shape[0]
+    if not 1 <= k <= n - 1:
+        raise HypergraphError(f"KNN scale must satisfy 1 <= K <= N-1, got K={k}, N={n}")
+    # row by row: most similar first, equal similarities in index order
+    order = np.argsort(-s, axis=-1, kind="stable")
+    peers = order[order != np.arange(n)[:, None]].reshape(n, n - 1)[:, :k]
+    members = np.sort(np.column_stack([np.arange(n), peers]), axis=1)
+    edges = list(dict.fromkeys(map(tuple, members.tolist())))  # duplicates merged, first kept
+    H = np.zeros((n, len(edges)))
+    H[np.array(edges), np.arange(len(edges))[:, None]] = 1.0
+    return Hypergraph(incidence=H, edge_weights=np.ones(len(edges)))
+
+
+def transition_matrix(g):
+    """Row-stochastic random walk P = M_v^-1 H W M_e^-1 H^T."""
+    H, w = g.incidence, g.edge_weights
+    return (H * (w / g.edge_degrees)) @ H.T / g.vertex_degrees[:, None]
+
+
+def random_walk_matrix(g):
+    """Symmetric walk O = M_v^-1/2 H W M_e^-1 H^T M_v^-1/2 (PSD)."""
+    H, w = g.incidence, g.edge_weights
+    inv_sqrt = 1.0 / np.sqrt(g.vertex_degrees)
+    core = (H * (w / g.edge_degrees)) @ H.T
+    return inv_sqrt[:, None] * core * inv_sqrt[None, :]
+
+
+def hypergraph_laplacian(g):
+    """Delta = I - O; symmetric PSD with M_v^1/2 1 in its null space."""
+    o = random_walk_matrix(g)
+    return np.eye(g.n_vertices) - o
+
+
+def partition_cost(g, f):
+    """trace(F^T Delta F): smoothness of indicator-like columns."""
+    f = np.asarray(f, dtype=np.float64)
+    if f.ndim == 1:
+        f = f[:, None]
+    delta = hypergraph_laplacian(g)
+    return float(np.trace(f.T @ delta @ f))
+
+
+def edges(incidence):
+    """Hyperedges as sorted vertex-index tuples, in column order."""
+    return [tuple(np.nonzero(col)[0].tolist()) for col in incidence.T]
 
 
 # Mahalanobis regularization of an identity sample covariance: 1 + 1e-3 * trace/d + 1e-12
@@ -173,10 +261,11 @@ class TestMahalanobis:
         dis, expected = mahalanobis_matrix(q), self.dense_inverse_oracle(q)
         assert np.max(np.abs(dis - expected) / np.maximum(expected, 1e-12)) < 1e-10
         assert np.array_equal(dis, dis.T) and not np.diag(dis).any()
-        sim, sim_expected = similarity_matrix(dis), similarity_matrix(expected)
-        for k in range(1, n):
-            np.testing.assert_array_equal(build_hyperedges_knn(sim, k).incidence,
-                                          build_hyperedges_knn(sim_expected, k).incidence)
+        scales = range(1, n)
+        graphs = build_hyperedges_knn(similarity_matrix(dis), scales)
+        expected_graphs = build_hyperedges_knn(similarity_matrix(expected), scales)
+        for (incidence, _), (expected_incidence, _) in zip(graphs, expected_graphs):
+            np.testing.assert_array_equal(incidence, expected_incidence)
 
     def test_few_agents_sit_about_sqrt_2_n_minus_1_apart(self):
         """With n <= dim + 1, the regularized whitening puts every pair about
@@ -240,17 +329,18 @@ class TestSimilarity:
 class TestKnnConstruction:
     def test_three_colinear(self):
         q = np.array([[0.0], [1.0], [3.0]])
-        g = build_hyperedges_knn(similarity_matrix(pairwise_distances(q)), k=1)
-        assert g.n_edges == 2
-        assert g.edges() == [(0, 1), (1, 2)]
+        [(incidence, _)] = build_hyperedges_knn(similarity_matrix(pairwise_distances(q)), [1])
+        assert incidence.shape[1] == 2
+        assert edges(incidence) == [(0, 1), (1, 2)]
 
     def test_full_scale_single_edge(self):
         rng = np.random.default_rng(5)
         q = rng.normal(size=(6, 2))
         sim = similarity_matrix(mahalanobis_matrix(q))
-        g = build_hyperedges_knn(sim, k=5)
-        assert g.n_edges == 1
-        assert g.edges() == [tuple(range(6))]
+        [(incidence, walk)] = build_hyperedges_knn(sim, [5])
+        assert incidence.shape[1] == 1
+        assert edges(incidence) == [tuple(range(6))]
+        np.testing.assert_allclose(walk, np.full((6, 6), 1 / 6), rtol=0, atol=1e-15)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
@@ -259,8 +349,8 @@ class TestKnnConstruction:
             k = int(rng.integers(1, min(4, n)))
             q = rng.normal(size=(n, 4))
             sim = similarity_matrix(mahalanobis_matrix(q))
-            g = build_hyperedges_knn(sim, k)
-            np.testing.assert_array_equal(g.incidence, knn_oracle(sim, k))
+            [(incidence, _)] = build_hyperedges_knn(sim, [k])
+            np.testing.assert_array_equal(incidence, knn_oracle(sim, k))
 
     def test_exact_ties_break_toward_lower_index(self):
         """Similarities drawn from three values tie often; edges and their
@@ -270,18 +360,44 @@ class TestKnnConstruction:
             n = int(rng.integers(3, 10))
             s = rng.choice([0.25, 0.5, 1.0], size=(n, n))
             s = np.triu(s, 1) + np.triu(s, 1).T + np.eye(n)
-            for k in range(1, n):
-                np.testing.assert_array_equal(build_hyperedges_knn(s, k).incidence, knn_oracle(s, k))
+            for k, (incidence, _) in zip(range(1, n), build_hyperedges_knn(s, range(1, n))):
+                np.testing.assert_array_equal(incidence, knn_oracle(s, k))
         uniform = np.full((5, 5), 0.5)
-        g = build_hyperedges_knn(uniform, 2)
-        assert g.edges() == [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
+        [(incidence, _)] = build_hyperedges_knn(uniform, [2])
+        assert edges(incidence) == [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
 
     def test_scale_bounds(self):
         sim = similarity_matrix(np.abs(np.random.default_rng(0).normal(size=(3, 3))))
         with pytest.raises(HypergraphError):
-            build_hyperedges_knn(sim, k=3)
+            build_hyperedges_knn(sim, [3])
         with pytest.raises(HypergraphError):
-            build_hyperedges_knn(sim, k=0)
+            build_hyperedges_knn(sim, [1, 0])
+
+    def test_every_scale_matches_the_single_scale_oracles(self):
+        """200 random similarity matrices, n from 2 to 16, half of them
+        drawn from three values so that exact ties are common, and every K
+        from 1 to n - 1 in one call: each incidence equals the brute-force
+        sort oracle, each walk operator the oracle algebra's on the
+        single-scale hypergraph, and each hyperedge is a vertex with K
+        distinct peers, every vertex lying in its own."""
+        rng = np.random.default_rng(23)
+        for trial in range(200):
+            n = int(rng.integers(2, 17))
+            s = rng.choice([0.25, 0.5, 1.0], size=(n, n)) if trial % 2 else rng.uniform(size=(n, n))
+            s = np.triu(s, 1) + np.triu(s, 1).T + np.eye(n)
+            scales = list(range(1, n))
+            graphs = build_hyperedges_knn(s, scales)
+            assert len(graphs) == len(scales)
+            for k, (incidence, walk) in zip(scales, graphs):
+                np.testing.assert_array_equal(incidence, knn_oracle(s, k))
+                g = knn_hypergraph(s, k)  # validates the incidence
+                np.testing.assert_array_equal(incidence, g.incidence)
+                np.testing.assert_allclose(walk, random_walk_matrix(g), rtol=0, atol=1e-12)
+                assert k >= 1 and np.all(incidence.sum(axis=0) == k + 1)
+                present = set(edges(incidence))
+                for v in range(n):
+                    ranked = sorted((j for j in range(n) if j != v), key=lambda j: (-s[v, j], j))
+                    assert tuple(sorted([v] + ranked[:k])) in present
 
 
 class TestWalkOperators:

@@ -4,7 +4,7 @@ import pytest
 from crowdcast import cvae
 from crowdcast.attention import capture
 from crowdcast.autodiff import backward, no_grad
-from crowdcast.checkpoint import CheckpointError, load_archive, save_archive
+from crowdcast.checkpoint import CheckpointError, read_records, save_archive
 from crowdcast.config import TrainConfig
 from crowdcast.data import normalize_window
 from crowdcast.model import CrowdForecaster
@@ -128,7 +128,7 @@ def test_load_writes_archive_values_into_parameter_arrays(tmp_path, precision):
     model = CrowdForecaster(cfg, seed=1)
     arrays = {name: t.data for name, t in model.params.items()}
     model.load(path)
-    stored = load_archive(path)
+    stored = dict(read_records(path))
     for name, t in model.params.items():
         assert t.data is arrays[name] and t.dtype == cfg.dtype
         np.testing.assert_array_equal(t.data, stored[name])

@@ -10,9 +10,8 @@ SRC = Path(crowdcast.__file__).parent
 PERFBENCH = SRC.parents[1] / "perfbench"
 TOOLS = SRC.parents[1] / "tools"
 
-# ROADMAP's "Kept on purpose" names (the acceptance algebra and the oracles
-# use them) and the gradient checker the test suites share.
-KEPT_FOR_TESTS = {"transition_matrix", "hypergraph_laplacian", "partition_cost", "gradcheck"}
+# The gradient checker the test suites share.
+KEPT_FOR_TESTS = {"gradcheck"}
 # Kept on purpose: the gradient checker's probe options, which the test
 # suites set, and the dense mask view that the attention oracles read.
 KEPT_DEFAULTS = {"gradcheck"}

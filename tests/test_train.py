@@ -461,9 +461,9 @@ class TestCli:
                   "--dump-attention", "--dump-hypergraphs"])
         assert (ins / "attention.ckpt").exists()
         assert (ins / "hypergraphs.jsonl").exists()
-        from crowdcast.checkpoint import load_archive
+        from crowdcast.checkpoint import read_records
 
-        dumped = load_archive(ins / "attention.ckpt")
+        dumped = dict(read_records(ins / "attention.ckpt"))
         assert "spatial/l0/attn/0" in dumped and "temporal/l0/attn/0" in dumped
         assert {"fusion/cross_s/attn", "fusion/cross_t/attn", "fusion/cross_h/attn", "fusion/self/attn"} <= set(dumped)
         entries = [json.loads(l) for l in (ins / "hypergraphs.jsonl").read_text().splitlines()]
@@ -480,9 +480,9 @@ class TestCli:
         ins = tmp_path / "inspect"
         cli_main(["inspect", "--checkpoint", str(ckpt), "--config", str(cfg_path),
                   "--out", str(ins), "--dump-attention"])
-        from crowdcast.checkpoint import load_archive
+        from crowdcast.checkpoint import read_records
 
-        dumped = load_archive(ins / "attention.ckpt")
+        dumped = dict(read_records(ins / "attention.ckpt"))
         assert dumped["temporal/l0/attn/0"].shape[-1] == 6
 
     def test_holdout_excluded(self, tmp_path, capsys):
@@ -630,6 +630,22 @@ class TestCliRejectsBadInput:
                 "inspect": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "inspect")]}[command]
         with pytest.raises(SystemExit, match=r"synth001\.txt:2: non-numeric field$"):
             cli_main([command, "--config", str(cfg_path), "--data", str(data)] + args)
+        assert not (tmp_path / command).exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "inspect"])
+    def test_coordinate_beyond_bound_is_one_line_error(self, run, command):
+        """A scene with x near 1e200 used to parse and cut windows; then
+        train ended in a TrainingAbort traceback and eval in a
+        NonFiniteError one."""
+        tmp_path, data, cfg_path, ckpt = run
+        write_scene(Scene(frames=[(f, a, 1e200 if a == 1 else 0.1 * f, float(a)) for f in range(20)
+                                  for a in range(3)]), data / "synth001.txt")
+        args = {"train": ["--out", str(tmp_path / "train")],
+                "eval": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")],
+                "inspect": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "inspect")]}[command]
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--config", str(cfg_path), "--data", str(data)] + args)
+        assert exc.value.code == "scene synth001: window at frame 0: coordinate 1e+200 is beyond the 1e+06 m bound"
         assert not (tmp_path / command).exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "inspect"])
