@@ -1,8 +1,12 @@
-"""Masked multi-head attention, sinusoidal encodings, and the distance-bias mask.
+"""Masked multi-head attention, sinusoidal encodings, the distance-bias
+mask, and the segment-block layout of a window's agents.
 
 Masks are additive: -inf at absent key positions (tracked as a boolean
 array so tensors stay finite) and a learned affine distance bias
 everywhere else.  Fully masked query rows produce zero output rows.
+Attention has no segment path: the spatial branch gathers its inputs
+into ``SegmentBlocks`` blocks before attention and scatters its output
+after it, so a block is one more leading axis here.
 
 ``capture`` keeps what ``crowdcast inspect`` shows of a forward pass: the
 attention weights and the hyperedges it forms.
@@ -45,16 +49,17 @@ def capture():
 
 class SegmentBlocks:
     """The agents of a window grouped into one block per segment, padded to
-    the largest segment: the one layout of its agents that spatial
-    attention, its GCN and the hypergraph share, so that they run on
-    [..., S, n, ...] blocks instead of all [..., N, N] agent pairs.
+    the largest segment: the one layout of its agents that the spatial
+    branch and the hypergraph branch run on, [..., S, n, ...] blocks
+    instead of all [..., N, N] agent pairs.
 
     segment: [N] segment number 0..S-1 of each agent, every number used,
     as ``TrajectoryWindow.segment`` numbers them.  ``counts`` [S] holds
     each segment's agent count and ``pad`` [S, n] marks the pad slots.
-    ``gather`` takes rows to blocks, where a pad slot repeats a row of its
-    segment, ``scatter`` takes blocks back to rows and drops the pad
-    slots, and ``dense`` lays block pairs out as agent pairs.
+    ``gather`` takes a branch's inputs from agent rows to blocks, where a
+    pad slot repeats a row of its segment, and ``scatter`` takes its
+    output back to agent rows and drops the pad slots.  ``dense`` lays
+    block pairs out as agent pairs; it serves only ``capture``.
     """
 
     def __init__(self, segment):
@@ -75,17 +80,12 @@ class SegmentBlocks:
         """x with its agent ``axis`` (N rows) split into blocks (S, n)."""
         return np.take(x, self.rows, axis=axis)
 
-    def scatter(self, x, axis):
-        """x with its block axes (S, n) at ``axis`` joined back into N rows."""
-        axis %= x.ndim
-        return x[(slice(None),) * axis + (self.seg, self.slot)]
-
-    def absent(self, present):
-        """The absent flags [..., S, n, n] of attention within segments from
-        the agents' presence [..., N]: a key is absent where its agent is,
-        and every pad slot is absent as a key and as a query."""
-        keys = ~self.gather(present, -1) | self.pad
-        return keys[..., None, :] | self.pad[:, :, None]
+    def scatter(self, x, lead=0):
+        """x [*lead, S, n, ...] (an array, or a tensor as one ``getitem``
+        node) with its block axes after ``lead`` leading axes joined back
+        into agent rows, which come first: [N, *lead, ...]."""
+        agent, *grid = np.ix_(np.arange(self.rows_total), *map(np.arange, x.shape[:lead]))
+        return x[(*grid, self.seg[agent], self.slot[agent])]
 
     def dense(self, w):
         """Block pairs [..., S, n, n] as agent pairs [..., N, N], zero
@@ -96,16 +96,10 @@ class SegmentBlocks:
 
 @dataclass
 class AttentionMask:
-    """Additive mask: finite learned bias plus an absent-key flag array.
-
-    With ``blocks``, attention runs within segments only: bias and absent
-    are per block, [..., S, n, n], with every pad slot absent as a key
-    and as a query.
-    """
+    """Additive mask: finite learned bias plus an absent-key flag array."""
 
     bias: Tensor  # [..., rows, cols] finite entries, or None for no bias
     absent: np.ndarray  # bool, broadcastable to bias; True = key missing
-    blocks: SegmentBlocks = None
 
     def values(self):
         """Dense mask in R U {-inf} (the entries the softmax sees)."""
@@ -137,25 +131,23 @@ def positional_encoding(length, d_model):
 
 
 def pairwise_distances(points):
-    """Euclidean [N, N] distances with an exact-zero diagonal."""
+    """Euclidean [..., n, n] distances with an exact-zero diagonal."""
     p = np.asarray(points, dtype=np.float64)
     diff = p[..., :, None, :] - p[..., None, :, :]
     d2 = np.einsum("...ijk,...ijk->...ij", diff, diff)
     return np.sqrt(np.maximum(d2, 0.0))
 
 
-def distance_bias_mask(distances, absent, weight, bias, blocks=None):
+def distance_bias_mask(distances, absent, weight, bias):
     """Mask with the learned bias ``weight * distance + bias`` and absent keys.
 
-    distances: [..., Lq, Lk] (agent distances per timestep, or time gaps
-    |t - t'|); absent: bool array broadcastable to the mask, True for a
-    key no query may attend to; weight, bias: [1] parameters; blocks: the
-    ``SegmentBlocks`` that distances and absent are laid out in, if any.
+    distances: [..., Lq, Lk] (agent distances per timestep and block, or
+    time gaps |t - t'|); absent: bool array broadcastable to the mask,
+    True for a key no query may attend to; weight, bias: [1] parameters.
     """
     dist = Tensor(distances, dtype=weight.dtype)
     shape = np.broadcast_shapes(absent.shape, dist.shape)
-    return AttentionMask(bias=ad.add(ad.mul(weight, dist), bias), absent=np.broadcast_to(absent, shape),
-                         blocks=blocks)
+    return AttentionMask(bias=ad.add(ad.mul(weight, dist), bias), absent=np.broadcast_to(absent, shape))
 
 
 MHA_GATES = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
@@ -176,21 +168,17 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, nor
     and biases, and the mask bias.  ``norm`` is a layer-norm prologue: the
     prefix of the ``g``/``b`` parameters that normalize both inputs (one
     norm when ``q_in is kv_in``), or a (query, key/value) pair of
-    prefixes.  A mask with ``blocks`` (self-attention over a packed
-    window's agents) runs the core per segment: the projections run on all
-    N rows, their rows are gathered into [..., S, n] blocks, logits, bias,
-    softmax and context run there, and the context is scattered back to N
-    rows before the output projection; the backward does the same.
+    prefixes.
 
     The tape keeps the inputs, their row stats, the mask and the softmax
-    weights (per block with ``blocks``), no copy of them: the backward
-    joins a list of sources again and rebuilds the normalized inputs, the
-    q, k and v projections and the mixed context (weights times v) with
-    the forward's own operations, so they are bit-identical, and frees
-    each after its last read.  ``residual`` (a tensor of the output's
-    shape) is added in place to the output array, and the backward hands
-    it the output gradient.  An open ``capture`` keeps a copy of the
-    weights [..., h, Lq, Lk] under ``prefix``, dense also with ``blocks``.
+    weights, no copy of them: the backward joins a list of sources again
+    and rebuilds the normalized inputs, the q, k and v projections and the
+    mixed context (weights times v) with the forward's own operations, so
+    they are bit-identical, and frees each after its last read.
+    ``residual`` (a tensor of the output's shape) is added in place to the
+    output array, and the backward hands it the output gradient.  An open
+    ``capture`` keeps a copy of the weights [..., h, Lq, Lk] under
+    ``prefix``.
     """
     d_model = q_in.shape[-1]
     if d_model % heads != 0:
@@ -200,9 +188,6 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, nor
     for s in sources:
         if s.shape[:-2] != lead or s.shape[-1] != d_model:
             raise ShapeError(f"masked_mha: query {q_in.shape} and key/value {s.shape} disagree")
-    blocks = None if mask is None else mask.blocks
-    if blocks is not None and (q_in is not kv_in or lq != blocks.rows_total):
-        raise ShapeError(f"masked_mha: a block mask of {blocks.rows_total} agents needs self-attention over them")
     dh = d_model // heads
     w = {gate: params[f"{prefix}/{gate}"] for gate in MHA_GATES}
     wd = {gate: t.data for gate, t in w.items()}
@@ -216,18 +201,12 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, nor
     xq, stats_q = ad.prenorm_data(q_in.data, ln_q)
     xkv, stats_kv = (xq, stats_q) if shared else ad.prenorm_data(kv_data(), ln_kv)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=xq.dtype)
-    core = lead if blocks is None else lead + (blocks.count,)  # the leading axes of the attention core
 
-    def split(x, length):  # rows [R, d] -> [*core, h, L, dh], L the block size with blocks
-        if blocks is not None:
-            x, length = blocks.gather(x.reshape(lead + (length, d_model))), blocks.size
-        return x.reshape(core + (length, heads, dh)).swapaxes(-3, -2)
+    def split(x, length):  # rows [R, d] -> [*lead, h, L, dh]
+        return x.reshape(lead + (length, heads, dh)).swapaxes(-3, -2)
 
-    def merge(xh, length):  # [*core, h, L, dh] -> [*lead, L, d]
-        x = xh.swapaxes(-3, -2)
-        if blocks is not None:
-            x = blocks.scatter(x, len(lead))
-        return x.reshape(lead + (length, d_model))
+    def merge(xh, length):  # [*lead, h, L, dh] -> [*lead, L, d]
+        return xh.swapaxes(-3, -2).reshape(lead + (length, d_model))
 
     qh = split(ad.linear_data(xq, wd["wq"], wd["bq"]), lq)
     kh = split(ad.linear_data(xkv, wd["wk"], wd["bk"]), lk)
@@ -247,7 +226,7 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, nor
     attn = ad.softmax_data(logits, absent, out=logits)
 
     if _captured is not None:
-        _captured[prefix] = attn.copy() if blocks is None else blocks.dense(attn.swapaxes(-4, -3))
+        _captured[prefix] = attn.copy()
 
     mixed = merge(attn @ vh, lq)
     out_data = ad.linear_data(mixed, wd["wo"], wd["bo"])

@@ -29,8 +29,11 @@ hidden layer, ``masked_mha`` its q, k and v projections, its mixed
 context and the join of a list of key/value sources.  Constant masks
 and shifts run as epilogues on a node's own output (``linear``'s
 ``keep`` and ``shift``, ``layer_norm``'s ``keep``) rather than as nodes
-that would keep that output a second time, and packed spatial attention
-keeps its weights per segment block, not over all agent pairs.
+that would keep that output a second time.  The spatial and hypergraph
+branches run on segment blocks (``attention.SegmentBlocks``), so their
+attention weights and graph operators are kept per block, not over all
+agent pairs, and ``getitem`` is the one node that takes each branch's
+output back to agent rows.
 """
 
 from __future__ import annotations
@@ -402,18 +405,6 @@ def reshape(x, shape):
             x._accumulate(g.reshape(old))
 
     return _make(x.data.reshape(shape), "reshape", (x,), bw, check=False)
-
-
-def transpose(x, axes=None):
-    if axes is None:
-        axes = tuple(reversed(range(x.ndim)))
-    inv = tuple(np.argsort(axes))
-
-    def bw(g, x=x, inv=inv):
-        if x.requires_grad:
-            x._accumulate(g.transpose(inv))
-
-    return _make(x.data.transpose(axes), "transpose", (x,), bw, check=False)
 
 
 def broadcast_to(x, shape):

@@ -14,7 +14,7 @@ from .checkpoint import CheckpointError, save_archive
 from .config import ConfigError, TrainConfig, format_config, parse_config
 from .data import ParseError, normalize_window, parse_scene, synth_generate, window_scene, write_scene
 from .model import CrowdForecaster
-from .train import evaluate, train, write_metrics_jsonl, write_summary_csv
+from .train import TrainingAbort, evaluate, train, write_metrics_jsonl, write_summary_csv
 
 
 def _load_config(path):
@@ -33,13 +33,25 @@ def _load_config(path):
 
 
 def _load_scenes(data_dir):
-    names = sorted(f for f in os.listdir(data_dir) if f.endswith(".txt"))
+    try:
+        names = sorted(f for f in os.listdir(data_dir) if f.endswith(".txt"))
+    except OSError as exc:
+        raise SystemExit(f"{data_dir}: cannot read data directory: {exc.strerror or exc}") from None
     if not names:
         raise SystemExit(f"no .txt scene files under {data_dir}")
     try:
         return {os.path.splitext(n)[0]: parse_scene(os.path.join(data_dir, n)) for n in names}
+    except OSError as exc:
+        raise SystemExit(f"{exc.filename}: cannot read scene: {exc.strerror or exc}") from None
     except ParseError as exc:
         raise SystemExit(str(exc)) from None
+
+
+def _make_out_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(f"{path}: cannot create output directory: {exc.strerror or exc}") from None
 
 
 def _load_model(cfg, path):
@@ -90,10 +102,13 @@ def cmd_train(args):
         besides = "" if args.holdout is None else f" besides --holdout {args.holdout!r}"
         raise SystemExit(f"no scene under {args.data}{besides} has a window of {cfg.t_in + cfg.t_out} "
                          f"frames to train on")
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     with open(os.path.join(args.out, "config.txt"), "w") as fh:
         fh.write(format_config(cfg))
-    _, report = train(cfg, windows, out_dir=args.out, log=args.log_every)
+    try:
+        _, report = train(cfg, windows, out_dir=args.out, log=args.log_every)
+    except TrainingAbort as exc:
+        raise SystemExit(str(exc)) from None
     print(f"trained on {len(windows)} windows from {len(train_names)} scenes")
     print(f"final loss {report['epochs'][-1]['total']:.4f} (best {report['best_loss']:.4f})")
     print(f"checkpoints and report written under {args.out}")
@@ -117,7 +132,7 @@ def cmd_eval(args):
         fold_rows.append((fold, ade, fde))
         print(f"fold {fold}: minADE{args.k} {ade:.4f}  minFDE{args.k} {fde:.4f}  ({len(rows)} windows)")
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     write_metrics_jsonl(os.path.join(out_dir, "metrics.jsonl"), all_rows)
     write_summary_csv(os.path.join(out_dir, "summary.csv"), fold_rows, args.k)
     print(f"metrics written to {out_dir}/metrics.jsonl and {out_dir}/summary.csv")
@@ -129,7 +144,7 @@ def cmd_synth(args):
                                 n_frames=args.frames)
     except ValueError as exc:
         raise SystemExit(f"synth: {exc}") from None
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     for i, scene in enumerate(scenes):
         write_scene(scene, os.path.join(args.out, f"synth{i:03d}.txt"))
     print(f"wrote {len(scenes)} scenes to {args.out}")
@@ -150,7 +165,7 @@ def cmd_inspect(args):
     with capture() as kept:
         model.sample_futures(window, 1, np.random.default_rng(args.seed))
     hyperedges = kept.pop("hyper/edges", [])  # none for a window of one agent; the rest are attention maps
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     if args.dump_attention:
         arrays = {}
         for prefix, value in kept.items():

@@ -1,15 +1,16 @@
 """Multiscale crowd hypergraphs and random-walk spectral convolution.
 
-Group structure is discovered per segment (``attention.SegmentBlocks``)
-of a window: agent tracks are embedded, covariance-whitened distances
-turn into a heat-kernel similarity matrix, and one ranking of its rows
-links each agent with its K most similar peers into a hyperedge
-(duplicates merged) at every KNN scale.  The same array pass gives each
-scale's incidence and its symmetric-normalized random-walk operator
-(Zhou, Huang and Schoelkopf, NIPS 2006), through which features then
-mix.  The embedding is ``transformer.track_embedding`` (shared with the
-CVAE head) and the convolution ``transformer.graph_convolve`` (shared
-with the spatial GCN residual).
+Group structure is discovered per segment block of a window
+(``attention.SegmentBlocks``): agent tracks are embedded, covariance-
+whitened distances turn into a heat-kernel similarity matrix, and one
+ranking of its rows links each agent with its K most similar peers into
+a hyperedge (duplicates merged) at every KNN scale.  The same array pass
+gives each scale's incidence and its symmetric-normalized random-walk
+operator (Zhou, Huang and Schoelkopf, NIPS 2006), through which features
+mix on the blocks; one index node then scatters them to the agents.  The
+embedding is ``transformer.track_embedding`` (shared with the CVAE head)
+and the convolution ``transformer.graph_convolve`` (shared with the
+spatial GCN residual).
 
 Structure discovery (distances, similarity, KNN) is plain numpy and does
 not participate in differentiation; the convolution path does.
@@ -151,48 +152,47 @@ def multiscale_group_features(x_obs, presence_obs, params, prefix, scales, block
     """Group-wise features [N, P, d_model] across KNN scales, and their
     [N, P] bool absent mask, True where an agent's segment has no token.
 
-    Per segment (each block of ``blocks``, the window's
-    ``attention.SegmentBlocks``): embed, whiten-distance, similarity, and
-    one ``build_hyperedges_knn`` call for every scale the segment uses.
-    Per scale parameter index the segments' walk operators form one
-    block-diagonal operator (``SegmentBlocks.dense``) for two stacked
-    convolutions.  Scale outputs stack on axis 1, one column per
-    parameter index that some segment uses, and mix through a tokenwise
-    MLP.  A token its segment lacks is zero and absent, and the single
-    token of a segment with fewer than 2 agents is zero but present.  A
-    plain window has no absent token.  An open ``attention.capture`` keeps
-    each hypergraph's scale and hyperedges, as window agent indices, under
-    ``hyper/edges``: scale by scale, and segment by segment within one.
+    The tracks are gathered into the blocks of ``blocks`` (the window's
+    ``attention.SegmentBlocks``) and embedded there, [S, n, d_emb].  Per
+    segment: whiten-distance, similarity, and one ``build_hyperedges_knn``
+    call for every scale it uses.  Per scale parameter index the walk
+    operators form one [S, n, n] operator for two stacked convolutions.
+    Scale outputs stack on axis 2, one column per parameter index that
+    some segment uses, mix through a tokenwise MLP, and one index node
+    scatters them to agent rows.  A token its segment lacks is zero and
+    absent, and the single token of a segment with fewer than 2 agents is
+    zero but present.  A plain window has no absent token.  An open
+    ``attention.capture`` keeps each hypergraph's scale and hyperedges, as
+    window agent indices, under ``hyper/edges``: scale by scale, and
+    segment by segment within one.
     """
-    n, seg = blocks.rows_total, blocks.seg
     columns, uses, absent = _scale_layout(scales, blocks.counts)
     w_out = params[f"{prefix}/mlp/w2"]
     if not columns:
-        return Tensor(np.zeros((n, 1, w_out.shape[1])), dtype=w_out.dtype), absent[seg]
+        return Tensor(np.zeros((blocks.rows_total, 1, w_out.shape[1])), dtype=w_out.dtype), absent[blocks.seg]
 
-    q = track_embedding(params, f"{prefix}/embed", x_obs, presence_obs)
-    members = [rows[~pad] for rows, pad in zip(blocks.rows, blocks.pad)]
+    q = track_embedding(params, f"{prefix}/embed", blocks.gather(x_obs, 0), blocks.gather(presence_obs, 0))
     graphs = [{} for _ in uses]  # per segment: parameter index -> (incidence, walk operator)
-    for graph, m, use in zip(graphs, members, uses):
+    for s, (graph, count, use) in enumerate(zip(graphs, blocks.counts, uses)):
         if use:
-            sim = similarity_matrix(mahalanobis_matrix(q.data[m]))
+            sim = similarity_matrix(mahalanobis_matrix(q.data[s, :count]))
             graph.update(zip(use, build_hyperedges_knn(sim, use.values())))
 
     per_scale = []
     for idx in columns:
         op = np.zeros((blocks.count, blocks.size, blocks.size))
-        for s, (m, graph, use) in enumerate(zip(members, graphs, uses)):
+        for s, (rows, count, graph, use) in enumerate(zip(blocks.rows, blocks.counts, graphs, uses)):
             if idx not in graph:
                 continue
             incidence, walk = graph[idx]
-            op[s, : len(m), : len(m)] = walk
+            op[s, :count, :count] = walk
             if attention._captured is not None:
                 attention._captured.setdefault("hyper/edges", []).append(
-                    {"scale": use[idx], "edges": [m[e].tolist() for e in incidence.T.astype(bool)]})
-        op = blocks.dense(op)
+                    {"scale": use[idx], "edges": [rows[:count][e].tolist() for e in incidence.T.astype(bool)]})
         h1 = graph_convolve(op, q, params[f"{prefix}/conv{idx}/theta1"])
         per_scale.append(graph_convolve(op, h1, params[f"{prefix}/conv{idx}/theta2"]))
 
-    tokens = ffn_forward(params, f"{prefix}/mlp", ad.stack(per_scale, axis=1))  # [N, P, d_model]
+    tokens = ffn_forward(params, f"{prefix}/mlp", ad.stack(per_scale, axis=2))  # [S, n, P, d_model]
     keep = ~absent & (blocks.counts >= 2)[:, None]
-    return ad.mul(tokens, Tensor(keep[seg][:, :, None], dtype=w_out.dtype)), absent[seg]
+    tokens = ad.mul(tokens, Tensor(keep[:, None, :, None], dtype=w_out.dtype))
+    return blocks.scatter(tokens), absent[blocks.seg]

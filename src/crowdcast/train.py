@@ -51,8 +51,8 @@ def train(cfg, windows, out_dir=None, log=None):
     packs its augmented windows into one window (``pack_windows``) and
     runs one forward and one backward over it.  Checkpoints go to
     ``out_dir`` ("best.ckpt" at the lowest-loss epoch, "final.ckpt" at the
-    end); a non-finite loss or gradient aborts with the last good
-    checkpoint kept.  Gradients are dropped after each step, so the
+    end); a non-finite loss or gradient raises ``TrainingAbort``, whose
+    message names the last good checkpoint if one was written.  Gradients are dropped after each step, so the
     returned model holds none.
     """
     if not windows:
@@ -63,7 +63,7 @@ def train(cfg, windows, out_dir=None, log=None):
     rng = np.random.default_rng([cfg.seed, 101])
 
     epochs_report = []
-    best_loss = np.inf
+    best_loss, best_path = np.inf, None  # the path once a best checkpoint is written
     t0 = time.perf_counter()
     for epoch in range(cfg.epochs):
         opt.lr = decayed_lr(cfg.learning_rate, epoch, cfg.decay_factor, cfg.decay_every)
@@ -78,13 +78,13 @@ def train(cfg, windows, out_dir=None, log=None):
             try:
                 total, parts = model.training_loss(pack_windows(augmented), latent_eps=np.concatenate(eps))
             except ArithmeticError as exc:
-                _abort(out_dir, exc)
+                _abort(best_path, exc)
             if not np.isfinite(total.data).all():
-                _abort(out_dir, "batch loss non-finite")
+                _abort(best_path, "batch loss non-finite")
             ad.backward(total)
             bad = next((name for name in sorted(model.params) if not _finite_grad(model.params[name])), None)
             if bad is not None:
-                _abort(out_dir, f"non-finite gradient of parameter {bad!r}")
+                _abort(best_path, f"non-finite gradient of parameter {bad!r}")
             opt.step()
             opt.zero_grad()  # no gradient outlives its step
             for key, value in parts.items():  # parts are means over the batch's windows
@@ -97,7 +97,8 @@ def train(cfg, windows, out_dir=None, log=None):
         if epoch_parts["total"] < best_loss:
             best_loss = epoch_parts["total"]
             if out_dir is not None:
-                model.save(f"{out_dir}/best.ckpt")
+                best_path = f"{out_dir}/best.ckpt"
+                model.save(best_path)
 
     report = {
         "epochs": epochs_report,
@@ -116,8 +117,8 @@ def _finite_grad(param):
     return param.grad is None or bool(np.isfinite(param.grad).all())
 
 
-def _abort(out_dir, reason):
-    where = f"; last good checkpoint retained at {out_dir}/best.ckpt" if out_dir else ""
+def _abort(best_path, reason):
+    where = f"; last good checkpoint retained at {best_path}" if best_path else ""
     raise TrainingAbort(f"training aborted: {reason}{where}")
 
 
@@ -178,7 +179,9 @@ def write_metrics_jsonl(path, rows):
 
 
 def write_summary_csv(path, fold_rows, k):
-    with open(path, "w") as fh:
-        fh.write(f"fold,minADE{k},minFDE{k}\n")
-        for fold, ade, fde in fold_rows:
-            fh.write(f"{fold},{ade!r},{fde!r}\n")
+    import csv  # here, off the set-up path of the other commands
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["fold", f"minADE{k}", f"minFDE{k}"])
+        writer.writerows([fold, repr(ade), repr(fde)] for fold, ade, fde in fold_rows)

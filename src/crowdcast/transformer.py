@@ -7,7 +7,9 @@ The spatial encoder adds a distance-thresholded graph-convolution branch
 residually after attention.  The temporal encoder adds sinusoidal codes
 of each token's timestep.  Agents are unordered, so the spatial encoder
 adds only the code of the timestep it attends at, the same for every
-agent.  Absent (agent, timestep) slots are zeroed on output.
+agent.  Absent (agent, timestep) slots are zeroed on output.  The
+spatial encoder runs on the window's segment blocks from its numpy
+inputs until one index node takes its output to agent rows.
 
 ``graph_convolve`` (ReLU(A X Theta)) runs the spatial GCN residual and the
 hypergraph branch; ``track_embedding`` embeds each agent's observed track
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import attention
 from . import autodiff as ad
 from .attention import distance_bias_mask, masked_mha, pairwise_distances, positional_encoding
 from .autodiff import Tensor
@@ -35,14 +38,15 @@ def layer_norm_p(params, prefix, x, keep=None):
 
 
 def track_embedding(params, prefix, x, presence):
-    """ReLU-affine embedding [N, d] of each agent's flattened track.
+    """ReLU-affine embedding [..., d] of each agent's flattened track.
 
-    x: [N, T, 2]; presence: [N, T] bool.  Absent slots are zero-filled
+    x: [..., T, 2]; presence: [..., T] bool.  Absent slots are zero-filled
     before flattening, so the embedding reads the visible track only.
     Parameters ``{prefix}/w`` and ``{prefix}/b``.
     """
     w = params[f"{prefix}/w"]
-    flat = (np.asarray(x) * np.asarray(presence, dtype=bool)[:, :, None]).reshape(len(x), -1)
+    presence = np.asarray(presence, dtype=bool)
+    flat = (np.asarray(x) * presence[..., None]).reshape(presence.shape[:-1] + (-1,))
     return ad.linear(Tensor(flat, dtype=w.dtype), w, params[f"{prefix}/b"], relu=True)
 
 
@@ -50,8 +54,9 @@ def graph_convolve(operator, x, theta, residual=None):
     """First-order graph convolution ReLU(A X Theta) (Kipf & Welling), plus
     ``residual`` if given.
 
-    operator: [..., N, N] array A, a proximity adjacency per timestep or
-    a hypergraph walk operator; x: [..., N, d_in]; theta: [d_in, d_out].
+    operator: [..., n, n] array A over the agents of one segment block, a
+    proximity adjacency per timestep or a hypergraph walk operator; x:
+    [..., n, d_in]; theta: [d_in, d_out].
     """
     a = np.asarray(operator, dtype=theta.dtype)
     return ad.linear(ad.matmul(a, x), theta, relu=True, residual=residual)
@@ -104,13 +109,14 @@ def spatial_forward(params, cfg, x_obs, presence_obs, blocks, scene_positions=No
     x_obs: [N, T_i, 2] inputs the tokens embed (the model passes each
     agent's track relative to its own last observed position), absent
     slots zero; presence_obs: [N, T_i] bool.  blocks: the window's
-    ``attention.SegmentBlocks``, which owns the layout of its agents;
-    agents of different segments neither attend to nor convolve with each
-    other.  Distances are taken within blocks only, [T, S, n, n], from
-    scene_positions: [N, T_i, 2] in one shared frame, default x_obs.  They
-    feed the distance-bias mask of attention, which runs on the blocks,
-    and the GCN adjacency, built per block and laid out as the [T, N, N]
-    operator the convolution takes (``SegmentBlocks.dense``).
+    ``attention.SegmentBlocks``.  The tokens, scene_positions ([N, T_i, 2]
+    in one shared frame, default x_obs) and presence are gathered into
+    [T, S, n, ...] blocks, so agents of different segments neither attend
+    to nor convolve with each other; the distances [T, S, n, n] feed the
+    distance-bias mask and the GCN adjacency.  One index node scatters the
+    output to agent rows.  A pad slot is absent: an absent key, a fully
+    masked query, and zero after the embedding and ``ln_out``.  An open
+    ``attention.capture`` gets each layer's weights as [T, h, N, N].
 
     Every token also gets the sinusoidal code of its timestep.  A relative
     track is exactly zero at the agent's last observed step, so without
@@ -120,16 +126,19 @@ def spatial_forward(params, cfg, x_obs, presence_obs, blocks, scene_positions=No
     """
     if scene_positions is None:
         scene_positions = x_obs
-    tokens_t = np.asarray(x_obs, dtype=np.float64).transpose(1, 0, 2)  # [T, N, 2]
-    pos_t = np.asarray(scene_positions, dtype=np.float64).transpose(1, 0, 2)
-    pres_t = np.asarray(presence_obs, dtype=bool).T  # [T, N]
-    dist = pairwise_distances(blocks.gather(pos_t))  # [T, S, n, n]
-    absent = blocks.absent(pres_t)  # with its transpose: each pair with an absent agent or a pad slot
-    adj = blocks.dense(gcn_adjacency(dist, ~(absent | absent.swapaxes(-1, -2)), cfg.gcn_radius))
-    mask = distance_bias_mask(dist, absent, params["spatial/mask/w"], params["spatial/mask/b"], blocks=blocks)
-    codes = positional_encoding(len(tokens_t), cfg.d_model)[:, None, :]  # same code for every agent
-    x = _encoder_stack(params, cfg, "spatial", tokens_t, pres_t, codes, mask, adj=adj)
-    return ad.transpose(x, (1, 0, 2))  # [N, T, d]
+    tokens = blocks.gather(np.asarray(x_obs, dtype=np.float64).transpose(1, 0, 2))  # [T, S, n, 2]
+    dist = pairwise_distances(blocks.gather(np.asarray(scene_positions, dtype=np.float64).transpose(1, 0, 2)))
+    present = blocks.gather(np.asarray(presence_obs, dtype=bool).T, -1) & ~blocks.pad  # [T, S, n]
+    adj = gcn_adjacency(dist, present[..., :, None] & present[..., None, :], cfg.gcn_radius)
+    absent = ~present[..., None, :] | blocks.pad[:, :, None]
+    mask = distance_bias_mask(dist, absent, params["spatial/mask/w"], params["spatial/mask/b"])
+    codes = positional_encoding(len(tokens), cfg.d_model)[:, None, None, :]  # same code for every agent
+    x = _encoder_stack(params, cfg, "spatial", tokens, present, codes, mask, adj=adj)
+    if attention._captured is not None:
+        for layer in range(cfg.layers):
+            key = f"spatial/l{layer}/attn"
+            attention._captured[key] = blocks.dense(attention._captured[key].swapaxes(-4, -3))
+    return blocks.scatter(x, 1)  # [N, T, d]
 
 
 def temporal_forward(params, cfg, x_obs, presence_obs):

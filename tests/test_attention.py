@@ -533,7 +533,12 @@ class TestSegmentBlocks:
         x = np.random.default_rng(0).normal(size=(3, len(segment), 5))
         gathered = blocks.gather(x)
         assert gathered.shape == (3, blocks.count, blocks.size, 5)
-        np.testing.assert_array_equal(blocks.scatter(gathered, 1), x)
+        np.testing.assert_array_equal(blocks.scatter(gathered, 1), x.swapaxes(0, 1))
+        np.testing.assert_array_equal(blocks.scatter(blocks.gather(x[0], 0)), x[0])
+        # a tensor goes back to agent rows as one getitem node
+        node = blocks.scatter(Tensor(gathered, requires_grad=True), 1)
+        assert node._parents[0].shape == gathered.shape
+        np.testing.assert_array_equal(node.data, x.swapaxes(0, 1))
 
     @pytest.mark.parametrize("name", SEGMENTS)
     def test_dense_round_trip(self, name):
@@ -561,8 +566,13 @@ class TestSegmentBlocks:
 
     @pytest.mark.parametrize("name", SEGMENTS)
     def test_equals_attention_over_all_pairs(self, name):
-        """Output, captured weights and every gradient, with a norm
-        prologue, a residual, a learned distance bias and absent agents."""
+        """Plain attention on the block layout that ``spatial_forward``
+        builds (inputs gathered into [T, S, n] blocks, pad slots absent
+        keys and fully masked queries, the output scattered back to agent
+        rows) against attention over all agent pairs with the keys of
+        other segments absent: output, captured weights laid out dense and
+        every gradient, with a norm prologue, a residual, a learned
+        distance bias and absent agents."""
         segment = np.array(self.SEGMENTS[name])
         rng = np.random.default_rng(31)
         t, n, d, heads = 3, len(segment), 4, 2
@@ -575,22 +585,34 @@ class TestSegmentBlocks:
         present = rng.random((t, n)) < 0.75
         assert not present.all()
         blocks = SegmentBlocks(segment)
-        masks = {
-            "pairs": lambda: distance_bias_mask(pairwise_distances(points),
-                                                ~present[:, None, :] | (segment[:, None] != segment[None, :]), w, b),
-            "blocks": lambda: distance_bias_mask(pairwise_distances(blocks.gather(points)), blocks.absent(present),
-                                                 w, b, blocks=blocks),
-        }
+
+        def over_pairs():
+            mask = distance_bias_mask(pairwise_distances(points),
+                                      ~present[:, None, :] | (segment[:, None] != segment[None, :]), w, b)
+            with capture() as kept:
+                out = masked_mha(p, "blk", x, x, heads, mask=mask, residual=x, norm="ln")
+            return out, kept["blk"]
+
+        def over_blocks():
+            block_present = blocks.gather(present, -1) & ~blocks.pad
+            absent = ~block_present[..., None, :] | blocks.pad[:, :, None]
+            mask = distance_bias_mask(pairwise_distances(blocks.gather(points)), absent, w, b)
+            xb = x[:, blocks.rows]  # [T, S, n, d]
+            with capture() as kept:
+                out = masked_mha(p, "blk", xb, xb, heads, mask=mask, residual=xb, norm="ln")
+            assert kept["blk"].shape == (t, blocks.count, heads, blocks.size, blocks.size)
+            return blocks.scatter(out, 1), blocks.dense(kept["blk"].swapaxes(-4, -3))  # [N, T, d]
+
         probe = rng.normal(size=x.shape)
         leaves = [x, w, b, *p.values()]
         results = {}
-        for kind, make_mask in masks.items():
+        # the scattered output has the agents first
+        for kind, run, axes in (("pairs", over_pairs, (0, 1, 2)), ("blocks", over_blocks, (1, 0, 2))):
             for leaf in leaves:
                 leaf.zero_grad()
-            with capture() as kept:
-                out = masked_mha(p, "blk", x, x, heads, mask=make_mask(), residual=x, norm="ln")
-            ad.backward(probe_loss(out, probe))
-            results[kind] = [out.data, kept["blk"]] + [leaf.grad for leaf in leaves]
+            out, weights = run()
+            ad.backward(probe_loss(out, probe.transpose(axes)))
+            results[kind] = [out.data.transpose(axes), weights] + [leaf.grad for leaf in leaves]
         assert results["blocks"][1].shape == (t, heads, n, n)
         # the mask bias gradient is 0 in exact arithmetic: measure against the largest
         scale = max(float(np.abs(a).max()) for a in results["pairs"])
@@ -598,19 +620,18 @@ class TestSegmentBlocks:
             np.testing.assert_allclose(block, dense, rtol=1e-12, atol=1e-12 * scale)
 
     def test_node_keeps_weights_per_block(self):
-        """A packed spatial attention node keeps its weights over the pairs
-        within segments, so its bytes grow with the sum of the squared
-        segment sizes, not with the square of the agent count: twice the
-        segments, about twice the bytes."""
+        """Spatial attention over block-shaped input [T, S, n, d] keeps its
+        weights over the pairs within segments, so its bytes grow with the
+        sum of the squared segment sizes, not with the square of the agent
+        count: twice the segments, about twice the bytes."""
         rng = np.random.default_rng(32)
         t, n, d, heads = 8, 6, 64, 8
         p = grad_params(rng, d)
         kept = {}
         for count in (4, 8):
-            blocks = SegmentBlocks(np.repeat(np.arange(count), n))
-            x = Tensor(rng.normal(size=(t, count * n, d)), requires_grad=True)
+            x = Tensor(rng.normal(size=(t, count, n, d)), requires_grad=True)
             bias = Tensor(rng.normal(size=(t, count, n, n)), requires_grad=True)
-            mask = AttentionMask(bias=bias, absent=blocks.absent(np.ones((t, count * n), dtype=bool)), blocks=blocks)
+            mask = AttentionMask(bias=bias, absent=np.zeros((t, count, n, n), dtype=bool))
             tracemalloc.start()
             try:
                 out = masked_mha(p, "blk", x, x, heads, mask=mask)
@@ -812,7 +833,9 @@ class TestGcnAdjacency:
             seen.clear()
             spatial_forward(params, cfg, x, pres, SegmentBlocks(segment))
             assert len(seen) == cfg.layers, name
-            adj = seen[0]  # [T, N, N]
+            blocks = SegmentBlocks(segment)
+            assert seen[0].shape == (x.shape[1], blocks.count, blocks.size, blocks.size), name
+            adj = blocks.dense(seen[0])  # [T, N, N]
             pres_t = pres.T  # [T, N]
             assert (~pres_t).any(), name  # the window has absent agents to leave out
 

@@ -564,8 +564,8 @@ class TestPerOpGradients:
         assert stats + slack < rows * d * 8 // 2
         assert retained < stats + slack, retained
 
-    def test_reshape_transpose(self):
-        self._check(lambda a: ad.transpose(ad.reshape(a, (4, 3)), (1, 0)), [(3, 4)], 8)
+    def test_reshape(self):
+        self._check(lambda a: ad.reshape(a, (4, 3)), [(3, 4)], 8)
 
     def test_getitem_slice_and_fancy(self):
         self._check(lambda a: a[1:, ::2], [(3, 6)], 9)

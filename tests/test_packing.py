@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import crowdcast.autodiff as ad
+from crowdcast import hypergraph, transformer
 from crowdcast.attention import SegmentBlocks, capture
 from crowdcast.config import TrainConfig
 from crowdcast.data import normalize_window, pack_windows, synth_generate, window_scene
@@ -165,6 +166,30 @@ def test_packed_capture_gives_dense_spatial_maps():
         for lo, hi, single in zip(starts[:-1], starts[1:], singles):
             expected[:, :, lo:hi, lo:hi] = single[layer]
         np.testing.assert_allclose(dense, expected, rtol=0, atol=1e-12)
+
+
+def test_graph_operators_stay_within_blocks(monkeypatch):
+    """On a packed window with uneven segments (1 to 6 agents, holes),
+    every operator the spatial GCN and the hypergraph convolve with is
+    laid out over segment blocks, [..., S, n, n], never over all agent
+    pairs."""
+    seen = {}
+    for module in (transformer, hypergraph):
+        def spy(op, x, theta, residual=None, name=module.__name__, real=module.graph_convolve):
+            seen.setdefault(name, []).append(op.shape)
+            return real(op, x, theta, residual)
+
+        monkeypatch.setattr(module, "graph_convolve", spy)
+    cfg = tiny_config(scales=SCALES)
+    packed = pack_windows(mixed_windows())
+    blocks = SegmentBlocks(packed.segment)
+    assert len(set(blocks.counts)) > 1
+    model = CrowdForecaster(cfg, seed=0)
+    total, _ = model.training_loss(packed, rng=np.random.default_rng(0))
+    ad.backward(total)
+    block = (blocks.count, blocks.size, blocks.size)
+    assert seen["crowdcast.transformer"] == [(packed.t_in,) + block] * cfg.layers
+    assert seen["crowdcast.hypergraph"] == [block] * 2 * len(SCALES)
 
 
 @pytest.mark.parametrize("precision", ["f64", "f32"])

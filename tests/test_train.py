@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -24,6 +25,7 @@ from crowdcast.train import (
     gaussian_jitter,
     random_rotation,
     train,
+    write_summary_csv,
 )
 from crowdcast.autodiff import Tensor
 from conftest import random_window, tiny_config
@@ -732,12 +734,91 @@ class TestCliRejectsBadInput:
         assert exc.value.code.startswith(f"{cfg_path}:") and reason in exc.value.code, exc.value.code
         assert not (tmp_path / command).exists()
 
+    @pytest.mark.parametrize("overrides, best", [({"learning_rate": 1e30}, True), ({"noise_std": 1e300}, False)],
+                             ids=["learning-rate", "noise"])
+    def test_diverging_training_is_one_line_error(self, tmp_path, overrides, best):
+        """Training that goes non-finite used to end in a TrainingAbort
+        traceback, and an abort before any best epoch named a best.ckpt
+        that was never written.  One step per epoch: a huge learning rate
+        aborts in the second epoch, after epoch 0 wrote best.ckpt, and huge
+        noise aborts in the first step."""
+        data = tmp_path / "data"
+        cli_main(["synth", "--seed", "7", "--out", str(data), "--scenes", "2"])
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(format_config(tiny_config(epochs=3, batch_size=64, stride=6, **overrides)))
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["train", "--config", str(cfg_path), "--data", str(data), "--out", str(out)])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith("training aborted: ") and "non-finite" in message, message
+        if best:
+            assert message.endswith(f"; last good checkpoint retained at {out}/best.ckpt"), message
+            assert sorted(p.name for p in out.iterdir()) == ["best.ckpt", "config.txt"]
+        else:
+            assert "checkpoint" not in message, message
+            assert sorted(p.name for p in out.iterdir()) == ["config.txt"]
+
+    @staticmethod
+    def _with_data(command, run, data):
+        tmp_path, _, cfg_path, ckpt = run
+        loaded = [] if command == "train" else ["--checkpoint", str(ckpt)]
+        cli_main([command, *loaded, "--config", str(cfg_path), "--data", str(data),
+                  "--out", str(tmp_path / command)])
+
+    @pytest.mark.parametrize("command", ["train", "eval", "inspect"])
+    def test_missing_data_directory_is_one_line_error(self, run, command):
+        data = run[0] / "nosuch"
+        with pytest.raises(SystemExit) as exc:
+            self._with_data(command, run, data)
+        assert exc.value.code == f"{data}: cannot read data directory: No such file or directory"
+        assert not (run[0] / command).exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "inspect"])
+    def test_data_naming_a_file_is_one_line_error(self, run, command):
+        data = run[1] / "synth000.txt"
+        with pytest.raises(SystemExit) as exc:
+            self._with_data(command, run, data)
+        assert exc.value.code == f"{data}: cannot read data directory: Not a directory"
+        assert not (run[0] / command).exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "inspect"])
+    def test_directory_named_like_a_scene_is_one_line_error(self, run, command):
+        scene = run[1] / "x.txt"
+        scene.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            self._with_data(command, run, run[1])
+        assert exc.value.code == f"{scene}: cannot read scene: Is a directory"
+        assert not (run[0] / command).exists()
+
+    def test_train_out_naming_a_file_is_one_line_error(self, run):
+        tmp_path, data, cfg_path, _ = run
+        out = tmp_path / "taken"
+        out.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["train", "--config", str(cfg_path), "--data", str(data), "--out", str(out)])
+        assert exc.value.code == f"{out}: cannot create output directory: File exists"
+        assert out.read_text() == ""
+
     def test_holdout_must_name_a_scene(self, run):
         tmp_path, data, cfg_path, _ = run
         with pytest.raises(SystemExit, match="'nosuch' is not a scene"):
             cli_main(["train", "--config", str(cfg_path), "--data", str(data),
                       "--out", str(tmp_path / "train"), "--holdout", "nosuch"])
         assert not (tmp_path / "train").exists()
+
+
+def test_summary_csv_round_trips_fold_names(tmp_path):
+    """A fold name with a comma or a quote used to be written bare, so
+    ``csv.reader`` split its row into more fields."""
+    rows = [("a,b", 2.5, 4.25), ('say "hi"', 0.1, 0.2), ("plain", 1.0 / 3.0, 2.0)]
+    path = tmp_path / "summary.csv"
+    write_summary_csv(path, rows, 20)
+    with open(path, newline="") as fh:
+        read = list(csv.reader(fh))
+    assert read[0] == ["fold", "minADE20", "minFDE20"]
+    assert read[1:] == [[fold, repr(ade), repr(fde)] for fold, ade, fde in rows]
+    assert [(fold, float(ade), float(fde)) for fold, ade, fde in read[1:]] == rows
 
 
 def test_train_submodule_not_shadowed():
