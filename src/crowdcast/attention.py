@@ -153,32 +153,33 @@ def distance_bias_mask(distances, absent, weight, bias):
 MHA_GATES = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
 
-def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, norm=None):
-    """Multi-head attention with an additive mask, heads mixed by a final FC.
+def masked_mha(params, prefix, q_in, kv_in, heads, mask, norm):
+    """Pre-norm residual sublayer ``q_in + MHA(LN(q_in), LN(kv_in))``:
+    multi-head attention with an additive mask, heads mixed by a final FC.
 
     q_in: [..., Lq, d_model]; kv_in: [..., Lk, d_model] with the same
     leading axes, or a list of such sources, whose rows the node joins
-    along Lk as a temporary; mask bias must be broadcastable to [..., Lq,
-    Lk].  Fully masked query rows come out as exact zeros before the
-    output bias (softmax row is all-zero there).
+    along Lk as a temporary; mask: an ``AttentionMask`` whose bias, if
+    any, is broadcastable to [..., Lq, Lk].  A fully masked query row gets
+    an all-zero softmax row, so its output is the output bias plus its
+    query.
 
     One tape node: the forward runs projections, head split, scaled
     logits, mask, softmax, context and output projection on plain arrays,
     and its backward gives the gradients of the inputs, the eight weights
-    and biases, and the mask bias.  ``norm`` is a layer-norm prologue: the
-    prefix of the ``g``/``b`` parameters that normalize both inputs (one
-    norm when ``q_in is kv_in``), or a (query, key/value) pair of
-    prefixes.
+    and biases, the norms and the mask bias.  ``norm`` is the layer-norm
+    prologue: the prefix of the ``g``/``b`` parameters that normalize both
+    inputs (one norm when ``q_in is kv_in``), or a (query, key/value) pair
+    of prefixes.
 
     The tape keeps the inputs, their row stats, the mask and the softmax
     weights, no copy of them: the backward joins a list of sources again
     and rebuilds the normalized inputs, the q, k and v projections and the
     mixed context (weights times v) with the forward's own operations, so
-    they are bit-identical, and frees each after its last read.
-    ``residual`` (a tensor of the output's shape) is added in place to the
-    output array, and the backward hands it the output gradient.  An open
-    ``capture`` keeps a copy of the weights [..., h, Lq, Lk] under
-    ``prefix``.
+    they are bit-identical, and frees each after its last read.  The
+    query input is added in place to the output array, and the backward
+    hands it the output gradient first.  An open ``capture`` keeps a copy
+    of the weights [..., h, Lq, Lk] under ``prefix``.
     """
     d_model = q_in.shape[-1]
     if d_model % heads != 0:
@@ -191,9 +192,9 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, nor
     dh = d_model // heads
     w = {gate: params[f"{prefix}/{gate}"] for gate in MHA_GATES}
     wd = {gate: t.data for gate, t in w.items()}
-    nq, nkv = (norm, norm) if norm is None or isinstance(norm, str) else norm
+    nq, nkv = (norm, norm) if isinstance(norm, str) else norm
     shared = q_in is kv_in and nq == nkv  # one input array for queries, keys and values
-    ln_q, ln_kv = (None if n is None else (params[f"{n}/g"], params[f"{n}/b"]) for n in (nq, nkv))
+    ln_q, ln_kv = ((params[f"{n}/g"], params[f"{n}/b"]) for n in (nq, nkv))
 
     def kv_data():  # the key/value rows; several sources are joined as a temporary
         return sources[0].data if len(sources) == 1 else np.concatenate([s.data for s in sources], axis=-2)
@@ -214,30 +215,24 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, nor
     logits = qh @ kh.swapaxes(-1, -2)
     logits *= scale
 
-    bias, absent = None, np.zeros((), dtype=bool)
-    if mask is not None:
-        # insert the head axis explicitly; remaining dims broadcast
-        bias = mask.bias
-        if bias is not None:
-            logits += bias.data.reshape(bias.shape[:-2] + (1,) + bias.shape[-2:])
-        absent = mask.absent
-        if absent.ndim == logits.ndim - 1:
-            absent = absent[..., None, :, :]
-    attn = ad.softmax_data(logits, absent, out=logits)
+    bias, absent = mask.bias, mask.absent
+    # insert the head axis explicitly; remaining dims broadcast
+    if bias is not None:
+        logits += bias.data.reshape(bias.shape[:-2] + (1,) + bias.shape[-2:])
+    if absent.ndim == logits.ndim - 1:
+        absent = absent[..., None, :, :]
+    attn = ad.softmax_data(logits, absent)
 
     if _captured is not None:
         _captured[prefix] = attn.copy()
 
     mixed = merge(attn @ vh, lq)
     out_data = ad.linear_data(mixed, wd["wo"], wd["bo"])
-    if residual is not None:
-        if residual.shape != out_data.shape:
-            raise ShapeError(f"masked_mha: residual {residual.shape} does not match output {out_data.shape}")
-        out_data += residual.data
+    out_data += q_in.data
 
     def bw(g):
-        if residual is not None and residual.requires_grad:
-            residual._accumulate(g)
+        if q_in.requires_grad:
+            q_in._accumulate(g)
         grads = {}
         # rebuild the forward's arrays from the inputs, each by the
         # forward's own operations, and free each after its last read
@@ -252,7 +247,7 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, nor
         dattn = dctx @ vh.swapaxes(-1, -2)
         dvh = attn.swapaxes(-1, -2) @ dctx
         del dmixed, dctx, vh
-        dlogits = ad.softmax_backward_data(dattn, attn, out=dattn)
+        dlogits = ad.softmax_backward_data(dattn, attn)
         if bias is not None and bias.requires_grad:
             shape = bias.shape[:-2] + (1,) + bias.shape[-2:]
             bias._accumulate(ad._unbroadcast(dlogits, shape).reshape(bias.shape))
@@ -263,40 +258,35 @@ def masked_mha(params, prefix, q_in, kv_in, heads, mask=None, residual=None, nor
         dkh = (qh.swapaxes(-1, -2) @ dlogits).swapaxes(-1, -2)
         del dattn, dlogits, qh, kh
 
-        kv_grad = any(s.requires_grad for s in sources)
-        need_q = q_in.requires_grad or ln_q is not None
-        need_kv = kv_grad or ln_kv is not None
-        dq_in, grads["wq"], grads["bq"] = ad.linear_grads(merge(dqh, lq), xq, wd["wq"], need_q)
+        # the norms' gains and biases need the input gradients of both paths
+        dq_in, grads["wq"], grads["bq"] = ad.linear_grads(merge(dqh, lq), xq, wd["wq"])
         del dqh
-        dk_in, grads["wk"], grads["bk"] = ad.linear_grads(merge(dkh, lk), xkv, wd["wk"], need_kv)
+        dk_in, grads["wk"], grads["bk"] = ad.linear_grads(merge(dkh, lk), xkv, wd["wk"])
         del dkh
-        dv_in, grads["wv"], grads["bv"] = ad.linear_grads(merge(dvh, lk), xkv, wd["wv"], need_kv)
+        dv_in, grads["wv"], grads["bv"] = ad.linear_grads(merge(dvh, lk), xkv, wd["wv"])
         del dvh, xq, xkv
         ad._accumulate_grads((w[gate], grads[gate]) for gate in MHA_GATES)
         if shared:  # one input: accumulate its three paths once
-            if need_q:
-                dq_in += dk_in
-                dq_in += dv_in
-                ad.prenorm_backward(q_in, ln_q, stats_q, dq_in)
-            return
-        if need_q:
+            dq_in += dk_in
+            dq_in += dv_in
             ad.prenorm_backward(q_in, ln_q, stats_q, dq_in)
-        if need_kv:
-            dk_in += dv_in
-            dkv = ad.prenorm_grad(kv, ln_kv, stats_kv, dk_in, kv_grad)
-            if dkv is None:
-                return
-            dkv = dkv.reshape(lead + (lk, d_model))
-            if len(sources) == 1:
-                sources[0]._accumulate(dkv, own=True)
-                return
-            bounds = np.cumsum([s.shape[-2] for s in sources[:-1]])
-            for s, part in zip(sources, np.split(dkv, bounds, axis=-2)):
-                if s.requires_grad:
-                    s._accumulate(part)
+            return
+        ad.prenorm_backward(q_in, ln_q, stats_q, dq_in)
+        dk_in += dv_in
+        dkv = ad.prenorm_grad(kv, ln_kv, stats_kv, dk_in, any(s.requires_grad for s in sources))
+        if dkv is None:
+            return
+        dkv = dkv.reshape(lead + (lk, d_model))
+        if len(sources) == 1:
+            sources[0]._accumulate(dkv, own=True)
+            return
+        bounds = np.cumsum([s.shape[-2] for s in sources[:-1]])
+        for s, part in zip(sources, np.split(dkv, bounds, axis=-2)):
+            if s.requires_grad:
+                s._accumulate(part)
 
     inputs = (q_in,) if q_in is kv_in else (q_in, *sources)
     extra = () if bias is None else (bias,)
-    lead_res = () if residual is None else (residual,)  # walked as the separate add node it replaces
-    norms = tuple(t for ln in (ln_q, ln_kv) if ln is not None for t in ln)
-    return ad._make(out_data, "masked_mha", lead_res + inputs + tuple(w.values()) + norms + extra, bw)
+    # the query leads the parents a second time, so the tape is walked in
+    # the order of the separate residual add node this one replaces
+    return ad._make(out_data, "masked_mha", (q_in, *inputs, *w.values(), *ln_q, *ln_kv, *extra), bw)

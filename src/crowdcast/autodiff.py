@@ -13,7 +13,7 @@ exact-zero weight.  Only the ops some model path records are defined.
 Backward closures read their operands' arrays, not copies: ``linear``
 reads its ReLU mask off its output, ``layer_norm`` rebuilds its
 normalized rows from its input, and each pre-norm sublayer backward
-(``ffn``, and ``attention.masked_mha`` with a norm) reads the residual
+(``ffn`` with a norm, and ``attention.masked_mha``) reads the residual
 stream it was given to rebuild its normalized rows.  So no array is
 written after the node that reads it is recorded.  The exceptions are a
 node's own output, which its epilogues write before ``_make`` returns,
@@ -218,19 +218,19 @@ def exp(x):
     return _make(out_data, "exp", (x,), bw)
 
 
-def norm(x, axis=-1):
-    """Euclidean norm along ``axis``.
+def norm(x):
+    """Euclidean norm over the last axis.
 
     The backward takes the zero subgradient where the norm is exactly
     zero, so coincident points give finite gradients.
     """
     xd = x.data
-    out_data = np.sqrt(np.sum(xd * xd, axis=axis))
+    out_data = np.sqrt(np.sum(xd * xd, axis=-1))
 
-    def bw(g, x=x, xd=xd, out_data=out_data, axis=axis):
+    def bw(g, x=x, xd=xd, out_data=out_data):
         if x.requires_grad:
-            safe = np.expand_dims(np.where(out_data > 0, out_data, 1.0), axis)
-            x._accumulate(np.expand_dims(g, axis) * (xd / safe), own=True)
+            safe = np.where(out_data > 0, out_data, 1.0)[..., None]
+            x._accumulate(g[..., None] * (xd / safe), own=True)
 
     return _make(out_data, "norm", (x,), bw)
 
@@ -330,7 +330,7 @@ def linear(x, w, b=None, relu=False, keep=None, shift=None, residual=None):
     return _make(out, "linear", parents, bw)
 
 
-def linear_data(xd, wd, bd=None):
+def linear_data(xd, wd, bd):
     """``xd @ wd + bd`` on plain arrays, as one GEMM over the folded leading
     axes; the bias, if any, is added in place."""
     out = xd.reshape(-1, wd.shape[0]) @ wd
@@ -347,9 +347,9 @@ def linear_grads(g, xd, wd, need_x=True, need_b=True):
     return gx, xd.reshape(-1, k).T @ g2, g2.sum(axis=0) if need_b else None
 
 
-def ffn(x, w1, b1, w2, b2, norm=None, residual=None):
+def ffn(x, w1, b1, w2, b2, norm, residual):
     """Feed-forward sublayer ``ReLU(LN(x) @ w1 + b1) @ w2 + b2``, plus
-    ``residual`` if given, as one node.
+    ``residual`` unless it is None, as one node.
 
     ``norm`` is the (gain, bias) pair of the layer norm, or None to feed x
     as it is.  The tape keeps x and the norm's row stats; the backward
@@ -418,7 +418,7 @@ def broadcast_to(x, shape):
     return _make(np.broadcast_to(x.data, shape), "broadcast_to", (x,), bw, check=False)
 
 
-def concat(tensors, axis=0):
+def concat(tensors, axis):
     tensors = list(tensors)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -434,7 +434,7 @@ def concat(tensors, axis=0):
     return _make(data, "concat", tuple(tensors), bw, check=False)
 
 
-def stack(tensors, axis=0):
+def stack(tensors, axis):
     tensors = list(tensors)
 
     def bw(g, tensors=tensors, axis=axis):
@@ -499,24 +499,17 @@ def _row_max(y):
     return rowmax
 
 
-def softmax_data(xd, absent, out=None):
-    """Row softmax over the last axis with max-subtraction, on plain arrays.
+def softmax_data(y, absent):
+    """Row softmax over the last axis with max-subtraction, in place on the
+    plain array of logits ``y``; returns ``y``.
 
     ``absent`` (bool, broadcastable) marks keys that get weight 0.  A row
     with every key absent yields an all-zero row; callers must not attend
     from such rows.  NaN or +inf at a present key is an error, not an
-    all-zero row.  The weights go into ``out`` if given (``out=xd`` runs in
-    place; ``xd`` is left as it was otherwise), and every step after the
-    copy runs in place: absent keys are set to -inf only when there are
-    any, the row max of short rows is a loop over key columns
-    (``_row_max``), and the row sum is an ``einsum``.
+    all-zero row.  Every step runs in place: absent keys are set to -inf
+    only when there are any, the row max of short rows is a loop over key
+    columns (``_row_max``), and the row sum is an ``einsum``.
     """
-    if out is None:
-        y = xd.copy()
-    else:
-        y = out
-        if y is not xd:
-            np.copyto(y, xd)
     if np.any(absent):
         np.copyto(y, -np.inf, where=absent)  # an absent key's logit is never read
     rowmax = _row_max(y)  # the max of a row holding NaN is NaN
@@ -531,25 +524,25 @@ def softmax_data(xd, absent, out=None):
     return y
 
 
-def softmax_backward_data(g, y, out=None):
+def softmax_backward_data(g, y):
     """Gradient of the logits from the output gradient ``g`` and output
-    ``y``, into ``out`` if given (``out=g`` runs in place)."""
-    out = np.subtract(g, np.einsum("...i,...i->...", g, y)[..., None], out=out)
-    out *= y
-    return out
+    ``y``, in place on ``g``; returns ``g``."""
+    g -= np.einsum("...i,...i->...", g, y)[..., None]
+    g *= y
+    return g
 
 
 LAYER_NORM_EPS = 1e-5
 
 
-def layer_norm(x, gain, bias, keep=None):
+def layer_norm(x, gain, bias, keep):
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     Rows are folded to [R, d].  The tape keeps the row means and inverse
     deviations, [R] each; the backward rebuilds the normalized rows from
     ``x.data`` (``layer_norm_rows``), so they are bit-identical.  ``keep``
-    (a plain 0/1 array broadcastable to the output) is an epilogue that
-    zeroes the slots where it is 0, as in ``linear``.
+    (a plain 0/1 array broadcastable to the output, or None) is an
+    epilogue that zeroes the slots where it is 0, as in ``linear``.
     """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -698,11 +691,10 @@ def backward(loss):
 # -- gradient checking ---------------------------------------------------
 
 
-def numerical_gradient(f, tensor_obj, indices=None, h=1e-5):
-    """Central finite differences of scalar-valued f w.r.t. tensor entries."""
+def numerical_gradient(f, tensor_obj, indices, h):
+    """Central finite differences of scalar-valued f w.r.t. the tensor's
+    flat entries ``indices``, with step ``h``."""
     flat = tensor_obj.data.reshape(-1)
-    if indices is None:
-        indices = range(flat.size)
     grads = {}
     for i in indices:
         orig = flat[i]

@@ -61,6 +61,9 @@ class TrainConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if any(s < 1 for s in self.scales):
             raise ConfigError(f"hypergraph scales must be at least 1, got {self.scales}")
+        repeated = sorted({s for s in self.scales if self.scales.count(s) > 1})
+        if repeated:  # a repeated K's convolution parameters would never be read
+            raise ConfigError(f"hypergraph scales must differ; repeated: {repeated}")
         if self.d_model % 2 != 0:
             raise ConfigError("d_model must be even (sinusoidal positional encoding)")
         if self.d_model % self.heads != 0:

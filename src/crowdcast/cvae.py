@@ -18,10 +18,6 @@ from .data import last_present
 from .transformer import ffn_forward, track_embedding
 
 
-class ContractError(ValueError):
-    """Operation called outside its mode contract."""
-
-
 class MetricError(ValueError):
     """Metric undefined for the given presence pattern."""
 
@@ -46,11 +42,8 @@ def encode_posterior(params, obs_emb, x_fut, presence_fut, y_m, d_z):
 
     obs_emb: [N, d] the ``observed_embedding`` that the decoder also
     reads; x_fut: [N, T_o, 2] ground-truth future; presence_fut: [N, T_o]
-    bool.  Training-mode only: raises ContractError without a ground-truth
-    future.  Returns (LatentPosterior, reconstruction [N, T_i*2]).
+    bool.  Returns (LatentPosterior, reconstruction [N, T_i*2]).
     """
-    if x_fut is None:
-        raise ContractError("posterior encoding needs the ground-truth future (training mode)")
     fut_e = track_embedding(params, "cvae/fut", x_fut, presence_fut)
     joint = ad.concat([obs_emb, fut_e, y_m], axis=1)
     trunk = ad.linear(joint, params["cvae/post/w1"], params["cvae/post/b1"], relu=True)
@@ -99,7 +92,7 @@ def _point_errors(a, b):
     prediction that hits its target (or a zero-filled absent slot) keeps
     every gradient finite.
     """
-    return ad.norm(ad.sub(a, b), axis=-1)
+    return ad.norm(ad.sub(a, b))
 
 
 ANGLE_GT_GUARD = 1e-6  # skip pairs whose ground-truth vector is degenerate
@@ -132,15 +125,15 @@ def _segment_mean_weights(mask, segment, n_segments):
     return mask * scale[segment].reshape((-1,) + (1,) * (mask.ndim - 1))
 
 
-def loss_total(pred, gt, presence_fut, posterior, recon, x_obs, presence_obs, kappas, sigma_prior=1.0,
-               segment=None):
+def loss_total(pred, gt, presence_fut, posterior, recon, x_obs, presence_obs, kappas, sigma_prior, segment):
     """Four-term objective; returns (total Tensor, float components).
 
     kappas: (k1, k2, k3, k4) weighting mean L2 distance, KL to the prior,
     the angle mismatch over ordered timestep pairs, and the observation
-    reconstruction.  segment: optional [N] scene number per agent; each
-    term is taken per segment, as on that segment's window alone, and
-    averaged over segments.  Any non-finite component aborts with its name.
+    reconstruction.  sigma_prior: the prior's standard deviation.
+    segment: [N] scene number per agent; each term is taken per segment,
+    as on that segment's window alone, and averaged over segments.  Any
+    non-finite component aborts with its name.
     """
     k1, k2, k3, k4 = kappas
     gt = np.asarray(gt, dtype=np.float64)
@@ -148,7 +141,7 @@ def loss_total(pred, gt, presence_fut, posterior, recon, x_obs, presence_obs, ka
     presence_obs = np.asarray(presence_obs, dtype=bool)
     n, t_out = gt.shape[0], gt.shape[1]
     dtype = pred.dtype
-    segment = np.zeros(n, dtype=np.intp) if segment is None else np.asarray(segment)
+    segment = np.asarray(segment)
     n_segments = int(segment.max()) + 1
     per_agent = _segment_mean_weights(np.ones(n), segment, n_segments)  # 1 / (segments * agents)
 

@@ -20,12 +20,12 @@ from .autodiff import ShapeError, Tensor
 from .transformer import encoder_block, ffn_forward, layer_norm_p
 
 
-def cross_modal_attention(params, prefix, target, sources, heads, absent=None):
+def cross_modal_attention(params, prefix, target, sources, heads, absent):
     """Target tokens attend over the source tokens, joined along the token
     axis.
 
-    target: [N, L_t, d]; sources: list of [N, L_s, d]; absent: optional
-    [N, sum L_s] bool, True for source tokens no target may attend to.
+    target: [N, L_t, d]; sources: list of [N, L_s, d]; absent: [N, sum
+    L_s] bool, True for source tokens no target may attend to.
     ``masked_mha`` takes the sources as a list and joins them only as a
     temporary, so the tape keeps no concatenation.  Residual + LN + FFN as
     in the encoder blocks; token count of the target is preserved.
@@ -34,23 +34,22 @@ def cross_modal_attention(params, prefix, target, sources, heads, absent=None):
     for s in sources:
         if s.shape[0] != target.shape[0] or s.shape[-1] != d:
             raise ShapeError(f"modality shapes disagree: {target.shape} vs {s.shape}")
-    mask = None if absent is None else AttentionMask(bias=None, absent=absent[:, None, :])
-    x = masked_mha(params, f"{prefix}/attn", target, sources, heads, mask=mask, residual=target,
+    mask = AttentionMask(bias=None, absent=absent[:, None, :])
+    x = masked_mha(params, f"{prefix}/attn", target, sources, heads, mask=mask,
                    norm=(f"{prefix}/ln_q", f"{prefix}/ln_kv"))
     return ffn_forward(params, f"{prefix}/ffn", x, residual=x, norm=f"{prefix}/ln2")
 
 
-def fuse(params, cfg, y_s, y_t, y_h, h_absent=None):
+def fuse(params, cfg, y_s, y_t, y_h, h_absent):
     """Align the three modal token sets into one vector per agent.
 
     y_s, y_t: [N, T_i, d_model]; y_h: [N, H_scales, d_model]; h_absent:
-    optional [N, H_scales] bool, True for hypergraph tokens the agent
-    lacks.  Returns [N, d_model], the mean over the agent's present tokens.
+    [N, H_scales] bool, True for hypergraph tokens the agent lacks.
+    Returns [N, d_model], the mean over the agent's present tokens.
     """
     modalities = {"s": y_s, "t": y_t, "h": y_h}
-    absent = {name: np.zeros(y.shape[:2], dtype=bool) for name, y in modalities.items()}
-    if h_absent is not None:
-        absent["h"] = np.asarray(h_absent, dtype=bool)
+    absent = {"s": np.zeros(y_s.shape[:2], dtype=bool), "t": np.zeros(y_t.shape[:2], dtype=bool),
+              "h": np.asarray(h_absent, dtype=bool)}
     aligned = []
     for name, target in modalities.items():
         others = [k for k in modalities if k != name]

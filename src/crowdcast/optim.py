@@ -8,7 +8,7 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
 class Adam:
-    def __init__(self, params, lr=1e-4):
+    def __init__(self, params, lr):
         self.params = params
         self.lr = lr
         self.t = 0
@@ -51,6 +51,6 @@ class Adam:
             p.data -= step
 
 
-def decayed_lr(base_lr, epoch, factor=0.5, every=100):
+def decayed_lr(base_lr, epoch, factor, every):
     """Step schedule: the rate multiplies by ``factor`` every ``every`` epochs."""
     return base_lr * factor ** (epoch // every)

@@ -44,7 +44,7 @@ def random_rotation(window, rng):
     return replace(window, positions=turned, presence=window.presence.copy(), agent_ids=list(window.agent_ids))
 
 
-def train(cfg, windows, out_dir=None, log=None):
+def train(cfg, windows, out_dir, log=None):
     """Fit a model on the given windows; returns (model, report dict).
 
     Deterministic for a fixed (config, windows) pair.  Each batch step
@@ -65,38 +65,40 @@ def train(cfg, windows, out_dir=None, log=None):
     epochs_report = []
     best_loss, best_path = np.inf, None  # the path once a best checkpoint is written
     t0 = time.perf_counter()
-    for epoch in range(cfg.epochs):
-        opt.lr = decayed_lr(cfg.learning_rate, epoch, cfg.decay_factor, cfg.decay_every)
-        order = rng.permutation(len(normalized))
-        sums, count = {}, 0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [normalized[i] for i in order[start : start + cfg.batch_size]]
-            augmented, eps = [], []
-            for window in batch:  # per window, in turn: jitter, rotation, latent draws
-                augmented.append(random_rotation(gaussian_jitter(window, rng, cfg.noise_std), rng))
-                eps.append(rng.standard_normal((window.n_agents, cfg.d_z)))
-            try:
-                total, parts = model.training_loss(pack_windows(augmented), latent_eps=np.concatenate(eps))
-            except ArithmeticError as exc:
-                _abort(best_path, exc)
-            if not np.isfinite(total.data).all():
-                _abort(best_path, "batch loss non-finite")
-            ad.backward(total)
-            bad = next((name for name in sorted(model.params) if not _finite_grad(model.params[name])), None)
-            if bad is not None:
-                _abort(best_path, f"non-finite gradient of parameter {bad!r}")
-            opt.step()
-            opt.zero_grad()  # no gradient outlives its step
-            for key, value in parts.items():  # parts are means over the batch's windows
-                sums[key] = sums.get(key, 0.0) + value * len(batch)
-            count += len(batch)
-        epoch_parts = {k: v / count for k, v in sums.items()}
-        epochs_report.append({"epoch": epoch, "lr": opt.lr, **epoch_parts})
-        if log is not None and (epoch % log == 0 or epoch == cfg.epochs - 1):
-            print(f"epoch {epoch:4d}  lr {opt.lr:.2e}  loss {epoch_parts['total']:.4f}")
-        if epoch_parts["total"] < best_loss:
-            best_loss = epoch_parts["total"]
-            if out_dir is not None:
+    # every op output, the loss and every gradient are checked, and the
+    # abort names the fault, so numpy's own warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(cfg.epochs):
+            opt.lr = decayed_lr(cfg.learning_rate, epoch, cfg.decay_factor, cfg.decay_every)
+            order = rng.permutation(len(normalized))
+            sums, count = {}, 0
+            for start in range(0, len(order), cfg.batch_size):
+                batch = [normalized[i] for i in order[start : start + cfg.batch_size]]
+                augmented, eps = [], []
+                for window in batch:  # per window, in turn: jitter, rotation, latent draws
+                    augmented.append(random_rotation(gaussian_jitter(window, rng, cfg.noise_std), rng))
+                    eps.append(rng.standard_normal((window.n_agents, cfg.d_z)))
+                try:
+                    total, parts = model.training_loss(pack_windows(augmented), latent_eps=np.concatenate(eps))
+                except ArithmeticError as exc:
+                    _abort(best_path, exc)
+                if not np.isfinite(total.data).all():
+                    _abort(best_path, "batch loss non-finite")
+                ad.backward(total)
+                bad = next((name for name in sorted(model.params) if not _finite_grad(model.params[name])), None)
+                if bad is not None:
+                    _abort(best_path, f"non-finite gradient of parameter {bad!r}")
+                opt.step()
+                opt.zero_grad()  # no gradient outlives its step
+                for key, value in parts.items():  # parts are means over the batch's windows
+                    sums[key] = sums.get(key, 0.0) + value * len(batch)
+                count += len(batch)
+            epoch_parts = {k: v / count for k, v in sums.items()}
+            epochs_report.append({"epoch": epoch, "lr": opt.lr, **epoch_parts})
+            if log is not None and (epoch % log == 0 or epoch == cfg.epochs - 1):
+                print(f"epoch {epoch:4d}  lr {opt.lr:.2e}  loss {epoch_parts['total']:.4f}")
+            if epoch_parts["total"] < best_loss:
+                best_loss = epoch_parts["total"]
                 best_path = f"{out_dir}/best.ckpt"
                 model.save(best_path)
 
@@ -106,10 +108,9 @@ def train(cfg, windows, out_dir=None, log=None):
         "wall_clock_s": time.perf_counter() - t0,
         "config": config_dict(cfg),
     }
-    if out_dir is not None:
-        model.save(f"{out_dir}/final.ckpt")
-        with open(f"{out_dir}/report.json", "w") as fh:
-            json.dump(report, fh, indent=2)
+    model.save(f"{out_dir}/final.ckpt")
+    with open(f"{out_dir}/report.json", "w") as fh:
+        json.dump(report, fh, indent=2)
     return model, report
 
 

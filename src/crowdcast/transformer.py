@@ -79,7 +79,7 @@ def gcn_adjacency(dist, pair_ok, radius):
 def encoder_block(params, prefix, x, heads, mask, adj=None):
     """Pre-norm self-attention (+ optional GCN residual) + feed-forward;
     each sublayer runs its layer norm as a prologue."""
-    x = masked_mha(params, f"{prefix}/attn", x, x, heads, mask=mask, residual=x, norm=f"{prefix}/ln1")
+    x = masked_mha(params, f"{prefix}/attn", x, x, heads, mask=mask, norm=f"{prefix}/ln1")
     if adj is not None:
         x = graph_convolve(adj, x, params[f"{prefix}/gcn/w"], residual=x)
     return ffn_forward(params, f"{prefix}/ffn", x, residual=x, norm=f"{prefix}/ln2")
@@ -103,14 +103,14 @@ def _encoder_stack(params, cfg, prefix, tokens, presence, codes, mask, adj=None)
     return layer_norm_p(params, f"{prefix}/ln_out", x, keep=keep)
 
 
-def spatial_forward(params, cfg, x_obs, presence_obs, blocks, scene_positions=None):
+def spatial_forward(params, cfg, x_obs, presence_obs, blocks, scene_positions):
     """Cross-agent attention per timestep; returns [N, T_i, d_model].
 
     x_obs: [N, T_i, 2] inputs the tokens embed (the model passes each
     agent's track relative to its own last observed position), absent
     slots zero; presence_obs: [N, T_i] bool.  blocks: the window's
     ``attention.SegmentBlocks``.  The tokens, scene_positions ([N, T_i, 2]
-    in one shared frame, default x_obs) and presence are gathered into
+    in one shared frame) and presence are gathered into
     [T, S, n, ...] blocks, so agents of different segments neither attend
     to nor convolve with each other; the distances [T, S, n, n] feed the
     distance-bias mask and the GCN adjacency.  One index node scatters the
@@ -124,8 +124,6 @@ def spatial_forward(params, cfg, x_obs, presence_obs, blocks, scene_positions=No
     that bias starts at zero, and layer norm of a near-constant vector
     scales each change to it by up to 1/sqrt(1e-5), about 316.
     """
-    if scene_positions is None:
-        scene_positions = x_obs
     tokens = blocks.gather(np.asarray(x_obs, dtype=np.float64).transpose(1, 0, 2))  # [T, S, n, 2]
     dist = pairwise_distances(blocks.gather(np.asarray(scene_positions, dtype=np.float64).transpose(1, 0, 2)))
     present = blocks.gather(np.asarray(presence_obs, dtype=bool).T, -1) & ~blocks.pad  # [T, S, n]

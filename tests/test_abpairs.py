@@ -68,3 +68,12 @@ def test_summary_rows():
 ])
 def test_exit_status(pairs, status):
     assert abpairs.summarize(SPEC, pairs)[3] == status
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_pairs_must_be_positive(pairs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        abpairs.main(["parent", "change", "--workload", "eval-k20", "--pairs", pairs])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].endswith(f"argument --pairs: must be a positive integer, got {pairs}")

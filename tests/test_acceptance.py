@@ -109,7 +109,7 @@ def test_attention_correctness():
         absent[:, 0] = False
         mask = AttentionMask(bias=Tensor(bias), absent=absent)
         with capture() as kept:
-            out = masked_mha(p, "blk", Tensor(q_in), Tensor(kv_in), heads, mask=mask)
+            out = masked_mha(p, "blk", Tensor(q_in), Tensor(kv_in), heads, mask=mask, norm="ln")
         w = kept["blk"]
         assert np.all(w[np.broadcast_to(absent[None], w.shape)] < 1e-12)
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
@@ -178,8 +178,8 @@ def test_equivariance_suite():
         perm = rng.permutation(n)
         blocks = one_segment(n)
 
-        s = spatial_forward(params, cfg, x_obs, pres, blocks).data
-        s_p = spatial_forward(params, cfg, x_obs[perm], pres[perm], blocks).data
+        s = spatial_forward(params, cfg, x_obs, pres, blocks, x_obs).data
+        s_p = spatial_forward(params, cfg, x_obs[perm], pres[perm], blocks, x_obs[perm]).data
         worst = max(worst, float(np.max(np.abs(s_p - s[perm]))))
 
         q = track_embedding(params, "hyper/embed", x_obs, pres).data
@@ -194,13 +194,13 @@ def test_equivariance_suite():
             worst = max(worst, float(np.max(np.abs(h_p - h[perm]))))
 
         t = temporal_forward(params, cfg, x_obs, pres)
-        hh, _ = multiscale_group_features(x_obs, pres, params, "hyper", cfg.scales, blocks)
-        spat = spatial_forward(params, cfg, x_obs, pres, blocks)
-        fused = fuse(params, cfg, spat, t, hh).data
+        hh, hh_absent = multiscale_group_features(x_obs, pres, params, "hyper", cfg.scales, blocks)
+        spat = spatial_forward(params, cfg, x_obs, pres, blocks, x_obs)
+        fused = fuse(params, cfg, spat, t, hh, hh_absent).data
         t_p = temporal_forward(params, cfg, x_obs[perm], pres[perm])
-        hh_p, _ = multiscale_group_features(x_obs[perm], pres[perm], params, "hyper", cfg.scales, blocks)
-        spat_p = spatial_forward(params, cfg, x_obs[perm], pres[perm], blocks)
-        fused_p = fuse(params, cfg, spat_p, t_p, hh_p).data
+        hh_p, hh_absent_p = multiscale_group_features(x_obs[perm], pres[perm], params, "hyper", cfg.scales, blocks)
+        spat_p = spatial_forward(params, cfg, x_obs[perm], pres[perm], blocks, x_obs[perm])
+        fused_p = fuse(params, cfg, spat_p, t_p, hh_p, hh_absent_p).data
         worst = max(worst, float(np.max(np.abs(fused_p - fused[perm]))))
     assert worst < 1e-8
     assert hyper_trials >= 10  # the hypergraph leg must actually be exercised
@@ -232,7 +232,7 @@ def test_metric_oracles():
 
 
 @pytest.mark.slow
-def test_end_to_end_training_sanity():
+def test_end_to_end_training_sanity(tmp_path):
     """Default config on the seed-7 corpus: convergence, best-of-K ordering,
     and parity with the constant-velocity baseline on interacting scenes."""
     t0 = time.perf_counter()
@@ -242,7 +242,7 @@ def test_end_to_end_training_sanity():
     assert len(train_windows) == 64
 
     cfg = TrainConfig(seed=7)  # defaults: 300 epochs, lr 1e-4, batch 8
-    model, rep = train(cfg, train_windows)
+    model, rep = train(cfg, train_windows, out_dir=str(tmp_path))
     first = rep["epochs"][0]["total"]
     last = rep["epochs"][-1]["total"]
     assert last <= 0.20 * first, f"loss ratio {last / first:.3f}"

@@ -4,7 +4,6 @@ import pytest
 import crowdcast.autodiff as ad
 from crowdcast.autodiff import Tensor, gradcheck
 from crowdcast.cvae import (
-    ContractError,
     LatentPosterior,
     MetricError,
     best_of_k,
@@ -60,12 +59,6 @@ class TestPosterior:
         assert post.mu.shape == (5, tiny_cfg.d_z)
         assert post.log_sigma.shape == (5, tiny_cfg.d_z)
         assert recon.shape == (5, 16)
-
-    def test_missing_future_rejected(self, tiny_cfg):
-        model = CrowdForecaster(tiny_cfg, seed=0)
-        with pytest.raises(ContractError):
-            encode_posterior(model.params, Tensor(np.zeros((2, tiny_cfg.d_model))), None, None,
-                             Tensor(np.zeros((2, tiny_cfg.d_model))), tiny_cfg.d_z)
 
     def test_gradient(self, tiny_cfg):
         model = randomize_params(CrowdForecaster(tiny_cfg, seed=2), 3)
@@ -214,7 +207,7 @@ class TestLossTotal:
         pres_o = np.ones((n, t_in), dtype=bool)
         total, parts = loss_total(Tensor(gt.copy()), gt, pres_f, unit_posterior(n, 4),
                                   Tensor(x_obs.reshape(n, -1).copy()), x_obs, pres_o,
-                                  (1.0, 1.0, 1.0, 1.0), sigma_prior=1.0)
+                                  (1.0, 1.0, 1.0, 1.0), sigma_prior=1.0, segment=np.zeros(n, dtype=int))
         assert float(total.data) == pytest.approx(0.0, abs=1e-12)
         for name in ("distance", "kl", "angle", "reconstruction"):
             assert parts[name] == pytest.approx(0.0, abs=1e-12)
@@ -230,11 +223,11 @@ class TestLossTotal:
         mu[0, 0] = 1.0
         _, parts = loss_total(Tensor(gt.copy()), *args, unit_posterior(n, d_z, mu=mu),
                               Tensor(x_obs.reshape(n, -1).copy()), *obs_args,
-                              (0.0, 1.0, 0.0, 0.0), sigma_prior=1.0)
+                              (0.0, 1.0, 0.0, 0.0), sigma_prior=1.0, segment=np.zeros(n, dtype=int))
         assert parts["kl"] == pytest.approx(0.5, abs=1e-12)
         _, parts0 = loss_total(Tensor(gt.copy()), *args, unit_posterior(n, d_z),
                                Tensor(x_obs.reshape(n, -1).copy()), *obs_args,
-                               (0.0, 1.0, 0.0, 0.0), sigma_prior=1.0)
+                               (0.0, 1.0, 0.0, 0.0), sigma_prior=1.0, segment=np.zeros(n, dtype=int))
         assert parts0["kl"] == pytest.approx(0.0, abs=1e-12)
 
     def test_angle_quarter_turn(self):
@@ -246,7 +239,7 @@ class TestLossTotal:
         _, parts = loss_total(Tensor(pred), gt, np.ones((n, t_out), dtype=bool),
                               unit_posterior(n, 3), Tensor(x_obs.reshape(n, -1).copy()),
                               x_obs, np.ones((n, 2), dtype=bool),
-                              (0.0, 0.0, kappa3, 0.0), sigma_prior=1.0)
+                              (0.0, 0.0, kappa3, 0.0), sigma_prior=1.0, segment=np.zeros(n, dtype=int))
         assert parts["angle"] == pytest.approx(kappa3 * np.pi / 2, abs=1e-12)
 
     def test_degenerate_gt_pairs_skipped(self):
@@ -257,7 +250,7 @@ class TestLossTotal:
         _, parts = loss_total(Tensor(pred), gt, np.ones((n, t_out), dtype=bool),
                               unit_posterior(n, 2), Tensor(x_obs.reshape(n, -1).copy()),
                               x_obs, np.ones((n, 2), dtype=bool),
-                              (0.0, 0.0, 1.0, 0.0), sigma_prior=1.0)
+                              (0.0, 0.0, 1.0, 0.0), sigma_prior=1.0, segment=np.zeros(n, dtype=int))
         assert np.isfinite(parts["angle"])
 
     def test_distance_is_masked_mean(self):
@@ -271,7 +264,8 @@ class TestLossTotal:
         x_obs = np.ones((n, 2, 2))
         _, parts = loss_total(Tensor(pred), gt, presence, unit_posterior(n, 2),
                               Tensor(x_obs.reshape(n, -1).copy()), x_obs,
-                              np.ones((n, 2), dtype=bool), (1.0, 0.0, 0.0, 0.0))
+                              np.ones((n, 2), dtype=bool), (1.0, 0.0, 0.0, 0.0), sigma_prior=1.0,
+                              segment=np.zeros(n, dtype=int))
         assert parts["distance"] == pytest.approx(2.5)
 
     def test_full_gradient(self, tiny_cfg):

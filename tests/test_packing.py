@@ -220,18 +220,18 @@ def train_small_corpus():
 
 
 class TestPackedTraining:
-    def test_one_backward_per_batch_step(self, monkeypatch):
+    def test_one_backward_per_batch_step(self, monkeypatch, tmp_path):
         calls = []
         real = ad.backward
         monkeypatch.setattr(ad, "backward", lambda loss: calls.append(1) or real(loss))
         windows = [w for s in synth_generate(5, 2, agents_range=(3, 4)) for w in window_scene(s, stride=2)]
         cfg = tiny_config(epochs=2, batch_size=3)
-        train(cfg, windows)
+        train(cfg, windows, out_dir=str(tmp_path))
         assert len(calls) == cfg.epochs * -(-len(windows) // cfg.batch_size)
 
-    def test_rng_draw_order_kept(self):
+    def test_rng_draw_order_kept(self, tmp_path):
         """Jitter, rotation and latent draws keep their per-window order:
         epoch 0 of the default config on the seed-7 corpus reads the loss
         it read when every window had its own tape."""
-        _, report = train(TrainConfig(epochs=1, seed=7), train_small_corpus())
+        _, report = train(TrainConfig(epochs=1, seed=7), train_small_corpus(), out_dir=str(tmp_path))
         assert report["epochs"][0]["total"] == pytest.approx(4.169186593588481, rel=1e-10)

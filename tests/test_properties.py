@@ -137,6 +137,6 @@ def test_scene_files_are_rejected_or_train_and_evaluate(blob, tmp_path_factory):
         assert f"is beyond the {MAX_COORD:g} m bound" in str(exc)
         return
     if windows:
-        model, _ = train(FILE_CFG, windows)
+        model, _ = train(FILE_CFG, windows, out_dir=str(tmp_path_factory.getbasetemp()))
         rows, _ = evaluate(model, windows, k=2, seed=0)
         assert all(np.isfinite(r["minADE2"]) and np.isfinite(r["minFDE2"]) for r in rows)

@@ -13,8 +13,10 @@ TOOLS = SRC.parents[1] / "tools"
 # The gradient checker the test suites share.
 KEPT_FOR_TESTS = {"gradcheck"}
 # Kept on purpose: the gradient checker's probe options, which the test
-# suites set, and the dense mask view that the attention oracles read.
-KEPT_DEFAULTS = {"gradcheck"}
+# suites set; the ``dtype`` of ``Tensor``, the exported constructor, which
+# every program call passes and most test calls leave out; and the dense
+# mask view that the attention oracles read.
+KEPT_DEFAULTS = {"gradcheck", "Tensor"}
 KEPT_METHODS = {"AttentionMask.values"}
 
 
@@ -85,9 +87,12 @@ def sets_parameter(call, index, name):
     return index is not None and (len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
 
 
-def test_every_parameter_default_is_overridden_by_a_caller():
-    """A parameter with a default that no caller in ``src/``, ``perfbench/``
-    or ``tools/`` sets is an option that exists only for the tests."""
+def defaulted_parameters():
+    """(qualified parameter, the program calls by its function's name, its
+    index or None if keyword-only, its name) for each parameter with a
+    default of a public function or method in ``src/crowdcast`` outside
+    ``KEPT_DEFAULTS``.  Calls are matched by name, so a call of another
+    function of the same name (``np.stack``, ``_Builder.ffn``) counts."""
     trees = caller_sources()
     calls = {}
     for tree in trees.values():
@@ -96,7 +101,6 @@ def test_every_parameter_default_is_overridden_by_a_caller():
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
-    unset = []
     for qualified, called, fn, method in public_functions(trees):
         if called in KEPT_DEFAULTS:
             continue
@@ -104,9 +108,25 @@ def test_every_parameter_default_is_overridden_by_a_caller():
         first = len(positional) - len(fn.args.defaults)
         defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
         defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
-        unset += [f"{qualified}({name}=)" for index, name in defaulted
-                  if not any(sets_parameter(call, index, name) for call in calls.get(called, ()))]
+        for index, name in defaulted:
+            yield f"{qualified}({name}=)", calls.get(called, []), index, name
+
+
+def test_every_parameter_default_is_overridden_by_a_caller():
+    """A parameter with a default that no caller in ``src/``, ``perfbench/``
+    or ``tools/`` sets is an option that exists only for the tests."""
+    unset = [param for param, calls, index, name in defaulted_parameters()
+             if not any(sets_parameter(call, index, name) for call in calls)]
     assert unset == []
+
+
+def test_every_parameter_default_is_omitted_by_a_caller():
+    """A parameter with a default that every caller in ``src/``,
+    ``perfbench/`` and ``tools/`` sets is required in all but name: an
+    option needs two callers that want different values."""
+    always_set = [param for param, calls, index, name in defaulted_parameters()
+                  if calls and all(sets_parameter(call, index, name) for call in calls)]
+    assert always_set == []
 
 
 def test_every_public_method_has_a_caller():

@@ -4,6 +4,7 @@ import os
 import re
 import struct
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -88,10 +89,10 @@ class TestAdam:
         np.testing.assert_array_equal(params["w"].data, 1.0)
 
     def test_lr_schedule(self):
-        assert decayed_lr(1e-4, 0) == 1e-4
-        assert decayed_lr(1e-4, 99) == 1e-4
-        assert decayed_lr(1e-4, 100) == pytest.approx(5e-5)
-        assert decayed_lr(1e-4, 250) == pytest.approx(1e-4 * 0.25)
+        assert decayed_lr(1e-4, 0, 0.5, 100) == 1e-4
+        assert decayed_lr(1e-4, 99, 0.5, 100) == 1e-4
+        assert decayed_lr(1e-4, 100, 0.5, 100) == pytest.approx(5e-5)
+        assert decayed_lr(1e-4, 250, 0.5, 100) == pytest.approx(1e-4 * 0.25)
 
 
 class TestConfig:
@@ -151,6 +152,13 @@ class TestConfig:
     def test_scales_below_one_rejected(self, scales):
         """A scale below 1 would leave its hypergraph token out silently."""
         with pytest.raises(ConfigError, match="scales"):
+            TrainConfig(scales=scales)
+
+    @pytest.mark.parametrize("scales, repeated", [((2, 2, 3), [2]), ((3, 2, 3, 2), [2, 3])])
+    def test_repeated_scale_rejected(self, scales, repeated):
+        """Each scale has its own convolution parameters, and a repeated
+        scale's copy would never be trained."""
+        with pytest.raises(ConfigError, match=re.escape(f"repeated: {repeated}")):
             TrainConfig(scales=scales)
 
     @pytest.mark.parametrize("line, reason", [
@@ -255,17 +263,17 @@ class TestTrain:
         rows_b, agg_b = evaluate(model, windows[:3], k=4, seed=11)
         assert rows_a == rows_b and agg_a == agg_b
 
-    def test_loss_decreases_on_tiny_run(self):
+    def test_loss_decreases_on_tiny_run(self, tmp_path):
         cfg = tiny_config(epochs=15, batch_size=4, noise_std=0.0, learning_rate=3e-3)
         windows = small_corpus()
-        _, report = train(cfg, windows)
+        _, report = train(cfg, windows, out_dir=str(tmp_path))
         first = report["epochs"][0]["total"]
         last = report["epochs"][-1]["total"]
         assert last < first
 
-    def test_returned_model_holds_no_gradients(self):
+    def test_returned_model_holds_no_gradients(self, tmp_path):
         """Gradients are dropped after each Adam step, so none outlives it."""
-        model, _ = train(tiny_config(epochs=2, batch_size=4), small_corpus())
+        model, _ = train(tiny_config(epochs=2, batch_size=4), small_corpus(), out_dir=str(tmp_path))
         assert [name for name, t in model.params.items() if t.grad is not None] == []
 
     def test_report_structure(self, tmp_path):
@@ -715,8 +723,10 @@ class TestCliRejectsBadInput:
                                               (b"epochs=2\nd_model=63\n", "d_model must be even"),
                                               (b"# a comment\nepochs=lots\n",
                                                "2: config key 'epochs': cannot parse 'lots'"),
-                                              (b"epochs=\xff\n", "not UTF-8 text")],
-                             ids=["missing", "unknown-key", "invalid-value", "unparsable-value", "not-utf8"])
+                                              (b"epochs=\xff\n", "not UTF-8 text"),
+                                              (b"epochs=1\nscales=2,3,2\n", "scales must differ; repeated: [2]")],
+                             ids=["missing", "unknown-key", "invalid-value", "unparsable-value", "not-utf8",
+                                  "repeated-scale"])
     def test_bad_config_is_one_line_error(self, run, command, text, reason):
         """A missing config file used to end in a FileNotFoundError
         traceback, and an unknown key or invalid value in a ConfigError
@@ -741,14 +751,17 @@ class TestCliRejectsBadInput:
         traceback, and an abort before any best epoch named a best.ckpt
         that was never written.  One step per epoch: a huge learning rate
         aborts in the second epoch, after epoch 0 wrote best.ckpt, and huge
-        noise aborts in the first step."""
+        noise aborts in the first step.  Numpy's own RuntimeWarnings on the
+        way there stay silent, so the abort line is all that is printed."""
         data = tmp_path / "data"
         cli_main(["synth", "--seed", "7", "--out", str(data), "--scenes", "2"])
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(format_config(tiny_config(epochs=3, batch_size=64, stride=6, **overrides)))
         out = tmp_path / "run"
-        with pytest.raises(SystemExit) as exc:
+        with pytest.raises(SystemExit) as exc, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             cli_main(["train", "--config", str(cfg_path), "--data", str(data), "--out", str(out)])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         message = exc.value.code
         assert isinstance(message, str) and "\n" not in message
         assert message.startswith("training aborted: ") and "non-finite" in message, message

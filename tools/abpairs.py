@@ -112,12 +112,19 @@ def format_row(row):
             f"wins {row['wins']}/{row['pairs']}  bound {row['bound']:.0%}  {row['verdict']}")
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="root of the parent checkout")
     parser.add_argument("change", help="root of the changed checkout")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=positive_int, default=10)
     args = parser.parse_args(argv)
     spec = load_spec(args.change)
     seconds = spec["run_seconds"]
