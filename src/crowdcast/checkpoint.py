@@ -34,17 +34,24 @@ def save_archive(path, arrays):
             records[name] = np.asarray(arrays[name], dtype=np.float64).astype("<f4")
         if not _finite(records[name]):
             raise CheckpointError(f"{path}: non-finite values in record {name!r}")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(records)))
-        for name, arr in records.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(arr.tobytes())
+    partial = f"{path}.{os.getpid()}.tmp"  # renamed onto path once whole: a failed write keeps the old file
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(records)))
+            for name, arr in records.items():
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<I", arr.ndim))
+                for dim in arr.shape:
+                    fh.write(struct.pack("<I", dim))
+                fh.write(arr.tobytes())
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
 
 
 def _finite(arr):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .attention import capture
 from .checkpoint import CheckpointError, save_archive
-from .config import ConfigError, TrainConfig, format_config, parse_config
+from .config import ConfigError, TrainConfig, parse_config
 from .data import ParseError, normalize_window, parse_scene, synth_generate, window_scene, write_scene
 from .model import CrowdForecaster
 from .train import TrainingAbort, evaluate, train, write_metrics_jsonl, write_summary_csv
@@ -54,12 +54,12 @@ def _make_out_dir(path):
         raise SystemExit(f"{path}: cannot create output directory: {exc.strerror or exc}") from None
 
 
-def _load_model(cfg, path):
+def _load_model(path):
     try:
-        return CrowdForecaster(cfg, seed=cfg.seed).load(path)
+        return CrowdForecaster.from_checkpoint(path)
     except OSError as exc:
         raise SystemExit(f"{path}: cannot read checkpoint: {exc.strerror or exc}") from None
-    except CheckpointError as exc:  # names the path
+    except (CheckpointError, ConfigError) as exc:  # names the path
         raise SystemExit(str(exc)) from None
 
 
@@ -103,8 +103,6 @@ def cmd_train(args):
         raise SystemExit(f"no scene under {args.data}{besides} has a window of {cfg.t_in + cfg.t_out} "
                          f"frames to train on")
     _make_out_dir(args.out)
-    with open(os.path.join(args.out, "config.txt"), "w") as fh:
-        fh.write(format_config(cfg))
     try:
         _, report = train(cfg, windows, out_dir=args.out, log=args.log_every)
     except TrainingAbort as exc:
@@ -115,11 +113,9 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cfg = _load_config(args.config)
-    model = _load_model(cfg, args.checkpoint)
-    scenes = _load_scenes(args.data)
-    per_scene = _windows_by_scene(scenes, cfg)
-    span = cfg.t_in + cfg.t_out
+    model = _load_model(args.checkpoint)
+    per_scene = _windows_by_scene(_load_scenes(args.data), model.cfg)
+    span = model.cfg.t_in + model.cfg.t_out
     if not any(per_scene.values()):
         raise SystemExit(f"no scene under {args.data} has a window of {span} frames to score")
     all_rows, fold_rows = [], []
@@ -151,14 +147,10 @@ def cmd_synth(args):
 
 
 def cmd_inspect(args):
-    cfg = _load_config(args.config)
-    model = _load_model(cfg, args.checkpoint)
-    if args.data:
-        per_scene = _windows_by_scene(_load_scenes(args.data), cfg)
-        windows = [w for name in sorted(per_scene) for w in per_scene[name]]
-    else:
-        windows = [w for s in synth_generate(args.seed, 1)
-                   for w in window_scene(s, stride=cfg.stride, t_in=cfg.t_in, t_out=cfg.t_out)]
+    model = _load_model(args.checkpoint)
+    scenes = _load_scenes(args.data) if args.data else {"synth": synth_generate(args.seed, 1)[0]}
+    per_scene = _windows_by_scene(scenes, model.cfg)
+    windows = [w for name in sorted(per_scene) for w in per_scene[name]]
     if not 0 <= args.window < len(windows):
         raise SystemExit(f"--window {args.window} is out of range: there are {len(windows)} windows")
     window, _ = normalize_window(windows[args.window])
@@ -197,8 +189,7 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="best-of-K metrics per scene fold")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", default=None)
+    p.add_argument("--checkpoint", required=True, help="checkpoint written by train; holds its config")
     p.add_argument("--data", required=True)
     p.add_argument("--k", type=_positive_int, default=20)
     p.add_argument("--seed", type=_non_negative_int, default=0)
@@ -215,8 +206,7 @@ def build_parser():
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("inspect", help="dump attention maps / hypergraph membership")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", default=None)
+    p.add_argument("--checkpoint", required=True, help="checkpoint written by train; holds its config")
     p.add_argument("--data", default=None)
     p.add_argument("--window", type=int, default=0)
     p.add_argument("--seed", type=_non_negative_int, default=0)

@@ -92,28 +92,34 @@ def _coerce(name, raw, typ):
         raise ConfigError(f"config key {name!r}: cannot parse {raw!r} as {typ}") from None
 
 
-def parse_config(path):
-    """Read a flat key=value file into a TrainConfig; unknown keys are errors.
+def parse_config(path, text=None):
+    """Read a flat key=value file, or ``text`` in that format taken from
+    ``path``, into a TrainConfig; unknown and repeated keys are errors.
 
     Every ``ConfigError`` names the file, and the line where there is one.
     """
+    if text is None:
+        with open(path, "r") as fh:
+            text = fh.read()
     by_name = {f.name: f.type for f in fields(TrainConfig)}
-    overrides = {}
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, raw = line.split("=", 1)
-            key = key.strip()
-            if key not in by_name:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                overrides[key] = _coerce(key, raw, by_name[key])
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    overrides, first_line = {}, {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, raw = line.split("=", 1)
+        key = key.strip()
+        if key not in by_name:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
+        try:
+            overrides[key] = _coerce(key, raw, by_name[key])
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     try:
         return TrainConfig(**overrides)
     except ConfigError as exc:
@@ -129,10 +135,3 @@ def format_config(cfg):
         lines.append(f"{f.name}={value}")
     return "\n".join(lines) + "\n"
 
-
-def config_dict(cfg):
-    out = {}
-    for f in fields(TrainConfig):
-        value = getattr(cfg, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out

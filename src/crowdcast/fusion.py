@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import AttentionMask, masked_mha
-from .autodiff import ShapeError, Tensor
+from .autodiff import Tensor
 from .transformer import encoder_block, ffn_forward, layer_norm_p
 
 
@@ -30,10 +30,6 @@ def cross_modal_attention(params, prefix, target, sources, heads, absent):
     temporary, so the tape keeps no concatenation.  Residual + LN + FFN as
     in the encoder blocks; token count of the target is preserved.
     """
-    d = target.shape[-1]
-    for s in sources:
-        if s.shape[0] != target.shape[0] or s.shape[-1] != d:
-            raise ShapeError(f"modality shapes disagree: {target.shape} vs {s.shape}")
     mask = AttentionMask(bias=None, absent=absent[:, None, :])
     x = masked_mha(params, f"{prefix}/attn", target, sources, heads, mask=mask,
                    norm=(f"{prefix}/ln_q", f"{prefix}/ln_kv"))

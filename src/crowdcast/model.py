@@ -13,6 +13,7 @@ from . import cvae
 from .attention import SegmentBlocks
 from .autodiff import Tensor
 from .checkpoint import CheckpointError, read_records, save_archive, verify_names_shapes
+from .config import format_config, parse_config
 from .data import agent_relative_positions
 from .fusion import fuse
 from .hypergraph import multiscale_group_features
@@ -109,6 +110,9 @@ def init_params(cfg, seed):
     return b.p
 
 
+CONFIG_RECORD = "config"  # ``format_config`` text, one UTF-8 byte per float32 value (0-255 are exact)
+
+
 class CrowdForecaster:
     """Forecasting pipeline over normalized trajectory windows."""
 
@@ -119,7 +123,20 @@ class CrowdForecaster:
     # -- persistence -------------------------------------------------------
 
     def save(self, path):
-        save_archive(path, {name: t.data for name, t in self.params.items()})
+        """Write the parameters and, as ``CONFIG_RECORD``, the config."""
+        config = np.frombuffer(format_config(self.cfg).encode("utf-8"), dtype=np.uint8)
+        save_archive(path, {CONFIG_RECORD: config, **{name: t.data for name, t in self.params.items()}})
+
+    @classmethod
+    def from_checkpoint(cls, path):
+        """The model ``save`` wrote to ``path``, built from its config record."""
+        codes = next((arr for name, arr in read_records(path) if name == CONFIG_RECORD), None)
+        if codes is None:
+            raise CheckpointError(f"{path}: parameter names disagree (missing=[{CONFIG_RECORD!r}]): "
+                                  f"no config to rebuild the model from")
+        # a damaged record's out-of-range or non-UTF-8 bytes fail the parse, which names the file
+        cfg = parse_config(path, text=bytes(np.clip(codes, 0, 255).astype(np.uint8)).decode(errors="replace"))
+        return cls(cfg, seed=cfg.seed).load(path)
 
     def load(self, path):
         """Copy an archive's float32 records into the parameters' own arrays.
@@ -127,15 +144,17 @@ class CrowdForecaster:
         The archive is read twice, one record at a time: first every
         record's name, shape and values are checked, then each is copied,
         so a load that fails changes no parameter and the whole file is
-        never held.  Widening float32 to float64 is exact.
+        never held.  Widening float32 to float64 is exact.  A config record
+        is skipped: the caller built the model.
         """
-        shapes = {name: arr.shape for name, arr in read_records(path)}
+        shapes = {name: arr.shape for name, arr in read_records(path) if name != CONFIG_RECORD}
         try:
             verify_names_shapes(shapes, {name: t.shape for name, t in self.params.items()})
         except CheckpointError as exc:
             raise CheckpointError(f"{path}: {exc}") from None
         for name, arr in read_records(path):
-            np.copyto(self.params[name].data, arr)
+            if name != CONFIG_RECORD:
+                np.copyto(self.params[name].data, arr)
         return self
 
     # -- forward paths -------------------------------------------------------

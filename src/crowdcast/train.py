@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .cvae import MetricError, best_of_k
-from .config import config_dict
 from .data import last_present, normalize_window, pack_windows
 from .model import CrowdForecaster
 from .optim import Adam, decayed_lr
@@ -106,7 +105,7 @@ def train(cfg, windows, out_dir, log=None):
         "epochs": epochs_report,
         "best_loss": best_loss,
         "wall_clock_s": time.perf_counter() - t0,
-        "config": config_dict(cfg),
+        "config": asdict(cfg),
     }
     model.save(f"{out_dir}/final.ckpt")
     with open(f"{out_dir}/report.json", "w") as fh:

@@ -1,9 +1,11 @@
+import errno
 import re
 import struct
 
 import numpy as np
 import pytest
 
+from crowdcast import checkpoint
 from crowdcast.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -137,3 +139,33 @@ def test_load_rejects_non_finite_values(tmp_path, value):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: non-finite values in record 'b'$"):
         dict(read_records(path))
+
+
+def test_failed_write_keeps_the_previous_archive(tmp_path, monkeypatch):
+    """A save that stops part-way (here a full disk after 200 bytes) used
+    to leave a truncated archive where the previous one was."""
+    path = tmp_path / "best.ckpt"
+    save_archive(path, {"w": np.arange(64.0)})
+    before = path.read_bytes()
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh, self.left = fh, 200
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if len(data) > self.left:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.left -= len(data)
+            return self.fh.write(data)
+
+    monkeypatch.setattr(checkpoint, "open", lambda *args: FullDisk(open(*args)), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_archive(path, {"w": np.ones(64)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]

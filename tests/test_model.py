@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crowdcast import cvae
 from crowdcast.attention import capture
 from crowdcast.autodiff import backward, no_grad
 from crowdcast.checkpoint import CheckpointError, read_records, save_archive
-from crowdcast.config import TrainConfig
+from crowdcast.config import ConfigError, TrainConfig
 from crowdcast.data import normalize_window
 from crowdcast.model import CrowdForecaster
 from conftest import random_window, randomize_params, tiny_config
@@ -116,6 +120,79 @@ def test_checkpoint_config_mismatch_rejected(tiny_cfg, tmp_path):
     fewer_layers = CrowdForecaster(tiny_config(layers=2), seed=0)
     with pytest.raises(CheckpointError):
         fewer_layers.load(path)
+
+
+POSITIVE = st.one_of(st.sampled_from([1e-4, 3e-4, 0.5, 1.0, 5.0]),
+                    st.floats(min_value=1e-300, max_value=1e300))
+NON_NEGATIVE = st.one_of(st.just(0.0), POSITIVE)
+
+
+@st.composite
+def configs(draw):
+    """Valid configs at tiny widths: every field drawn but the dimensions
+    that only size the parameters."""
+    return tiny_config(
+        learning_rate=draw(POSITIVE), decay_factor=draw(POSITIVE), decay_every=draw(st.integers(1, 1000)),
+        epochs=draw(st.integers(1, 1000)), batch_size=draw(st.integers(1, 64)),
+        seed=draw(st.integers(0, 2**32)), noise_std=draw(NON_NEGATIVE),
+        kappa1=draw(NON_NEGATIVE), kappa2=draw(NON_NEGATIVE), kappa3=draw(NON_NEGATIVE),
+        kappa4=draw(NON_NEGATIVE), heads=draw(st.sampled_from([1, 2, 4, 8])),
+        scales=tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True))),
+        gcn_radius=draw(POSITIVE), sigma_prior=draw(POSITIVE), t_in=draw(st.integers(2, 9)),
+        t_out=draw(st.integers(1, 13)), stride=draw(st.integers(1, 5)),
+        precision=draw(st.sampled_from(["f64", "f32"])),
+    )
+
+
+@settings(deadline=None, max_examples=40, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=configs())
+def test_checkpoint_rebuilds_its_config(tmp_path, cfg):
+    """``from_checkpoint`` rebuilds the config that ``save`` wrote, and
+    loads the parameters into a model of that config."""
+    path = tmp_path / "m.ckpt"
+    saved = randomize_params(CrowdForecaster(cfg, seed=0), 3)
+    saved.save(path)
+    model = CrowdForecaster.from_checkpoint(path)
+    assert model.cfg == cfg
+    for name, t in model.params.items():
+        assert t.dtype == cfg.dtype
+        np.testing.assert_array_equal(t.data, saved.params[name].data.astype(np.float32))
+
+
+def test_load_reads_parameters_only(tmp_path):
+    """``load`` copies parameters into the model its caller built, whatever
+    config the checkpoint was saved with (the benchmark loads a checkpoint
+    trained with seed=7 and epochs=50 into the defaults)."""
+    path = tmp_path / "m.ckpt"
+    saved = randomize_params(CrowdForecaster(tiny_config(seed=7, epochs=50, sigma_prior=0.5), seed=7), 3)
+    saved.save(path)
+    cfg = tiny_config()
+    model = CrowdForecaster(cfg, seed=0).load(path)
+    assert model.cfg is cfg
+    for name, t in model.params.items():
+        np.testing.assert_array_equal(t.data, saved.params[name].data.astype(np.float32))
+
+
+@pytest.mark.parametrize("field, value, reason", [("heads", 3, "heads=3 must divide d_model=8"),
+                                                  ("epochs", "lots", ":4: config key 'epochs': cannot parse")])
+def test_bad_config_record_names_the_checkpoint(tiny_cfg, tmp_path, field, value, reason):
+    path = tmp_path / "m.ckpt"
+    model = CrowdForecaster(tiny_cfg, seed=0)
+    setattr(model.cfg, field, value)
+    model.save(path)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}.*{re.escape(reason)}"):
+        CrowdForecaster.from_checkpoint(path)
+
+
+def test_damaged_config_record_names_the_checkpoint(tiny_cfg, tmp_path):
+    """Values that are not bytes, or bytes that are not UTF-8, fail the
+    parse with the checkpoint's name and the line."""
+    path = tmp_path / "m.ckpt"
+    params = {name: t.data for name, t in CrowdForecaster(tiny_cfg, seed=0).params.items()}
+    save_archive(path, {"config": np.array([0xFF, 300.0, -1.0, ord("="), ord("1")]), **params})
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:1: unknown config key"):
+        CrowdForecaster.from_checkpoint(path)
 
 
 @pytest.mark.parametrize("precision", ["f64", "f32"])

@@ -1,10 +1,13 @@
 """The public surface: no module-level name, method or parameter default
 exists only for its own tests."""
 
+import argparse
 import ast
+import inspect
 from pathlib import Path
 
 import crowdcast
+from crowdcast import cli
 
 SRC = Path(crowdcast.__file__).parent
 PERFBENCH = SRC.parents[1] / "perfbench"
@@ -144,3 +147,22 @@ def test_every_public_method_has_a_caller():
                    if isinstance(node, (ast.Attribute, ast.Constant))):
             uncalled.append(qualified)
     assert uncalled == []
+
+
+def test_every_cli_option_is_read():
+    """Each option of a subcommand is read as ``args.<dest>`` by the
+    function its ``set_defaults(func=...)`` names: an option parsed and
+    then never read is the command-line form of a config key that nothing
+    reads."""
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == ["eval", "inspect", "synth", "train"]
+    unread = []
+    for command, sub in subparsers.choices.items():
+        fn = ast.parse(inspect.getsource(sub.get_default("func"))).body[0]
+        args = fn.args.args[0].arg
+        read = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == args}
+        unread += [f"{command} {action.option_strings[0]}" for action in sub._actions
+                   if action.dest != "help" and action.dest not in read]
+    assert unread == []

@@ -15,7 +15,8 @@ import crowdcast
 from crowdcast.cli import main as cli_main
 from crowdcast.config import ConfigError, TrainConfig, format_config, parse_config
 from crowdcast.cvae import MetricError
-from crowdcast.data import Scene, normalize_window, synth_generate, window_scene, write_scene
+from crowdcast.checkpoint import read_records, save_archive
+from crowdcast.data import Scene, normalize_window, parse_scene, synth_generate, window_scene, write_scene
 from crowdcast.model import CrowdForecaster
 from crowdcast.optim import Adam, decayed_lr
 from crowdcast.train import (
@@ -456,7 +457,7 @@ class TestCli:
         assert (run / "report.json").exists()
 
         ev = tmp_path / "eval"
-        cli_main(["eval", "--checkpoint", str(run / "final.ckpt"), "--config", str(cfg_path),
+        cli_main(["eval", "--checkpoint", str(run / "final.ckpt"),
                   "--data", str(data), "--k", "4", "--seed", "1", "--out", str(ev)])
         lines = (ev / "metrics.jsonl").read_text().strip().splitlines()
         assert lines
@@ -466,13 +467,11 @@ class TestCli:
         assert header == "fold,minADE4,minFDE4"
 
         ins = tmp_path / "inspect"
-        cli_main(["inspect", "--checkpoint", str(run / "final.ckpt"), "--config", str(cfg_path),
+        cli_main(["inspect", "--checkpoint", str(run / "final.ckpt"),
                   "--data", str(data), "--out", str(ins),
                   "--dump-attention", "--dump-hypergraphs"])
         assert (ins / "attention.ckpt").exists()
         assert (ins / "hypergraphs.jsonl").exists()
-        from crowdcast.checkpoint import read_records
-
         dumped = dict(read_records(ins / "attention.ckpt"))
         assert "spatial/l0/attn/0" in dumped and "temporal/l0/attn/0" in dumped
         assert {"fusion/cross_s/attn", "fusion/cross_t/attn", "fusion/cross_h/attn", "fusion/self/attn"} <= set(dumped)
@@ -481,19 +480,59 @@ class TestCli:
 
     def test_inspect_synthetic_windows_follow_config_horizons(self, tmp_path):
         """Without --data, inspect cuts its synthetic windows with the
-        config's t_in and t_out, so a t_in=6 model runs."""
+        checkpoint's t_in and t_out, so a t_in=6 model runs."""
         cfg = tiny_config(t_in=6)
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(format_config(cfg))
         ckpt = tmp_path / "model.ckpt"
         CrowdForecaster(cfg, seed=cfg.seed).save(ckpt)
         ins = tmp_path / "inspect"
-        cli_main(["inspect", "--checkpoint", str(ckpt), "--config", str(cfg_path),
+        cli_main(["inspect", "--checkpoint", str(ckpt),
                   "--out", str(ins), "--dump-attention"])
-        from crowdcast.checkpoint import read_records
-
         dumped = dict(read_records(ins / "attention.ckpt"))
         assert dumped["temporal/l0/attn/0"].shape[-1] == 6
+
+    def test_eval_and_inspect_rebuild_the_trained_model(self, tmp_path):
+        """eval and inspect take the config from the checkpoint, so a model
+        trained with other heads, scales, gcn_radius, sigma_prior and t_in
+        than the defaults is scored as it was trained; a run directory
+        holds no config file."""
+        data = tmp_path / "data"
+        cli_main(["synth", "--seed", "3", "--out", str(data), "--scenes", "2",
+                  "--min-agents", "3", "--max-agents", "4"])
+        cfg = tiny_config(epochs=1, batch_size=4, stride=6, heads=2, scales=(2, 4), gcn_radius=1.0,
+                          sigma_prior=0.5, t_in=6)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(format_config(cfg))
+        run = tmp_path / "run"
+        cli_main(["train", "--config", str(cfg_path), "--data", str(data), "--out", str(run)])
+        assert sorted(p.name for p in run.iterdir()) == ["best.ckpt", "final.ckpt", "report.json"]
+        ckpt = run / "final.ckpt"
+
+        ev = tmp_path / "eval"
+        cli_main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--k", "3", "--seed", "2",
+                  "--out", str(ev)])
+        model = CrowdForecaster(cfg).load(ckpt)
+        expected = []
+        for scene in sorted(data.glob("*.txt")):
+            windows = window_scene(parse_scene(scene), stride=cfg.stride, t_in=cfg.t_in, t_out=cfg.t_out)
+            expected += evaluate(model, windows, 3, 2, fold=scene.stem)[0]
+        rows = [json.loads(line) for line in (ev / "metrics.jsonl").read_text().splitlines()]
+        assert len(rows) == 4 and rows == expected
+
+        ins = tmp_path / "inspect"
+        cli_main(["inspect", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(ins),
+                  "--dump-attention"])
+        dumped = dict(read_records(ins / "attention.ckpt"))
+        assert dumped["temporal/l0/attn/0"].shape[-1] == 6
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_config_option_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit):
+            cli_main([command, "--help"])
+        usage = capsys.readouterr().out
+        assert "--checkpoint" in usage and "--config" not in usage
+        with pytest.raises(SystemExit):
+            cli_main([command, "--checkpoint", "m.ckpt", "--data", "d", "--config", "run.cfg"])
+        assert "unrecognized arguments: --config run.cfg" in capsys.readouterr().err
 
     def test_holdout_excluded(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -526,14 +565,14 @@ class TestCliRejectsBadInput:
     def test_inspect_window_out_of_range(self, run, window):
         tmp_path, data, cfg_path, ckpt = run
         with pytest.raises(SystemExit, match="out of range"):
-            cli_main(["inspect", "--checkpoint", str(ckpt), "--config", str(cfg_path), "--data", str(data),
+            cli_main(["inspect", "--checkpoint", str(ckpt), "--data", str(data),
                       "--window", window, "--out", str(tmp_path / "inspect")])
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_eval_k_must_be_positive(self, run, k, capsys):
         tmp_path, data, cfg_path, ckpt = run
         with pytest.raises(SystemExit):
-            cli_main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path), "--data", str(data),
+            cli_main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
                       "--k", k, "--out", str(tmp_path / "eval")])
         assert "must be a positive integer" in capsys.readouterr().err
 
@@ -553,7 +592,7 @@ class TestCliRejectsBadInput:
         NaN metrics in summary.csv."""
         tmp_path, data, cfg_path, ckpt = run
         self._one_agent_scene(data / "short.txt", 10)
-        cli_main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path), "--data", str(data),
+        cli_main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
                   "--k", "2", "--out", str(tmp_path / "eval")])
         out = capsys.readouterr().out
         assert "fold short: left out, no window of 20 frames to score" in out
@@ -568,7 +607,7 @@ class TestCliRejectsBadInput:
             path.unlink()
         self._one_agent_scene(data / "short.txt", 10)
         with pytest.raises(SystemExit, match="^no scene under .* has a window of 20 frames to score$"):
-            cli_main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path), "--data", str(data),
+            cli_main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
                       "--out", str(tmp_path / "eval")])
         assert not (tmp_path / "eval").exists()
 
@@ -595,7 +634,7 @@ class TestCliRejectsBadInput:
             path.unlink()
         self._one_agent_scene(data / "alone.txt", 20)
         ins = tmp_path / "inspect"
-        cli_main(["inspect", "--checkpoint", str(ckpt), "--config", str(cfg_path), "--data", str(data),
+        cli_main(["inspect", "--checkpoint", str(ckpt), "--data", str(data),
                   "--out", str(ins), "--dump-attention", "--dump-hypergraphs"])
         assert (ins / "hypergraphs.jsonl").read_text() == ""
         assert (ins / "attention.ckpt").exists()
@@ -606,8 +645,8 @@ class TestCliRejectsBadInput:
         ``default_rng`` (eval, inspect) or in a bare "expected non-negative
         integer" (synth)."""
         tmp_path, data, cfg_path, ckpt = run
-        loaded = {"eval": ["--checkpoint", str(ckpt), "--config", str(cfg_path), "--data", str(data)],
-                  "inspect": ["--checkpoint", str(ckpt), "--config", str(cfg_path)],
+        loaded = {"eval": ["--checkpoint", str(ckpt), "--data", str(data)],
+                  "inspect": ["--checkpoint", str(ckpt)],
                   "synth": []}[command]
         out = tmp_path / command
         with pytest.raises(SystemExit):
@@ -635,11 +674,11 @@ class TestCliRejectsBadInput:
     def test_malformed_scene_file_is_one_line_error(self, run, command):
         tmp_path, data, cfg_path, ckpt = run
         (data / "synth001.txt").write_text("0 1 0.0 0.0\n1 1 oops 0.0\n")
-        args = {"train": ["--out", str(tmp_path / "train")],
+        args = {"train": ["--config", str(cfg_path), "--out", str(tmp_path / "train")],
                 "eval": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")],
                 "inspect": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "inspect")]}[command]
         with pytest.raises(SystemExit, match=r"synth001\.txt:2: non-numeric field$"):
-            cli_main([command, "--config", str(cfg_path), "--data", str(data)] + args)
+            cli_main([command, "--data", str(data)] + args)
         assert not (tmp_path / command).exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "inspect"])
@@ -650,11 +689,11 @@ class TestCliRejectsBadInput:
         tmp_path, data, cfg_path, ckpt = run
         write_scene(Scene(frames=[(f, a, 1e200 if a == 1 else 0.1 * f, float(a)) for f in range(20)
                                   for a in range(3)]), data / "synth001.txt")
-        args = {"train": ["--out", str(tmp_path / "train")],
+        args = {"train": ["--config", str(cfg_path), "--out", str(tmp_path / "train")],
                 "eval": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")],
                 "inspect": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "inspect")]}[command]
         with pytest.raises(SystemExit) as exc:
-            cli_main([command, "--config", str(cfg_path), "--data", str(data)] + args)
+            cli_main([command, "--data", str(data)] + args)
         assert exc.value.code == "scene synth001: window at frame 0: coordinate 1e+200 is beyond the 1e+06 m bound"
         assert not (tmp_path / command).exists()
 
@@ -662,17 +701,17 @@ class TestCliRejectsBadInput:
     def test_non_utf8_scene_file_is_one_line_error(self, run, command):
         tmp_path, data, cfg_path, ckpt = run
         (data / "synth001.txt").write_bytes(b"0 1 0.0 0.0\n1 1 \xff 0.0\n")
-        args = {"train": ["--out", str(tmp_path / "train")],
+        args = {"train": ["--config", str(cfg_path), "--out", str(tmp_path / "train")],
                 "eval": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")],
                 "inspect": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "inspect")]}[command]
         with pytest.raises(SystemExit, match=r"synth001\.txt: not UTF-8 text$"):
-            cli_main([command, "--config", str(cfg_path), "--data", str(data)] + args)
+            cli_main([command, "--data", str(data)] + args)
         assert not (tmp_path / command).exists()
 
     @staticmethod
     def _load_checkpoint(command, run, ckpt):
-        tmp_path, data, cfg_path, _ = run
-        cli_main([command, "--checkpoint", str(ckpt), "--config", str(cfg_path), "--data", str(data),
+        tmp_path, data, _, _ = run
+        cli_main([command, "--checkpoint", str(ckpt), "--data", str(data),
                   "--out", str(tmp_path / command)])
 
     @pytest.mark.parametrize("command", ["eval", "inspect"])
@@ -703,6 +742,22 @@ class TestCliRejectsBadInput:
             self._load_checkpoint(command, run, ckpt)
 
     @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_checkpoint_without_config_is_one_line_error(self, run, command):
+        """An archive of parameters alone, as ``save_archive`` writes it,
+        still loads into a model its caller built, but eval and inspect
+        cannot rebuild a model from it."""
+        tmp_path, _, _, _ = run
+        cfg = tiny_config(epochs=1, batch_size=4, stride=6)
+        bare = tmp_path / "bare.ckpt"
+        save_archive(bare, {name: t.data for name, t in CrowdForecaster(cfg).params.items()})
+        CrowdForecaster(cfg).load(bare)
+        with pytest.raises(SystemExit) as exc:
+            self._load_checkpoint(command, run, bare)
+        assert exc.value.code == (f"{bare}: parameter names disagree (missing=['config']): "
+                                  f"no config to rebuild the model from")
+        assert not (tmp_path / command).exists()
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
     def test_non_finite_checkpoint_is_one_line_error(self, run, command):
         """A layer-norm gain of 1e39 is inf as float32; such a checkpoint
         used to load and end in a NonFiniteError traceback."""
@@ -717,29 +772,28 @@ class TestCliRejectsBadInput:
             self._load_checkpoint(command, run, ckpt)
         assert not (run[0] / command).exists()
 
-    @pytest.mark.parametrize("command", ["train", "eval", "inspect"])
+    @pytest.mark.parametrize("command", ["train"])
     @pytest.mark.parametrize("text, reason", [(None, "cannot read config: No such file or directory"),
                                               (b"bogus=1\n", "1: unknown config key 'bogus'"),
                                               (b"epochs=2\nd_model=63\n", "d_model must be even"),
                                               (b"# a comment\nepochs=lots\n",
                                                "2: config key 'epochs': cannot parse 'lots'"),
                                               (b"epochs=\xff\n", "not UTF-8 text"),
-                                              (b"epochs=1\nscales=2,3,2\n", "scales must differ; repeated: [2]")],
+                                              (b"epochs=1\nscales=2,3,2\n", "scales must differ; repeated: [2]"),
+                                              (b"epochs=5\nheads=2\nepochs=7\n",
+                                               "3: config key 'epochs' already set on line 1")],
                              ids=["missing", "unknown-key", "invalid-value", "unparsable-value", "not-utf8",
-                                  "repeated-scale"])
+                                  "repeated-scale", "repeated-key"])
     def test_bad_config_is_one_line_error(self, run, command, text, reason):
         """A missing config file used to end in a FileNotFoundError
         traceback, and an unknown key or invalid value in a ConfigError
-        one."""
-        tmp_path, data, _, ckpt = run
+        one; a repeated key used to be read with its last value."""
+        tmp_path, data, _, _ = run
         cfg_path = tmp_path / "bad.cfg"
         if text is not None:
             cfg_path.write_bytes(text)
-        args = {"train": ["--out", str(tmp_path / "train")],
-                "eval": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")],
-                "inspect": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "inspect")]}[command]
         with pytest.raises(SystemExit) as exc:
-            cli_main([command, "--config", str(cfg_path), "--data", str(data)] + args)
+            cli_main([command, "--config", str(cfg_path), "--data", str(data), "--out", str(tmp_path / command)])
         assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
         assert exc.value.code.startswith(f"{cfg_path}:") and reason in exc.value.code, exc.value.code
         assert not (tmp_path / command).exists()
@@ -767,16 +821,16 @@ class TestCliRejectsBadInput:
         assert message.startswith("training aborted: ") and "non-finite" in message, message
         if best:
             assert message.endswith(f"; last good checkpoint retained at {out}/best.ckpt"), message
-            assert sorted(p.name for p in out.iterdir()) == ["best.ckpt", "config.txt"]
+            assert sorted(p.name for p in out.iterdir()) == ["best.ckpt"]
         else:
             assert "checkpoint" not in message, message
-            assert sorted(p.name for p in out.iterdir()) == ["config.txt"]
+            assert sorted(p.name for p in out.iterdir()) == []
 
     @staticmethod
     def _with_data(command, run, data):
         tmp_path, _, cfg_path, ckpt = run
-        loaded = [] if command == "train" else ["--checkpoint", str(ckpt)]
-        cli_main([command, *loaded, "--config", str(cfg_path), "--data", str(data),
+        loaded = ["--config", str(cfg_path)] if command == "train" else ["--checkpoint", str(ckpt)]
+        cli_main([command, *loaded, "--data", str(data),
                   "--out", str(tmp_path / command)])
 
     @pytest.mark.parametrize("command", ["train", "eval", "inspect"])
